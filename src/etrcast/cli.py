@@ -4,10 +4,10 @@ Every subcommand takes a ``--seed``, resolves its configuration in layers
 (built-in defaults, then an optional ``--config`` key=value file, then flags),
 writes its outputs to a distinct ``--out`` directory, and records a
 run_manifest.json with the resolved config, input/output checksums, and
-timestamps. All compute is single-threaded regardless of ``--threads`` (the
-flag is accepted and recorded so manifests stay complete); with a fixed seed
+timestamps. ``--threads`` is only recorded in the manifest: it sets no thread
+count, and the BLAS library runs with its own default. With a fixed seed
 every artifact except the manifest (which carries wall-clock timestamps by
-design) is byte-reproducible.
+design) is byte-reproducible on one machine.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
 """
@@ -425,11 +425,8 @@ def cmd_attention(args) -> int:
     encoded = encode_events([event], state, dataset.schema)[0]
     from .training import build_final_samples
 
-    sample = build_final_samples([encoded], params.config)
-    m = int(sample.prefix_len[0])
-    batch = explain_mod.event_batch(
-        sample.cat_idx[0, :m], sample.cont[0, :m], sample.deltas[0, :m]
-    )
+    # forward trims the padded sample to the event's own length
+    batch = build_final_samples([encoded], params.config).batch(slice(0, 1))
     stack = explain_mod.extract_attention(
         params, batch, n_random_heads=args.heads, seed=args.seed
     )
@@ -544,7 +541,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--threads", type=int, default=1, help="recorded; compute is serial")
+        p.add_argument("--threads", type=int, default=1, help="recorded only; sets no thread count")
 
     gen = sub.add_parser("generate", help="generate a synthetic dataset")
     common(gen, dataset=False)

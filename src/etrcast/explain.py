@@ -295,6 +295,7 @@ def write_attributions(sets: Sequence[AttributionSet], path: str) -> None:
         total = float(np.abs(a.values).sum())
         for name, value, se in zip(a.feature_names, a.values, a.std_errors):
             share = abs(value) / total if total > 0 else 0.0
-            lines.append(f"{a.revision_index} {name} {value!r} {se!r} {share!r}")
+            numbers = " ".join(repr(float(x)) for x in (value, se, share))
+            lines.append(f"{a.revision_index} {name} {numbers}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

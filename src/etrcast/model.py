@@ -226,12 +226,13 @@ def encode_sequence(
     capture: list | None = None,
     dropout_rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run the transformer encoder stack; returns [B,S,d_model].
+    """Run the transformer encoder stack on h [B,L,d_model]; returns [B,L,d_model].
 
-    When ``capture`` is a list, each layer's attention weights [B,H,S,S] are
-    appended to it (data only; capturing never alters the computation). With
-    ``dropout_rng`` set and config.dropout > 0, inverted dropout is applied to
-    each sublayer output before its residual add (training only).
+    When ``capture`` is a list, each layer's attention weights [B,H,L,L] are
+    appended to it, L being the batch's longest valid prefix (data only;
+    capturing never alters the computation). With ``dropout_rng`` set and
+    config.dropout > 0, inverted dropout is applied to each sublayer output
+    before its residual add (training only).
     """
     cfg = params.config
     b, s, d = h.shape
@@ -305,9 +306,15 @@ def forward(
     capture: list | None = None,
     dropout_rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Full forward pass to predicted durations; returns Tensor [B]."""
+    """Full forward pass to predicted durations; returns Tensor [B].
+
+    Columns past the longest valid prefix L are cut first; captured attention
+    is [B,H,L,L].
+    """
     validate_batch(batch, params.config, params.schema)
-    batch = sanitize_batch(batch)
+    used = int(batch.mask.astype(bool).sum(axis=1).max(initial=1))
+    trimmed = (a[:, :used] for a in (batch.cat_idx, batch.cont, batch.deltas, batch.mask))
+    batch = sanitize_batch(SequenceBatch(*trimmed))
     h = embed_revision(tape, batch, params, as_params)
     pe = positional_encode(batch.deltas, params.config.d_model, params.config.pe_base)
     h = tape.add(h, tape.constant(pe))
@@ -402,32 +409,59 @@ def save_checkpoint(
 def load_checkpoint(
     path: str, expect_fingerprint: str | None = None
 ) -> tuple[ModelParams, TransformState | None, str]:
+    """Read a checkpoint; any mismatch with its own config raises ValueError.
+
+    The tensor list must name exactly the tensors ``init_params`` builds for
+    the stored config and schema, with the same shapes, and the file must end
+    right after the last tensor.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
+        raw_len = fh.read(8)
+        if len(raw_len) != 8:
+            raise ValueError(f"{path}: truncated header")
+        (hlen,) = struct.unpack("<Q", raw_len)
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format_version") != 1:
+        if not isinstance(header, dict) or header.get("format_version") != 1:
             raise ValueError(f"{path}: unsupported checkpoint version")
-        fingerprint = header["schema_fingerprint"]
+        try:
+            fingerprint = header["schema_fingerprint"]
+            config = ModelConfig(**header["model_config"])
+            schema = FeatureSchema(
+                tuple((n, k) for n, k in header["schema"]["features"]),
+                {k: int(v) for k, v in header["schema"]["cardinalities"].items()},
+            )
+            state = _transform_state_from_doc(header.get("transform_state"))
+            entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
+            expected = init_params(config, schema).tensors
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
         if expect_fingerprint is not None and fingerprint != expect_fingerprint:
             raise ValueError(
                 "schema fingerprint mismatch: checkpoint "
                 f"{fingerprint} vs dataset {expect_fingerprint}"
             )
-        config = ModelConfig(**header["model_config"])
-        schema = FeatureSchema(
-            tuple((n, k) for n, k in header["schema"]["features"]),
-            {k: int(v) for k, v in header["schema"]["cardinalities"].items()},
-        )
+        names = [name for name, _ in entries]
+        if names != sorted(expected):
+            missing = sorted(set(expected) - set(names))
+            extra = sorted(set(names) - set(expected))
+            raise ValueError(
+                f"{path}: tensor list does not match the model config "
+                f"(missing {missing}, unexpected {extra})"
+            )
         tensors: dict[str, np.ndarray] = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"{path}: truncated tensor {entry['name']}")
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    params = ModelParams(config, schema, tensors)
-    return params, _transform_state_from_doc(header.get("transform_state")), fingerprint
+        for name, shape in entries:
+            if shape != expected[name].shape:
+                raise ValueError(
+                    f"{path}: tensor {name} has shape {shape}, "
+                    f"the model config needs {expected[name].shape}"
+                )
+            raw = fh.read(expected[name].nbytes)
+            if len(raw) != expected[name].nbytes:
+                raise ValueError(f"{path}: truncated tensor {name}")
+            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last tensor")
+    return ModelParams(config, schema, tensors), state, fingerprint

@@ -4,7 +4,7 @@ Samples are built one per (event, prefix length): the model trains to predict
 the final restoration duration from every intermediate revision state, which
 mirrors how an estimate would be re-issued as updates arrive. Optimization is
 Adam with bias correction; the learning rate decays by a fixed factor when
-the validation WAE stops improving. Everything is seeded and single-threaded,
+the validation WAE stops improving. Everything, dropout included, is seeded,
 so two runs with the same inputs produce bit-identical histories.
 
 The linear baseline fits ordinary least squares (tiny ridge jitter for rank
@@ -260,12 +260,18 @@ class TrainResult:
 
 
 def predict_in_chunks(
-    params: ModelParams, samples: SampleSet, chunk: int = 512
+    predict_fn: Callable[[SequenceBatch], np.ndarray], samples: SampleSet, chunk: int = 512
 ) -> np.ndarray:
+    """Predict every sample, returned in input order.
+
+    Rows go to ``predict_fn`` in chunks of ``chunk``, shortest prefix first
+    (stable order), so each chunk is trimmed to about its own length.
+    """
+    order = np.argsort(samples.prefix_len, kind="stable")
     preds = np.empty(samples.size)
     for start in range(0, samples.size, chunk):
-        sel = slice(start, min(start + chunk, samples.size))
-        preds[sel] = predict(params, samples.batch(sel))
+        idx = order[start : start + chunk]
+        preds[idx] = predict_fn(samples.batch(idx))
     return preds
 
 
@@ -316,6 +322,7 @@ def train_model(
     for epoch in range(train_config.max_epochs):
         t_start = time.perf_counter()
         order = np.random.default_rng((train_config.seed, 1000 + epoch)).permutation(n)
+        dropout_rng = np.random.default_rng((train_config.seed, 2000 + epoch))
         loss_sum = 0.0
         for bi, start in enumerate(range(0, n, train_config.batch_size)):
             idx = order[start : start + train_config.batch_size]
@@ -323,7 +330,7 @@ def train_model(
             targets = train_samples.targets[idx]
             tape = Tape()
             try:
-                preds = forward(tape, params, batch, as_params=True)
+                preds = forward(tape, params, batch, as_params=True, dropout_rng=dropout_rng)
                 loss = tape.scalar_op(preds, _loss_fn(train_config.loss, targets, loss_config))
                 grads = tape.gradients(loss)
             except NumericsError as exc:
@@ -332,7 +339,7 @@ def train_model(
             adam_step(params.tensors, grads, adam, plateau.lr, train_config)
         train_loss = loss_sum / n
 
-        val_preds = predict_in_chunks(params, val_samples)
+        val_preds = predict_in_chunks(lambda b: predict(params, b), val_samples)
         val_wae = wae(val_preds, val_samples.targets, loss_config)
         if val_wae < best_val:
             best_val = val_wae
@@ -433,16 +440,12 @@ def evaluate_model(
     magnitudes: Mapping[str, str],
     model_config: ModelConfig,
     loss_config: LossConfig = LossConfig(),
-    chunk: int = 512,
 ) -> EvalReport:
     """Metrics over one prediction per event at its final revision, stratified."""
     if not events:
         raise ValueError("evaluate_model: empty split")
     samples = build_final_samples(events, model_config)
-    preds = np.empty(samples.size)
-    for start in range(0, samples.size, chunk):
-        sel = slice(start, min(start + chunk, samples.size))
-        preds[sel] = predict_fn(samples.batch(sel))
+    preds = predict_in_chunks(predict_fn, samples)
     strata = tuple(magnitudes[eid] for eid in samples.event_ids)
     pset = PredictionSet(preds, samples.targets, strata)
     return eval_report(pset, loss_config)
@@ -453,14 +456,10 @@ def evaluate_per_revision(
     events: Sequence[EncodedEvent],
     model_config: ModelConfig,
     loss_config: LossConfig = LossConfig(),
-    chunk: int = 512,
 ) -> dict[int, dict[str, float]]:
     """WAE and count per prefix length j over all (event, j) samples."""
     samples = build_samples(events, model_config)
-    preds = np.empty(samples.size)
-    for start in range(0, samples.size, chunk):
-        sel = slice(start, min(start + chunk, samples.size))
-        preds[sel] = predict_fn(samples.batch(sel))
+    preds = predict_in_chunks(predict_fn, samples)
     out: dict[int, dict[str, float]] = {}
     for j in sorted(set(samples.prefix_len.tolist())):
         mask = samples.prefix_len == j

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from etrcast.cli import SCALES, load_config_file, run
+from etrcast.model import load_checkpoint, save_checkpoint
 
 GEN_ARGS = ["--storms-per-class", "6", "--events-per-storm", "5", "8"]
 
@@ -156,6 +157,30 @@ class TestEval:
         with open(path, "w") as fh:
             fh.write("n_filler_continuous = 2\n")
         return path
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda t: t.pop("head/2/W"), "head/2/W"),
+            (lambda t: t.update({"head/2/W": np.zeros((3, 1))}), "shape"),
+            (None, "trailing bytes"),
+        ],
+        ids=["missing_tensor", "wrong_shape", "trailing_bytes"],
+    )
+    def test_damaged_checkpoint_exits_one(self, pipeline, tmp_path, capsys, damage, message):
+        good = os.path.join(pipeline["run"], "checkpoint.bin")
+        bad = str(tmp_path / "bad.bin")
+        if damage is None:
+            with open(good, "rb") as src, open(bad, "wb") as dst:
+                dst.write(src.read() + b"\0" * 8)
+        else:
+            params, state, fingerprint = load_checkpoint(good)
+            damage(params.tensors)
+            save_checkpoint(bad, params, state, fingerprint)
+        args = ["eval", "--dataset", pipeline["data"], "--checkpoint", bad]
+        assert run([*args, "--out", str(tmp_path / "ev")]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 class TestExplainAndAttention:

@@ -170,6 +170,12 @@ class TestAggregateTopk:
         write_attributions([attr], str(a1))
         text = a1.read_text()
         assert "f2" in text and "f1" in text
+        # every numeric column parses as a plain number
+        rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
+        assert len(rows) == 2
+        for revision, _, value, se, share in rows:
+            int(revision)
+            assert [float(value), float(se), float(share)] in ([0.5, 0.1, 0.25], [-1.5, 0.2, 0.75])
 
 
 class TestAttention:

@@ -276,6 +276,37 @@ class TestForward:
             # rows over valid keys sum to 1; padded keys exactly zero
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
             assert np.all(w[0, :, :, 3:] == 0.0)
+        # no row uses the last two slots: the capture covers only the used width
+        short = make_batch(micro_schema, micro_config, n=2, seed=10, lengths=[3, 2])
+        capture = []
+        predict(micro_params, short, capture=capture)
+        for w in capture:
+            assert w.shape == (2, micro_config.n_heads, 3, 3)
+            np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
+
+    def test_trim_to_longest_prefix_bit_identical(self, micro_params, micro_config, micro_schema):
+        # padded to max_seq_len vs sliced to the longest valid prefix: the
+        # same predictions and the same gradients, bit for bit
+        padded = make_batch(micro_schema, micro_config, n=3, seed=12, lengths=[1, 3, 2])
+        assert padded.seq_len == micro_config.max_seq_len
+        sliced = SequenceBatch(
+            padded.cat_idx[:, :3], padded.cont[:, :3], padded.deltas[:, :3], padded.mask[:, :3]
+        )
+        targets = np.array([9.0, 4.0, 15.0])
+
+        def run(batch):
+            tape = Tape()
+            preds = forward(tape, micro_params, batch, as_params=True)
+            loss = tape.scalar_op(preds, lambda p: asymmetric_loss(p, targets, LossConfig()))
+            return preds.data, tape.gradients(loss)
+
+        preds_p, grads_p = run(padded)
+        preds_s, grads_s = run(sliced)
+        np.testing.assert_array_equal(preds_p, preds_s)
+        np.testing.assert_array_equal(predict(micro_params, padded), preds_s)
+        assert set(grads_p) == set(grads_s)
+        for name in grads_p:
+            np.testing.assert_array_equal(grads_p[name], grads_s[name])
 
 
 class TestEndToEndGradient:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +185,18 @@ class TestTrainModel:
         assert result.best_epoch == int(np.argmin(waes))
         assert result.best_val_wae == min(waes)
 
+    def test_dropout_changes_history_reproducibly(self, tiny):
+        tcfg = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=2, seed=3)
+        plain = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
+        dropped = replace(plain, dropout=0.5)
+        base = train_model(tiny, plain, tcfg).history.to_doc()
+        a = train_model(tiny, dropped, tcfg)
+        b = train_model(tiny, dropped, tcfg)
+        assert a.history.to_doc() == b.history.to_doc()
+        assert a.history.to_doc() != base
+        for k in a.params.tensors:
+            np.testing.assert_array_equal(a.params.tensors[k], b.params.tensors[k])
+
     def test_mse_loss_option(self, tiny):
         mcfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
         tcfg = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=1, seed=0, loss="mse")
@@ -292,9 +305,43 @@ class TestEvaluate:
         params = init_params(cfg, small_dataset.schema, seed=0)
         samples = build_samples(enc, cfg)
         # same chunking is exactly reproducible
-        a = predict_in_chunks(params, samples, chunk=7)
-        b = predict_in_chunks(params, samples, chunk=7)
+        a = predict_in_chunks(lambda b: predict(params, b), samples, chunk=7)
+        b = predict_in_chunks(lambda b: predict(params, b), samples, chunk=7)
         np.testing.assert_array_equal(a, b)
         # different chunkings agree to roundoff (BLAS blocking may differ)
-        whole = predict_in_chunks(params, samples, chunk=10**9)
+        whole = predict_in_chunks(lambda b: predict(params, b), samples, chunk=10**9)
         np.testing.assert_allclose(whole, a, rtol=0, atol=1e-12)
+
+    def test_chunked_prediction_keeps_input_order(self, small_dataset):
+        splits = small_dataset.split_events()
+        state = fit_transforms(splits["train"], small_dataset.schema)
+        enc = encode_events(splits["train"][:12], state, small_dataset.schema)
+        cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
+        params = init_params(cfg, small_dataset.schema, seed=0)
+        samples = build_samples(enc, cfg)
+        # shuffle so that prefix lengths interleave instead of rising per event
+        perm = np.random.default_rng(0).permutation(samples.size)
+        shuffled = replace(
+            samples,
+            cat_idx=samples.cat_idx[perm],
+            cont=samples.cont[perm],
+            deltas=samples.deltas[perm],
+            mask=samples.mask[perm],
+            targets=samples.targets[perm],
+            prefix_len=samples.prefix_len[perm],
+            event_ids=tuple(samples.event_ids[i] for i in perm),
+            storm_ids=tuple(samples.storm_ids[i] for i in perm),
+        )
+        assert np.any(np.diff(shuffled.prefix_len[:20]) < 0)
+        seen = []
+
+        def predict_fn(batch):
+            seen.append(batch.mask.sum(axis=1))
+            return predict(params, batch)
+
+        chunked = predict_in_chunks(predict_fn, shuffled, chunk=16)
+        # rows were visited shortest prefix first
+        visited = np.concatenate(seen)
+        assert np.all(np.diff(visited) >= 0) and visited.size == samples.size
+        single = np.array([predict(params, shuffled.batch([i]))[0] for i in range(samples.size)])
+        np.testing.assert_allclose(chunked, single, rtol=0, atol=1e-12)
