@@ -454,11 +454,16 @@ def cmd_selfcheck(args) -> int:
         checks += 1
         print(f"ok: {name}")
 
+    def require(condition, what: str) -> None:
+        # not assert: the checks must also run under python -O
+        if not condition:
+            raise CliError(f"selfcheck failed: {what}")
+
     # loss branches
     cfg = LossConfig()
-    assert piecewise_loss(-2.0, cfg) == 10.0
-    assert piecewise_loss(4.0, cfg) == 4.0
-    assert piecewise_loss(10.0, cfg) == 20.0
+    require(piecewise_loss(-2.0, cfg) == 10.0, "piecewise_loss(-2) == 10")
+    require(piecewise_loss(4.0, cfg) == 4.0, "piecewise_loss(4) == 4")
+    require(piecewise_loss(10.0, cfg) == 20.0, "piecewise_loss(10) == 20")
     ok("loss branch values")
 
     # metric equivalence on a small random draw
@@ -466,12 +471,13 @@ def cmd_selfcheck(args) -> int:
     preds = rng.uniform(0, 40, size=200)
     actuals = rng.uniform(0, 40, size=200)
     loop_upr = sum(1 for a, b in zip(preds, actuals) if a < b) / 200
-    assert abs(upr(preds, actuals) - loop_upr) < 1e-15
+    require(abs(upr(preds, actuals) - loop_upr) < 1e-15, "upr matches the loop oracle")
     loop_wae = sum(piecewise_loss(float(e), cfg) for e in preds - actuals) / 200
-    assert abs(wae(preds, actuals, cfg) - loop_wae) < 1e-12
-    assert abs(rmse(preds, actuals) - np.sqrt(np.mean((preds - actuals) ** 2))) < 1e-12
-    assert csi(0.0, 0.0, cfg) == 1.0
-    assert opr8(np.array([16.0]), np.array([8.0])) == 0.0
+    require(abs(wae(preds, actuals, cfg) - loop_wae) < 1e-12, "wae matches the loop oracle")
+    loop_rmse = np.sqrt(np.mean((preds - actuals) ** 2))
+    require(abs(rmse(preds, actuals) - loop_rmse) < 1e-12, "rmse matches the oracle")
+    require(csi(0.0, 0.0, cfg) == 1.0, "csi(0, 0) == 1")
+    require(opr8(np.array([16.0]), np.array([8.0])) == 0.0, "opr8 of an 8 h overshoot == 0")
     ok("metric oracle equivalence")
 
     # scheduler trace
@@ -480,7 +486,7 @@ def cmd_selfcheck(args) -> int:
     st = plateau_scheduler(5.0, st, tc)
     for _ in range(2 * tc.plateau_patience):
         st = plateau_scheduler(5.0, st, tc)
-    assert st.lr == 1.0 * tc.plateau_factor * tc.plateau_factor
+    require(st.lr == tc.plateau_factor * tc.plateau_factor, "lr reduced twice on a plateau")
     ok("plateau scheduler trace")
 
     # micro model: gradient check and masking invariance
@@ -509,7 +515,7 @@ def cmd_selfcheck(args) -> int:
         return float(loss.data), tape.gradients(loss)
 
     err = fd_check(objective, params.tensors, h=1e-5, max_coords=60, seed=args.seed)
-    assert err < 1e-4, f"gradient check failed: {err}"
+    require(err < 1e-4, f"gradient check (max rel err {err:.2e} >= 1e-4)")
     ok(f"end-to-end gradient check (max rel err {err:.2e})")
 
     base = predict(params, batch)
@@ -519,7 +525,7 @@ def cmd_selfcheck(args) -> int:
         deltas=np.where(batch.mask, batch.deltas, -1e300),
         mask=batch.mask,
     )
-    assert np.array_equal(predict(params, garbage), base)
+    require(np.array_equal(predict(params, garbage), base), "padding garbage invariance")
     ok("padding garbage invariance (bit identical)")
 
     print(f"selfcheck passed ({checks} checks)")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,19 +52,21 @@ class FeatureSchema:
             if card is None or card < 2:
                 raise ValueError(f"categorical feature {name!r} needs cardinality >= 2")
 
-    @property
+    # Cached on first read in the instance __dict__, which the frozen
+    # dataclass's field-based __eq__ and __hash__ never look at.
+    @cached_property
     def categorical(self) -> tuple[str, ...]:
         return tuple(n for n, k in self.features if k == CATEGORICAL)
 
-    @property
+    @cached_property
     def continuous(self) -> tuple[str, ...]:
         return tuple(n for n, k in self.features if k == CONTINUOUS)
 
-    @property
+    @cached_property
     def p(self) -> int:
         return len(self.categorical)
 
-    @property
+    @cached_property
     def q(self) -> int:
         return len(self.continuous)
 

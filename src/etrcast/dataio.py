@@ -151,6 +151,35 @@ def _parse_schema(doc: dict) -> tuple[FeatureSchema, dict[str, tuple[str, ...]]]
     return schema, categories
 
 
+def _parse_event(line: str, schema: FeatureSchema, lookup) -> EventSeries:
+    """One events.jsonl line as a validated event; ValueError says what is wrong."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON ({exc})") from None
+    if not isinstance(rec, dict):
+        raise ValueError("malformed JSON (expected an object)")
+    try:
+        rows = [(rev["t"], rev["cat"], rev["cont"]) for rev in rec["revisions"]]
+        event_id, storm_id, target = rec["event_id"], rec["storm_id"], rec["target_duration"]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
+    revisions = []
+    for t, cat, cont in rows:
+        try:
+            cats = tuple(
+                MISSING_CAT if v is None else lookup[name][v]
+                for name, v in zip(schema.categorical, cat)
+            )
+        except KeyError as exc:
+            raise ValueError(f"unknown category value {exc.args[0]!r}") from None
+        conts = tuple(float("nan") if v is None else float(v) for v in cont)
+        revisions.append(Revision(t, cats, conts))
+    event = EventSeries(event_id, storm_id, tuple(revisions), target)
+    validate_event(event, schema)
+    return event
+
+
 def load_dataset(path: str) -> Dataset:
     """Load a dataset directory (or a manifest path) and validate every event."""
     if os.path.isdir(path):
@@ -193,26 +222,12 @@ def load_dataset(path: str) -> Dataset:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                rec = json.loads(line)
-                revisions = []
-                for rev in rec["revisions"]:
-                    cats = tuple(
-                        MISSING_CAT if v is None else lookup[name][v]
-                        for name, v in zip(schema.categorical, rev["cat"])
-                    )
-                    conts = tuple(
-                        float("nan") if v is None else float(v) for v in rev["cont"]
-                    )
-                    revisions.append(Revision(rev["t"], cats, conts))
-                event = EventSeries(
-                    rec["event_id"], rec["storm_id"], tuple(revisions), rec["target_duration"]
-                )
-                validate_event(event, schema)
-                events.append(event)
+                try:
+                    events.append(_parse_event(line, schema, lookup))
+                except (TypeError, ValueError) as exc:  # TypeError: a field of the wrong type
+                    raise ValueError(f"{events_path}:{line_no}: {exc}") from exc
     except OSError as exc:
         raise OSError(f"failed reading {events_path}: {exc}") from exc
-    except KeyError as exc:
-        raise ValueError(f"{events_path}:{line_no}: unknown category value {exc}") from exc
 
     return Dataset(
         schema=schema,

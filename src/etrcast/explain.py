@@ -8,10 +8,12 @@ never changes a prediction.
 
 Attribution side: Monte-Carlo permutation Shapley values over the feature
 slots of a prefix's final revision. Each sampled permutation draws one
-background row, walks the permutation switching features from background to
-sample values, and scores all d+1 coalition states in a single batched
-predict call; marginal contributions are averaged per feature. Permutations
-are independently seeded, so results do not depend on evaluation order.
+background row and walks the permutation, switching features from background
+to sample values; one predict call scores the d+1 coalition states of K
+permutations at once (K = ROWS_PER_CALL // (d+1)), and marginal contributions
+are averaged per feature. Every permutation keeps its own seed (seed, t) and
+its contributions are summed in permutation order, so results do not depend
+on K.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ import numpy as np
 from .model import ModelParams, SequenceBatch, predict
 
 PredictFn = Callable[[SequenceBatch], np.ndarray]
+
+# Rows per Shapley predict call: enough to amortise per-call overhead; above
+# about 128 rows peak memory grows for little further speed.
+ROWS_PER_CALL = 96
 
 
 # -- attention ----------------------------------------------------------------
@@ -191,43 +197,47 @@ def shapley_attributions(
     )
 
     last = int(sample.mask.astype(bool)[0].sum()) - 1
-    sample_cat = sample.cat_idx[0, last].copy()
-    sample_cont = sample.cont[0, last].copy()
+    sample_cat = sample.cat_idx[0, last]
+    sample_cont = sample.cont[0, last]
     k = background_cat.shape[0]
+    per_call = max(1, ROWS_PER_CALL // (d + 1))
 
-    # d+1 coalition states share the sample's context rows
-    base_cat = np.repeat(sample.cat_idx, d + 1, axis=0)
-    base_cont = np.repeat(sample.cont, d + 1, axis=0)
-    deltas = np.repeat(sample.deltas, d + 1, axis=0)
-    mask = np.repeat(sample.mask, d + 1, axis=0)
+    # K permutations x (d+1) coalition states share the sample's context rows;
+    # only the final revision's slots are rewritten per call
+    rows = per_call * (d + 1)
+    cat = np.repeat(sample.cat_idx, rows, axis=0)
+    cont = np.repeat(sample.cont, rows, axis=0)
+    deltas = np.repeat(sample.deltas, rows, axis=0)
+    mask = np.repeat(sample.mask, rows, axis=0)
 
     prediction = float(predict_fn(sample)[0])
     sums = np.zeros(d)
     sumsq = np.zeros(d)
     bg_pred_sum = 0.0
 
-    for t in range(n_permutations):
-        rng = np.random.default_rng((seed, t))
-        b = int(rng.integers(0, k))
-        perm = rng.permutation(d)
+    for start in range(0, n_permutations, per_call):
+        draws, perms = [], []
+        for t in range(start, min(start + per_call, n_permutations)):
+            rng = np.random.default_rng((seed, t))
+            draws.append(int(rng.integers(0, k)))
+            perms.append(rng.permutation(d))
+        perms = np.asarray(perms)  # [K, d]
+        n = perms.shape[0] * (d + 1)
+        rank = np.argsort(perms, axis=1)  # the inverse: rank[perm] = arange(d)
+        # state s holds the first s features of the permutation at sample values
+        on = rank[:, None, :] < np.arange(d + 1)[None, :, None]  # [K, d+1, d]
+        bg_cat, bg_cont = background_cat[draws][:, None], background_cont[draws][:, None]
+        cat[:n, last] = np.where(on[..., :p], sample_cat, bg_cat).reshape(n, p)
+        cont[:n, last] = np.where(on[..., p:], sample_cont, bg_cont).reshape(n, q)
 
-        cat_state = background_cat[b].astype(np.int64).copy()
-        cont_state = background_cont[b].copy()
-        for state_idx in range(d + 1):
-            if state_idx > 0:
-                f = perm[state_idx - 1]
-                if f < p:
-                    cat_state[f] = sample_cat[f]
-                else:
-                    cont_state[f - p] = sample_cont[f - p]
-            base_cat[state_idx, last] = cat_state
-            base_cont[state_idx, last] = cont_state
-
-        preds = predict_fn(SequenceBatch(base_cat, base_cont, deltas, mask))
-        diffs = np.diff(preds)
-        sums[perm] += diffs
-        sumsq[perm] += diffs * diffs
-        bg_pred_sum += preds[0]
+        batch = SequenceBatch(cat[:n], cont[:n], deltas[:n], mask[:n])
+        preds = predict_fn(batch).reshape(-1, d + 1)
+        diffs = np.diff(preds, axis=1)
+        # unbuffered and row-major, so every sum below runs in permutation order
+        np.add.at(sums, perms.ravel(), diffs.ravel())
+        np.add.at(sumsq, perms.ravel(), (diffs * diffs).ravel())
+        for value in preds[:, 0]:
+            bg_pred_sum += value
 
     values = sums / n_permutations
     var = np.maximum(sumsq / n_permutations - values * values, 0.0)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -239,6 +241,35 @@ class TestErrorHandling:
         )
         assert code == 2
 
+    @staticmethod
+    def _unknown_category(rec):
+        rec["revisions"][0]["cat"][0] = "no-such-value"
+        return json.dumps(rec)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda rec: json.dumps(rec)[:-5], "malformed JSON"),
+            (lambda rec: json.dumps({k: v for k, v in rec.items() if k != "revisions"}),
+             "missing field 'revisions'"),
+            (_unknown_category, "unknown category value 'no-such-value'"),
+            (lambda rec: json.dumps({**rec, "revisions": 5}), "'int' object is not iterable"),
+        ],
+        ids=["malformed_json", "missing_field", "unknown_category", "wrong_type"],
+    )  # fmt: skip
+    def test_bad_events_line_names_file_and_line(self, pipeline, tmp_path, capsys, damage, message):
+        data = tmp_path / "data"
+        data.mkdir()
+        src = pipeline["data"]
+        (data / "manifest.json").write_bytes(open(os.path.join(src, "manifest.json"), "rb").read())
+        lines = open(os.path.join(src, "events.jsonl"), encoding="utf-8").read().splitlines()
+        lines[1] = damage(json.loads(lines[1]))
+        (data / "events.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["train", "--dataset", str(data), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"{data / 'events.jsonl'}:2: {message}" in err
+        assert "Traceback" not in err
+
     def test_bad_config_value_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("storms_per_class = not_a_number\n")
@@ -289,3 +320,25 @@ class TestSelfcheck:
         assert run(["selfcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert out.count("ok:") >= 5
+
+    def test_checks_run_under_optimize_flag(self):
+        import etrcast
+
+        src = os.path.dirname(os.path.dirname(etrcast.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "etrcast.cli", "selfcheck", "--seed", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )  # fmt: skip
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("ok:") == 5
+        assert "selfcheck passed (5 checks)" in proc.stdout
+
+    def test_failed_check_exits_one_and_names_it(self, monkeypatch, capsys):
+        from etrcast import cli
+
+        monkeypatch.setattr(cli, "opr8", lambda preds, actuals: 1.0)
+        assert run(["selfcheck", "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "selfcheck failed: opr8" in captured.err
+        assert "selfcheck passed" not in captured.out

@@ -222,6 +222,22 @@ class TestValidation:
                 (("a", "categorical"), ("b", "continuous")), {"a": 1}
             )
 
+    def test_schema_roster_read_keeps_equality_and_hash(self):
+        class HashableCards(dict):
+            def __hash__(self):
+                return hash(tuple(sorted(self.items())))
+
+        features = (("a", "categorical"), ("b", "continuous"), ("c", "continuous"))
+        a = FeatureSchema(features, HashableCards(a=3))
+        b = FeatureSchema(features, HashableCards(a=3))
+        assert (a.categorical, a.continuous, a.p, a.q) == (("a",), ("b", "c"), 1, 2)
+        assert a == b  # a's rosters are cached, b's are not
+        assert (b.p, b.q) == (1, 2)
+        assert a == b and hash(a) == hash(b)
+        # a plain dict of cardinalities stays unhashable, as before caching
+        with pytest.raises(TypeError):
+            hash(FeatureSchema(features, {"a": 3}))
+
     def test_validate_event_catches_out_of_range(self):
         e = ev("a", [0.0], [7], [1.0])
         with pytest.raises(ValueError):

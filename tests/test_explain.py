@@ -1,9 +1,11 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
-from etrcast.data import fit_transforms
+from etrcast import explain as explain_mod
+from etrcast.data import FeatureSchema, fit_transforms
 from etrcast.explain import (
     aggregate_topk,
     event_batch,
@@ -122,6 +124,52 @@ class TestShapley:
         sample = self.make_sample([1.0, 0.0, 0.0])
         attr = shapley_attributions(fn, sample, self.bg_cat, self.bg_cont, 20, seed=0)
         assert attr.revision_index == 2
+
+
+class TestBatchedShapley:
+    """K permutations per predict call give the one-per-call estimator's results."""
+
+    def setup_method(self):
+        self.schema = FeatureSchema(
+            (("kind", "categorical"), ("zone", "categorical"))
+            + tuple((f"x{i}", "continuous") for i in range(9)),
+            {"kind": 3, "zone": 4},
+        )
+        self.config = ModelConfig(max_seq_len=6, d_model=8, n_layers=2, n_heads=2)
+        self.params = init_params(self.config, self.schema, seed=1)
+        bg = make_batch(self.schema, self.config, n=16, seed=2, lengths=[4] * 16)
+        self.bg_cat, self.bg_cont = final_revision_features(bg)
+        self.sample = make_batch(self.schema, self.config, n=1, seed=3, lengths=[4])
+        self.d = self.schema.p + self.schema.q  # 11: K = 8 at 96 rows per call
+
+    def attribute(self, n_permutations, calls=None):
+        def fn(batch):
+            if calls is not None:
+                calls.append(batch.size)
+            return predict(self.params, batch)
+
+        return shapley_attributions(
+            fn, self.sample, self.bg_cat, self.bg_cont, n_permutations, seed=11
+        )
+
+    def test_matches_one_permutation_per_call(self, monkeypatch):
+        batched = self.attribute(37)
+        monkeypatch.setattr(explain_mod, "ROWS_PER_CALL", self.d + 1)
+        single = self.attribute(37)
+        for field in ("values", "std_errors", "prediction", "background_mean"):
+            np.testing.assert_allclose(
+                getattr(batched, field), getattr(single, field), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("n_permutations", [1, 13, 37])
+    def test_predict_calls_and_efficiency(self, n_permutations):
+        per_call = max(1, explain_mod.ROWS_PER_CALL // (self.d + 1))
+        calls = []
+        attr = self.attribute(n_permutations, calls)
+        assert len(calls) == 1 + math.ceil(n_permutations / per_call)
+        assert calls[0] == 1 and sum(calls[1:]) == n_permutations * (self.d + 1)
+        assert attr.n_permutations == n_permutations
+        assert abs(attr.efficiency_residual()) <= 1e-9
 
 
 class TestAggregateTopk:
