@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ from .training import (
     PlateauState,
     TrainConfig,
     TrainError,
+    build_final_samples,
     build_samples,
     encode_events,
     evaluate_model,
@@ -241,7 +242,7 @@ def _train_once(
         _write_json(os.path.join(out_dir, "history.json"), result.history.to_doc())
     )
 
-    splits = dataset.split_events()
+    splits = dataset.split_tables()
     magnitudes = dataset.magnitude_of()
     model_fn = lambda batch: predict(result.params, batch)
     summaries = {}
@@ -250,8 +251,7 @@ def _train_once(
         report = evaluate_model(model_fn, encoded, magnitudes, model_cfg, loss_cfg)
         outputs.extend(_report_paths(out_dir, f"eval_{split_name}", report))
         summaries[split_name] = report.to_dict()
-    enc_test = encode_events(splits["test"], result.transform_state, dataset.schema)
-    per_rev = evaluate_per_revision(model_fn, enc_test, model_cfg, loss_cfg)
+    per_rev = evaluate_per_revision(model_fn, encoded, model_cfg, loss_cfg)  # the test split
     outputs.append(
         _write_json(
             os.path.join(out_dir, "per_revision.json"),
@@ -291,7 +291,7 @@ def cmd_train(args) -> int:
     config_doc = {
         "model": model_cfg.to_dict(),
         "train": train_cfg.to_dict(),
-        "loss": {"alpha": loss_cfg.alpha, "beta": loss_cfg.beta, "tau": loss_cfg.tau},
+        "loss": asdict(loss_cfg),
         "trials": args.trials,
         "threads": args.threads,
         "scale": args.scale,
@@ -313,14 +313,11 @@ def _load_for_inference(args) -> tuple[Dataset, ModelParams, TransformState]:
 def cmd_eval(args) -> int:
     started = time.time()
     dataset, params, state = _load_for_inference(args)
-    split_events = dataset.split_events()
-    if args.split not in split_events:
-        raise CliError(f"unknown split {args.split!r}")
-    events = split_events[args.split]
-    if not events:
+    events = dataset.split_tables()[args.split]
+    if not len(events):
         raise CliError(f"split {args.split!r} is empty")
     encoded = encode_events(events, state, dataset.schema)
-    loss_cfg = LossConfig()
+    loss_cfg = params.loss  # score with the loss the model was trained with
     model_fn = lambda batch: predict(params, batch)
     report = evaluate_model(model_fn, encoded, dataset.magnitude_of(), params.config, loss_cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -346,10 +343,10 @@ def cmd_eval(args) -> int:
 def cmd_explain(args) -> int:
     started = time.time()
     dataset, params, state = _load_for_inference(args)
-    splits = dataset.split_events()
+    splits = dataset.split_tables()
     target = encode_events(splits[args.split], state, dataset.schema)
     train_encoded = encode_events(splits["train"], state, dataset.schema)
-    if not target:
+    if not len(target):
         raise CliError(f"split {args.split!r} is empty")
 
     target_samples = build_samples(target, params.config)
@@ -411,28 +408,21 @@ def cmd_explain(args) -> int:
 def cmd_attention(args) -> int:
     started = time.time()
     dataset, params, state = _load_for_inference(args)
-    splits = dataset.split_events()
-    events = splits[args.split]
-    if not events:
+    events = dataset.split_tables()[args.split]
+    if not len(events):
         raise CliError(f"split {args.split!r} is empty")
-    if args.event is not None:
-        matching = [e for e in events if e.event_id == args.event]
-        if not matching:
-            raise CliError(f"event {args.event!r} not found in split {args.split!r}")
-        event = matching[0]
-    else:
-        event = events[0]
-    encoded = encode_events([event], state, dataset.schema)[0]
-    from .training import build_final_samples
-
-    # forward trims the padded sample to the event's own length
-    batch = build_final_samples([encoded], params.config).batch(slice(0, 1))
+    event_id = events.event_ids[0] if args.event is None else args.event
+    if event_id not in events.event_ids:
+        raise CliError(f"event {args.event!r} not found in split {args.split!r}")
+    event = events.select([events.event_ids.index(event_id)])
+    encoded = encode_events(event, state, dataset.schema)
+    batch = build_final_samples(encoded, params.config).batch(slice(0, 1))
     stack = explain_mod.extract_attention(
         params, batch, n_random_heads=args.heads, seed=args.seed
     )
     os.makedirs(args.out, exist_ok=True)
     paths = explain_mod.export_heatmap(stack, args.out)
-    config_doc = {"event": event.event_id, "heads": args.heads, "split": args.split}
+    config_doc = {"event": event_id, "heads": args.heads, "split": args.split}
     inputs = {
         "dataset": os.path.join(args.dataset, "manifest.json"),
         "checkpoint": args.checkpoint,

@@ -3,20 +3,31 @@
 An outage event is an ordered sequence of timestamped revisions; each revision
 carries the same roster of categorical and continuous features described by a
 :class:`FeatureSchema`. Storms group events and carry the customer counts that
-determine their magnitude class. All functions here are pure; fitted
-statistics live in an immutable :class:`TransformState`.
+determine their magnitude class.
 
-Missing values are represented in-memory as ``MISSING_CAT`` (-1) for
-categorical indices and NaN for continuous values. ``apply_transforms``
-removes both.
+A dataset is columns. An :class:`EventTable` holds every revision of every
+event as one row of flat arrays (timestamps ``t [R]``, raw category indices
+``cat [R, p]``, continuous values ``cont [R, q]``); event ``i`` owns rows
+``offsets[i]:offsets[i + 1]``, and per-event arrays hold ids, storm ids and
+targets. ``fit_transforms`` and ``encode_table`` are a few numpy operations
+over all rows at once, and an :class:`EncodedTable` keeps the same layout with
+dense indices, Z-scores and time deltas. :class:`EventSeries` and
+:class:`Revision` remain the object form of one event, for the generator and
+for callers that build events by hand; a function here that takes events
+converts them to a table once, at the top. Fitted statistics live in an
+immutable :class:`TransformState`.
+
+Missing values are represented as ``MISSING_CAT`` (-1) for categorical
+indices and NaN for continuous values. Encoding removes both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,10 +36,6 @@ CONTINUOUS = "continuous"
 MAGNITUDES = ("Small", "Medium", "Large")
 
 MISSING_CAT = -1
-
-
-def is_missing_cont(value: float) -> bool:
-    return math.isnan(value)
 
 
 @dataclass(frozen=True)
@@ -105,20 +112,8 @@ class EventSeries:
 
 
 def validate_event(event: EventSeries, schema: FeatureSchema) -> None:
-    """Schema-dependent checks: value lengths and categorical index ranges."""
-    for j, rev in enumerate(event.revisions):
-        if len(rev.categorical_values) != schema.p or len(rev.continuous_values) != schema.q:
-            raise ValueError(
-                f"event {event.event_id} revision {j}: value lengths do not match schema"
-            )
-        for name, idx in zip(schema.categorical, rev.categorical_values):
-            if idx == MISSING_CAT:
-                continue
-            if not 0 <= idx < schema.cardinalities[name]:
-                raise ValueError(
-                    f"event {event.event_id} revision {j}: index {idx} out of range "
-                    f"for feature {name!r}"
-                )
+    """The checks ``build_table`` runs (value lengths, index ranges, ...) on one event."""
+    EventTable.from_events([event], schema)
 
 
 @dataclass(frozen=True)
@@ -188,6 +183,243 @@ class EncodedEvent:
     target_duration: float
 
 
+class EventError(ValueError):
+    """A bad event; ``event`` is its position in the input."""
+
+    def __init__(self, event: int, message: str):
+        super().__init__(message)
+        self.event = event
+
+
+def _offsets(lengths: Sequence[int]) -> np.ndarray:
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _array(values: Sequence, dtype: type, *shape: int) -> np.ndarray:
+    """``values`` as an array [len(values), *shape]; ValueError for any other shape."""
+    out = np.array(values, dtype=dtype) if len(values) else np.empty((0, *shape), dtype)
+    if out.shape != (len(values), *shape):
+        raise ValueError(f"expected values of shape {shape}, got {out.shape[1:]}")
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Events:
+    """Per-event columns of a table; subclasses name their per-row columns."""
+
+    event_ids: tuple[str, ...]  # [E]
+    storm_ids: tuple[str, ...]  # [E]
+    targets: np.ndarray  # [E] float64 restoration durations, hours
+    offsets: np.ndarray  # [E+1] int64: event i owns rows offsets[i]:offsets[i+1]
+
+    ROW_COLUMNS: ClassVar[tuple[str, ...]] = ()
+
+    def __len__(self) -> int:
+        return len(self.event_ids)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def select(self, idx):
+        """The events at positions ``idx``, in that order, as a table of this type."""
+        idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+        lengths = self.lengths[idx]
+        offsets = _offsets(lengths)
+        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[idx] - offsets[:-1], lengths)
+        picked = idx.tolist()
+        return replace(
+            self,
+            event_ids=tuple(self.event_ids[i] for i in picked),
+            storm_ids=tuple(self.storm_ids[i] for i in picked),
+            targets=self.targets[idx],
+            offsets=offsets,
+            **{name: getattr(self, name)[rows] for name in self.ROW_COLUMNS},
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class EventTable(_Events):
+    """Raw events as columns; missing values are ``MISSING_CAT`` and NaN."""
+
+    t: np.ndarray  # [R] float64 timestamps, hours since a fixed epoch
+    cat: np.ndarray  # [R, p] int64 raw category indices
+    cont: np.ndarray  # [R, q] float64
+
+    ROW_COLUMNS: ClassVar[tuple[str, ...]] = ("t", "cat", "cont")
+
+    @classmethod
+    def from_events(cls, events: Sequence[EventSeries], schema: FeatureSchema) -> "EventTable":
+        """The columns of EventSeries objects, checked as ``build_table`` checks records."""
+        records = (
+            (
+                e.event_id,
+                e.storm_id,
+                e.target_duration,
+                [r.timestamp for r in e.revisions],
+                [r.categorical_values for r in e.revisions],
+                [r.continuous_values for r in e.revisions],
+            )
+            for e in events
+        )
+        return build_table(records, schema)
+
+    def to_events(self) -> tuple[EventSeries, ...]:
+        """One EventSeries per event, holding plain Python values."""
+        cats, conts = map(tuple, self.cat.tolist()), map(tuple, self.cont.tolist())
+        revisions = list(map(Revision, self.t.tolist(), cats, conts))
+        bounds = self.offsets.tolist()
+        return tuple(
+            EventSeries(event_id, storm_id, tuple(revisions[lo:hi]), target)
+            for event_id, storm_id, lo, hi, target in zip(
+                self.event_ids, self.storm_ids, bounds, bounds[1:], self.targets.tolist()
+            )
+        )
+
+
+class _Columns:
+    """Events added one at a time, each converted to compact arrays on arrival."""
+
+    def __init__(self, schema: FeatureSchema, vocabularies: Sequence[Mapping] | None):
+        self.schema, self.vocabularies = schema, vocabularies
+        self.event_ids: list = []
+        self.storm_ids: list = []
+        self.targets: list[float] = []
+        self.lengths: list[int] = []
+        self.t: list[np.ndarray] = []
+        self.cat: list[int] = []  # flat, p codes per revision
+        self.cont: list[np.ndarray] = []
+
+    def add(self, event_id, storm_id, target, t: Sequence, cat: Sequence, cont: Sequence) -> None:
+        """Append one event; ``t``, ``cat`` and ``cont`` hold one item per revision."""
+        p, q = self.schema.p, self.schema.q
+        if set(map(len, cat)) - {p} or set(map(len, cont)) - {q}:
+            j = next(j for j, (c, x) in enumerate(zip(cat, cont)) if (len(c), len(x)) != (p, q))
+            raise ValueError(f"event {event_id} revision {j}: value lengths do not match schema")
+        codes = itertools.chain.from_iterable(cat)
+        if self.vocabularies is not None:  # each value through its own feature's vocabulary
+            codes = map(dict.__getitem__, itertools.cycle(self.vocabularies), codes)
+        codes = list(codes)
+        goal = math.nan if target is None else float(target)
+        times, values = _array(t, np.float64), _array(cont, np.float64, q)
+        # every conversion succeeded: the event is added whole or not at all
+        self.event_ids.append(event_id)
+        self.storm_ids.append(storm_id)
+        self.targets.append(goal)
+        self.lengths.append(len(t))
+        self.t.append(times)
+        self.cat.extend(codes)
+        self.cont.append(values)
+
+    def table(self) -> EventTable:
+        """The events added so far, after the checks that need all their rows.
+
+        Raises :class:`EventError` naming the first event that fails one.
+        """
+        schema, ids, n = self.schema, self.event_ids, len(self.event_ids)
+        offsets = _offsets(self.lengths)
+        row_event = np.repeat(np.arange(n), self.lengths)
+        targets = np.array(self.targets, dtype=np.float64)
+        t = np.concatenate([np.empty(0), *self.t])
+        cont = np.concatenate([np.empty((0, schema.q)), *self.cont])
+        cat = np.array(self.cat, dtype=np.int64).reshape(-1, schema.p)
+        ok = np.isfinite(t)
+        ok[1:] &= (row_event[1:] != row_event[:-1]) | (np.diff(t) > 0.0)
+        problems = []  # (event, message) of the first failure of each check
+        for bad, why in (
+            (np.asarray(self.lengths) == 0, "needs at least one revision"),
+            (np.bincount(row_event, ~ok, n) > 0, "timestamps must be finite and strictly increase"),
+            (~(targets >= 0.0) | ~np.isfinite(targets), "bad target_duration"),
+        ):
+            if bad.any():
+                e = int(np.argmax(bad))
+                problems.append((e, f"event {ids[e]}: {why}"))
+        cards = np.array([schema.cardinalities[name] for name in schema.categorical])
+        out_of_range = (cat != MISSING_CAT) & ((cat < 0) | (cat >= cards))
+        if out_of_range.any():
+            r, c = np.argwhere(out_of_range)[0]
+            e = int(row_event[r])
+            why = f"index {cat[r, c]} out of range for feature {schema.categorical[c]!r}"
+            problems.append((e, f"event {ids[e]} revision {r - offsets[e]}: {why}"))
+        if problems:
+            raise EventError(*min(problems))
+        return EventTable(tuple(ids), tuple(self.storm_ids), targets, offsets, t, cat, cont)
+
+
+def build_table(
+    records: Iterable[tuple], schema: FeatureSchema, vocabularies: Sequence[Mapping] | None = None
+) -> EventTable:
+    """One EventTable from ``(event_id, storm_id, target, t, cat, cont)`` records.
+
+    ``t``, ``cat`` and ``cont`` hold one item per revision. ``cat`` rows hold
+    raw indices, or vocabulary values when ``vocabularies`` maps each
+    categorical feature's values (``None`` for missing) to raw indices. Each
+    record becomes compact arrays as it arrives; the checks that need every
+    row (timestamps, targets, empty events, index ranges) run over all rows
+    at the end. The :class:`EventError` raised names the first bad record,
+    also when reading the records fails.
+    """
+    columns = _Columns(schema, vocabularies)
+    failure = None
+    try:
+        for record in records:
+            columns.add(*record)
+    except KeyError as exc:
+        failure = EventError(len(columns.event_ids), f"unknown category value {exc.args[0]!r}")
+    except (TypeError, ValueError) as exc:
+        failure = EventError(len(columns.event_ids), str(exc))
+    table = columns.table()
+    if failure is not None:
+        raise failure
+    return table
+
+
+def as_event_table(events: EventTable | Sequence[EventSeries], schema: FeatureSchema) -> EventTable:
+    """``events`` as a table: a table as it is, EventSeries objects converted once."""
+    if isinstance(events, EventTable):
+        return events
+    return EventTable.from_events(events, schema)
+
+
+@dataclass(frozen=True, eq=False)
+class EncodedTable(_Events):
+    """Model-ready events as columns; ``table[i]`` is event i as an EncodedEvent."""
+
+    cat_idx: np.ndarray  # [R, p] int64, every index < fitted cardinality + 1
+    cont: np.ndarray  # [R, q] float64 Z-scores
+    deltas: np.ndarray  # [R] float64 hours since the event's first revision
+
+    ROW_COLUMNS: ClassVar[tuple[str, ...]] = ("cat_idx", "cont", "deltas")
+
+    @classmethod
+    def from_events(cls, events: Sequence[EncodedEvent]) -> "EncodedTable":
+        return cls(
+            tuple(e.event_id for e in events),
+            tuple(e.storm_id for e in events),
+            np.array([e.target_duration for e in events], dtype=np.float64),
+            _offsets([len(e.deltas) for e in events]),
+            np.concatenate([e.cat_idx for e in events]),
+            np.concatenate([e.cont for e in events]),
+            np.concatenate([e.deltas for e in events]),
+        )
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.select(np.arange(len(self))[i])
+        i = range(len(self))[i]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return EncodedEvent(
+            self.event_ids[i],
+            self.storm_ids[i],
+            self.cat_idx[lo:hi],
+            self.cont[lo:hi],
+            self.deltas[lo:hi],
+            float(self.targets[i]),
+        )
+
+
 def compute_time_deltas(event: EventSeries) -> list[float]:
     """Hours elapsed since the event's first revision, one value per revision."""
     t0 = event.revisions[0].timestamp
@@ -212,78 +444,74 @@ def classify_storm(
     return "Large"
 
 
-def fit_transforms(train_events: Sequence[EventSeries], schema: FeatureSchema) -> TransformState:
+def fit_transforms(
+    train_events: EventTable | Sequence[EventSeries], schema: FeatureSchema
+) -> TransformState:
     """Fit Z-normalization and label/mode maps on training revisions only.
 
     Population standard deviation; a degenerate (constant) feature gets
     std = 1. A feature with no observed value in any training revision is an
     error naming that feature.
     """
-    if not train_events:
+    table = as_event_table(train_events, schema)
+    if not len(table):
         raise ValueError("fit_transforms: empty training set")
-
-    cont_values: dict[str, list[float]] = {name: [] for name in schema.continuous}
-    cat_counts: dict[str, dict[int, int]] = {name: {} for name in schema.categorical}
-    for event in train_events:
-        for rev in event.revisions:
-            for name, v in zip(schema.continuous, rev.continuous_values):
-                if not is_missing_cont(v):
-                    cont_values[name].append(v)
-            for name, idx in zip(schema.categorical, rev.categorical_values):
-                if idx != MISSING_CAT:
-                    counts = cat_counts[name]
-                    counts[idx] = counts.get(idx, 0) + 1
 
     cont_mean: dict[str, float] = {}
     cont_std: dict[str, float] = {}
-    for name, values in cont_values.items():
-        if not values:
+    for c, name in enumerate(schema.continuous):
+        column = table.cont[:, c]
+        values = column[~np.isnan(column)]  # a contiguous copy, summed in row order
+        if not values.size:
             raise ValueError(f"feature {name!r} has no observed training values")
-        arr = np.asarray(values, dtype=np.float64)
-        cont_mean[name] = float(arr.mean())
-        std = float(arr.std())  # population formula
+        cont_mean[name] = float(values.mean())
+        std = float(values.std())  # population formula
         cont_std[name] = std if std > 0.0 else 1.0
 
     cat_maps: dict[str, dict[int, int]] = {}
     cat_modes: dict[str, int] = {}
-    for name, counts in cat_counts.items():
-        if not counts:
+    for c, name in enumerate(schema.categorical):
+        column = table.cat[:, c]
+        observed, counts = np.unique(column[column != MISSING_CAT], return_counts=True)
+        if not observed.size:
             raise ValueError(f"feature {name!r} has no observed training values")
-        observed = sorted(counts)
-        cat_maps[name] = {raw: dense for dense, raw in enumerate(observed)}
-        # most frequent raw index; ties go to the smallest raw index
-        mode_raw = max(observed, key=lambda raw: (counts[raw], -raw))
-        cat_modes[name] = cat_maps[name][mode_raw]
+        cat_maps[name] = {raw: dense for dense, raw in enumerate(observed.tolist())}
+        # most frequent raw index; argmax takes the first, so ties go to the smallest
+        cat_modes[name] = int(np.argmax(counts))
 
     return TransformState(cont_mean, cont_std, cat_maps, cat_modes)
 
 
-def apply_transforms(
-    event: EventSeries, state: TransformState, schema: FeatureSchema
-) -> EncodedEvent:
-    """Encode one event: Z-normalize, impute, densify category indices.
+def encode_table(table: EventTable, state: TransformState, schema: FeatureSchema) -> EncodedTable:
+    """Encode every row at once: Z-normalize, impute, densify category indices.
 
     Missing continuous values impute to the mean (encoded 0.0); missing
     categorical values impute to the mode; unseen categories map to the
     reserved UNKNOWN index. The result never contains a missing marker.
     """
-    validate_event(event, schema)
-    m = len(event.revisions)
-    cat_idx = np.zeros((m, schema.p), dtype=np.int64)
-    cont = np.zeros((m, schema.q), dtype=np.float64)
-    for j, rev in enumerate(event.revisions):
-        for c, (name, raw) in enumerate(zip(schema.categorical, rev.categorical_values)):
-            if raw == MISSING_CAT:
-                cat_idx[j, c] = state.cat_modes[name]
-            else:
-                cat_idx[j, c] = state.cat_maps[name].get(raw, state.unknown_index(name))
-        for c, (name, v) in enumerate(zip(schema.continuous, rev.continuous_values)):
-            if is_missing_cont(v):
-                cont[j, c] = 0.0
-            else:
-                cont[j, c] = (v - state.cont_mean[name]) / state.cont_std[name]
-    deltas = np.asarray(compute_time_deltas(event), dtype=np.float64)
-    return EncodedEvent(event.event_id, event.storm_id, cat_idx, cont, deltas, event.target_duration)
+    cat_idx = np.empty_like(table.cat)
+    for c, name in enumerate(schema.categorical):
+        mapping = state.cat_maps[name]
+        # dense index by raw index; the extra last entry serves MISSING_CAT (-1)
+        size = max(schema.cardinalities[name], max(mapping, default=-1) + 1)
+        dense = np.full(size + 1, state.unknown_index(name), dtype=np.int64)
+        dense[list(mapping)] = list(mapping.values())
+        dense[-1] = state.cat_modes[name]
+        cat_idx[:, c] = dense[table.cat[:, c]]
+    mean = np.array([state.cont_mean[name] for name in schema.continuous])
+    std = np.array([state.cont_std[name] for name in schema.continuous])
+    cont = np.where(np.isnan(table.cont), 0.0, (table.cont - mean) / std)
+    deltas = table.t - np.repeat(table.t[table.offsets[:-1]], table.lengths)
+    return EncodedTable(
+        table.event_ids, table.storm_ids, table.targets, table.offsets, cat_idx, cont, deltas
+    )
+
+
+def apply_transforms(
+    event: EventSeries, state: TransformState, schema: FeatureSchema
+) -> EncodedEvent:
+    """Encode one event, as ``encode_table`` encodes a table of events."""
+    return encode_table(EventTable.from_events([event], schema), state, schema)[0]
 
 
 def stratified_split(
@@ -318,10 +546,3 @@ def stratified_split(
         test.extend(order[want_val : want_val + want_test])
         train.extend(order[want_val + want_test :])
     return DatasetSplit(tuple(train), tuple(val), tuple(test))
-
-
-def events_for_storms(
-    storm_ids: Iterable[str], events: Sequence[EventSeries]
-) -> list[EventSeries]:
-    wanted = set(storm_ids)
-    return [e for e in events if e.storm_id in wanted]

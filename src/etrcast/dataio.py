@@ -10,28 +10,33 @@ Layout of a dataset directory:
 
 Serialization is canonical (sorted keys, no whitespace) so identical inputs
 produce identical bytes; ``dataset_fingerprint`` hashes the schema portion for
-checkpoint compatibility checks.
+checkpoint compatibility checks. ``load_dataset`` reads ``events.jsonl`` in
+one pass into an ``EventTable`` (see ``etrcast.data``), and a bad event ends
+the load with ``<path>:<line>`` of the first bad event in the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from functools import cached_property
+from typing import Any, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .data import (
     CATEGORICAL,
     MISSING_CAT,
     DatasetSplit,
+    EventError,
     EventSeries,
+    EventTable,
     FeatureSchema,
-    Revision,
     StormRecord,
-    events_for_storms,
-    is_missing_cont,
-    validate_event,
+    build_table,
 )
 
 FORMAT_VERSION = 1
@@ -51,24 +56,37 @@ class Dataset:
     categories: Mapping[str, tuple[str, ...]]  # feature -> raw index order
     storms: tuple[StormRecord, ...]
     split: DatasetSplit
-    events: tuple[EventSeries, ...]
+    table: EventTable
     generator_config: Mapping[str, Any] | None
     seed: int
+
+    @cached_property
+    def events(self) -> tuple[EventSeries, ...]:
+        """The events as objects, built from the table on first use."""
+        return self.table.to_events()
 
     def storms_by_id(self) -> dict[str, StormRecord]:
         return {s.storm_id: s for s in self.storms}
 
+    def _split_positions(self) -> dict[str, list[int]]:
+        """Positions of each split's events, in dataset order."""
+        out = {}
+        for name in ("train", "validation", "test"):
+            wanted = set(getattr(self.split, name))
+            out[name] = [i for i, s in enumerate(self.table.storm_ids) if s in wanted]
+        return out
+
+    def split_tables(self) -> dict[str, EventTable]:
+        return {name: self.table.select(idx) for name, idx in self._split_positions().items()}
+
     def split_events(self) -> dict[str, list[EventSeries]]:
-        return {
-            "train": events_for_storms(self.split.train, self.events),
-            "validation": events_for_storms(self.split.validation, self.events),
-            "test": events_for_storms(self.split.test, self.events),
-        }
+        events = self.events
+        return {name: [events[i] for i in idx] for name, idx in self._split_positions().items()}
 
     def magnitude_of(self) -> dict[str, str]:
         """event_id -> storm magnitude, for stratified evaluation."""
         by_storm = {s.storm_id: s.magnitude for s in self.storms}
-        return {e.event_id: by_storm[e.storm_id] for e in self.events}
+        return {e: by_storm[s] for e, s in zip(self.table.event_ids, self.table.storm_ids)}
 
 
 def schema_document(schema: FeatureSchema, categories: Mapping[str, Sequence[str]]) -> dict:
@@ -83,20 +101,27 @@ def dataset_fingerprint(schema: FeatureSchema, categories: Mapping[str, Sequence
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
-def _event_record(event: EventSeries, schema: FeatureSchema, categories) -> dict:
-    revisions = []
-    for rev in event.revisions:
-        cats: list[str | None] = []
-        for name, idx in zip(schema.categorical, rev.categorical_values):
-            cats.append(None if idx == MISSING_CAT else categories[name][idx])
-        conts = [None if is_missing_cont(v) else v for v in rev.continuous_values]
-        revisions.append({"t": rev.timestamp, "cat": cats, "cont": conts})
-    return {
-        "event_id": event.event_id,
-        "storm_id": event.storm_id,
-        "target_duration": event.target_duration,
-        "revisions": revisions,
-    }
+def _event_lines(dataset: Dataset) -> Iterator[str]:
+    """One canonical JSON line per event, read from the table's columns."""
+    table, schema = dataset.table, dataset.schema
+    # vocabulary value by raw index; MISSING_CAT (-1) reads the trailing None
+    vocab = [np.array([*dataset.categories[n], None], dtype=object) for n in schema.categorical]
+    cats = np.stack([v[table.cat[:, c]] for c, v in enumerate(vocab)], axis=1)
+    missing = np.isnan(table.cont)
+    bounds = table.offsets.tolist()
+    for event_id, storm_id, target, lo, hi in zip(
+        table.event_ids, table.storm_ids, table.targets.tolist(), bounds, bounds[1:]
+    ):
+        conts = table.cont[lo:hi].astype(object)  # one event at a time keeps memory flat
+        conts[missing[lo:hi]] = None
+        rows = zip(table.t[lo:hi].tolist(), cats[lo:hi].tolist(), conts.tolist())
+        record = {
+            "event_id": event_id,
+            "storm_id": storm_id,
+            "target_duration": target,
+            "revisions": [{"t": t, "cat": cat, "cont": cont} for t, cat, cont in rows],
+        }
+        yield canonical_json(record)
 
 
 def save_dataset(dataset: Dataset, out_dir: str) -> dict[str, str]:
@@ -132,8 +157,8 @@ def save_dataset(dataset: Dataset, out_dir: str) -> dict[str, str]:
             fh.write(canonical_json(manifest))
             fh.write("\n")
         with open(events_path, "w", encoding="utf-8") as fh:
-            for event in dataset.events:
-                fh.write(canonical_json(_event_record(event, dataset.schema, dataset.categories)))
+            for line in _event_lines(dataset):
+                fh.write(line)
                 fh.write("\n")
     except OSError as exc:
         raise OSError(f"failed writing dataset under {out_dir}: {exc}") from exc
@@ -151,8 +176,11 @@ def _parse_schema(doc: dict) -> tuple[FeatureSchema, dict[str, tuple[str, ...]]]
     return schema, categories
 
 
-def _parse_event(line: str, schema: FeatureSchema, lookup) -> EventSeries:
-    """One events.jsonl line as a validated event; ValueError says what is wrong."""
+_REVISION_FIELDS = operator.itemgetter("t", "cat", "cont")
+
+
+def _parse_line(line: str) -> tuple:
+    """One events.jsonl line as (event_id, storm_id, target, t, cat, cont)."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -160,24 +188,39 @@ def _parse_event(line: str, schema: FeatureSchema, lookup) -> EventSeries:
     if not isinstance(rec, dict):
         raise ValueError("malformed JSON (expected an object)")
     try:
-        rows = [(rev["t"], rev["cat"], rev["cont"]) for rev in rec["revisions"]]
-        event_id, storm_id, target = rec["event_id"], rec["storm_id"], rec["target_duration"]
+        rows = list(map(_REVISION_FIELDS, rec["revisions"]))
+        t, cat, cont = zip(*rows) if rows else ((), (), ())
+        return rec["event_id"], rec["storm_id"], rec["target_duration"], t, cat, cont
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r}") from None
-    revisions = []
-    for t, cat, cont in rows:
-        try:
-            cats = tuple(
-                MISSING_CAT if v is None else lookup[name][v]
-                for name, v in zip(schema.categorical, cat)
-            )
-        except KeyError as exc:
-            raise ValueError(f"unknown category value {exc.args[0]!r}") from None
-        conts = tuple(float("nan") if v is None else float(v) for v in cont)
-        revisions.append(Revision(t, cats, conts))
-    event = EventSeries(event_id, storm_id, tuple(revisions), target)
-    validate_event(event, schema)
-    return event
+
+
+def _records(path: str, lines: list[int]) -> Iterator[tuple]:
+    """The parsed non-blank lines of an events.jsonl file; notes each one's number."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                lines.append(line_no)
+                yield _parse_line(line)
+
+
+def _read_events(path: str, schema: FeatureSchema, categories) -> EventTable:
+    """Every event of an events.jsonl file, in one pass.
+
+    A bad event raises ValueError naming ``<path>:<line>`` of the first bad
+    event in the file.
+    """
+    vocabularies = [
+        {None: MISSING_CAT, **{v: i for i, v in enumerate(categories[name])}}
+        for name in schema.categorical
+    ]
+    lines: list[int] = []
+    try:
+        return build_table(_records(path, lines), schema, vocabularies)
+    except EventError as exc:
+        raise ValueError(f"{path}:{lines[exc.event]}: {exc}") from exc
+    except OSError as exc:
+        raise OSError(f"failed reading {path}: {exc}") from exc
 
 
 def load_dataset(path: str) -> Dataset:
@@ -198,7 +241,6 @@ def load_dataset(path: str) -> Dataset:
             f"{manifest_path}: unsupported format_version {manifest.get('format_version')!r}"
         )
     schema, categories = _parse_schema(manifest["schema"])
-    lookup = {name: {v: i for i, v in enumerate(vals)} for name, vals in categories.items()}
 
     storms = tuple(
         StormRecord(
@@ -216,25 +258,12 @@ def load_dataset(path: str) -> Dataset:
         tuple(manifest["split"]["test"]),
     )
 
-    events: list[EventSeries] = []
-    try:
-        with open(events_path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    events.append(_parse_event(line, schema, lookup))
-                except (TypeError, ValueError) as exc:  # TypeError: a field of the wrong type
-                    raise ValueError(f"{events_path}:{line_no}: {exc}") from exc
-    except OSError as exc:
-        raise OSError(f"failed reading {events_path}: {exc}") from exc
-
     return Dataset(
         schema=schema,
         categories=categories,
         storms=storms,
         split=split,
-        events=tuple(events),
+        table=_read_events(events_path, schema, categories),
         generator_config=manifest.get("generator_config"),
         seed=manifest.get("seed", 0),
     )

@@ -25,6 +25,7 @@ import numpy as np
 from .autodiff import Tape, Tensor
 from .data import FeatureSchema, TransformState
 from .dataio import canonical_json
+from .losses import LossConfig
 
 CHECKPOINT_MAGIC = b"ETRCKPT1"
 
@@ -70,14 +71,20 @@ def embed_dim(cardinality: int, cap: int = 16) -> int:
 
 @dataclass
 class ModelParams:
-    """All learnable tensors, keyed by stable slash-separated names."""
+    """All learnable tensors, keyed by stable slash-separated names.
+
+    ``loss`` is the loss the tensors were trained with; evaluation scores
+    WAE and CSI with its alpha, beta and tau.
+    """
 
     config: ModelConfig
     schema: FeatureSchema
     tensors: dict[str, np.ndarray]
+    loss: LossConfig = LossConfig()
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, self.schema, {k: v.copy() for k, v in self.tensors.items()})
+        tensors = {k: v.copy() for k, v in self.tensors.items()}
+        return ModelParams(self.config, self.schema, tensors, self.loss)
 
 
 @dataclass(frozen=True)
@@ -349,6 +356,10 @@ def predict(params: ModelParams, batch: SequenceBatch, capture: list | None = No
 # Layout: magic, uint64 little-endian header length, canonical-JSON header,
 # then each tensor's raw little-endian float64 bytes in sorted name order.
 # (A zip-based container would embed timestamps; this one is byte-reproducible.)
+# Format version 2 adds the "loss" block; a version-1 file reads as trained
+# with the default LossConfig.
+
+CHECKPOINT_VERSION = 2
 
 
 def _transform_state_doc(state: TransformState | None) -> dict | None:
@@ -387,8 +398,9 @@ def save_checkpoint(
 ) -> None:
     names = sorted(params.tensors)
     header = {
-        "format_version": 1,
+        "format_version": CHECKPOINT_VERSION,
         "model_config": params.config.to_dict(),
+        "loss": asdict(params.loss),
         "schema": {
             "features": [[n, k] for n, k in params.schema.features],
             "cardinalities": dict(params.schema.cardinalities),
@@ -424,7 +436,8 @@ def load_checkpoint(
             raise ValueError(f"{path}: truncated header")
         (hlen,) = struct.unpack("<Q", raw_len)
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        if not isinstance(header, dict) or header.get("format_version") != 1:
+        version = header.get("format_version") if isinstance(header, dict) else None
+        if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"{path}: unsupported checkpoint version")
         try:
             fingerprint = header["schema_fingerprint"]
@@ -434,6 +447,7 @@ def load_checkpoint(
                 {k: int(v) for k, v in header["schema"]["cardinalities"].items()},
             )
             state = _transform_state_from_doc(header.get("transform_state"))
+            loss = LossConfig(**header["loss"]) if version > 1 else LossConfig()
             entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
             expected = init_params(config, schema).tensors
         except (AttributeError, KeyError, TypeError) as exc:
@@ -464,4 +478,4 @@ def load_checkpoint(
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last tensor")
-    return ModelParams(config, schema, tensors), state, fingerprint
+    return ModelParams(config, schema, tensors, loss), state, fingerprint

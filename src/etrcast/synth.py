@@ -34,6 +34,7 @@ from .data import (
     MAGNITUDES,
     MISSING_CAT,
     EventSeries,
+    EventTable,
     FeatureSchema,
     Revision,
     StormRecord,
@@ -365,7 +366,7 @@ def generate_dataset(cfg: GeneratorConfig, out_dir: str | None = None) -> Datase
         categories=categories,
         storms=tuple(storms),
         split=split,
-        events=tuple(events),
+        table=EventTable.from_events(events, schema),
         generator_config=cfg.to_dict(),
         seed=cfg.seed,
     )

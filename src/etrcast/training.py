@@ -1,8 +1,14 @@
 """Training harness: per-prefix samples, Adam, plateau decay, linear baseline.
 
-Samples are built one per (event, prefix length): the model trains to predict
-the final restoration duration from every intermediate revision state, which
-mirrors how an estimate would be re-issued as updates arrive. Optimization is
+A split arrives as one encoded table (flat per-revision columns plus event
+offsets; see ``etrcast.data``). A sample is an (event, j) index pair, one per
+revision j of every event: the model trains to predict the final restoration
+duration from every intermediate revision state, which mirrors how an
+estimate would be re-issued as updates arrive. The sample for revision j
+holds revisions max(1, j - max_seq_len + 1) to j, with time deltas restarted
+at its first row, so it depends only on what was known at revision j. A
+batch gathers its samples from the table on demand; the final-revision set
+used for evaluation is a choice of indices, not a second builder. Optimization is
 Adam with bias correction; the learning rate decays by a fixed factor when
 the validation WAE stops improving. Everything, dropout included, is seeded,
 so two runs with the same inputs produce bit-identical histories.
@@ -17,12 +23,23 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .autodiff import NumericsError, Tape
-from .data import EncodedEvent, FeatureSchema, TransformState, apply_transforms, fit_transforms
+from .data import (
+    EncodedEvent,
+    EncodedTable,
+    EventSeries,
+    EventTable,
+    FeatureSchema,
+    TransformState,
+    as_event_table,
+    encode_table,
+    fit_transforms,
+)
 from .dataio import Dataset, dataset_fingerprint
 from .losses import LossConfig, asymmetric_loss, mse_loss
 from .metrics import EvalReport, PredictionSet, eval_report, wae
@@ -68,100 +85,93 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Flattened per-prefix samples ready for batching."""
+    """Samples as (event, j) indices into one encoded table, gathered per batch.
 
-    cat_idx: np.ndarray  # [N,S,p]
-    cont: np.ndarray  # [N,S,q]
-    deltas: np.ndarray  # [N,S]
-    mask: np.ndarray  # [N,S]
-    targets: np.ndarray  # [N]
-    event_ids: tuple[str, ...]
-    storm_ids: tuple[str, ...]
-    prefix_len: np.ndarray  # [N]
+    Sample i predicts the target of event ``event[i]`` at its revision
+    ``prefix_len[i]`` = j (1-based), from the window of its most recent
+    min(j, max_seq_len) revisions, with deltas restarted at the window's
+    first row. Nothing is padded up front: ``batch`` gathers the requested
+    samples only, padded to the longest window among them.
+    """
+
+    events: EncodedTable
+    event: np.ndarray  # [N] position in ``events``
+    prefix_len: np.ndarray  # [N] revision index j
+    max_seq_len: int
 
     @property
     def size(self) -> int:
-        return self.targets.size
+        return self.event.size
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        return self.events.targets[self.event]
+
+    @property
+    def event_ids(self) -> tuple[str, ...]:
+        return tuple(self.events.event_ids[i] for i in self.event.tolist())
+
+    @property
+    def storm_ids(self) -> tuple[str, ...]:
+        return tuple(self.events.storm_ids[i] for i in self.event.tolist())
+
+    @property
+    def mask(self) -> np.ndarray:
+        """[N, L] valid slots of the whole set as one batch, L its longest window."""
+        width = np.minimum(self.prefix_len, self.max_seq_len)
+        return np.arange(width.max(initial=0)) < width[:, None]
+
+    # the whole set as one padded batch
+    cat_idx = property(lambda self: self.batch(slice(None)).cat_idx)
+    cont = property(lambda self: self.batch(slice(None)).cont)
+    deltas = property(lambda self: self.batch(slice(None)).deltas)
 
     def batch(self, idx: np.ndarray | slice) -> SequenceBatch:
-        return SequenceBatch(
-            cat_idx=self.cat_idx[idx],
-            cont=self.cont[idx],
-            deltas=self.deltas[idx],
-            mask=self.mask[idx],
-        )
+        """The samples at ``idx``, zero-padded to the longest window among them."""
+        j = self.prefix_len[idx]
+        width = np.minimum(j, self.max_seq_len)
+        first = (self.events.offsets[self.event[idx]] + j - width)[:, None]
+        mask = np.arange(width.max(initial=0)) < width[:, None]
+        rows = np.where(mask, first + np.arange(mask.shape[1]), first)
+        cat = self.events.cat_idx[rows]
+        cont = self.events.cont[rows]
+        deltas = self.events.deltas[rows] - self.events.deltas[first]
+        pad = ~mask
+        cat[pad] = 0
+        cont[pad] = 0.0
+        deltas[pad] = 0.0
+        return SequenceBatch(cat_idx=cat, cont=cont, deltas=deltas, mask=mask)
 
 
-def _window(event: EncodedEvent, max_seq_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keep the most recent max_seq_len revisions; deltas restart at the window."""
-    m = event.deltas.shape[0]
-    if m <= max_seq_len:
-        return event.cat_idx, event.cont, event.deltas
-    start = m - max_seq_len
-    return (
-        event.cat_idx[start:],
-        event.cont[start:],
-        event.deltas[start:] - event.deltas[start],
-    )
+def _encoded(events: EncodedTable | Sequence[EncodedEvent], caller: str) -> EncodedTable:
+    if not len(events):
+        raise ValueError(f"{caller}: no events")
+    return events if isinstance(events, EncodedTable) else EncodedTable.from_events(events)
 
 
-def _assemble(
-    rows: list[tuple[EncodedEvent, np.ndarray, np.ndarray, np.ndarray, int]], s: int, p: int, q: int
+def build_samples(
+    events: EncodedTable | Sequence[EncodedEvent], config: ModelConfig
 ) -> SampleSet:
-    n = len(rows)
-    cat = np.zeros((n, s, p), dtype=np.int64)
-    cont = np.zeros((n, s, q), dtype=np.float64)
-    deltas = np.zeros((n, s), dtype=np.float64)
-    mask = np.zeros((n, s), dtype=bool)
-    targets = np.zeros(n)
-    event_ids = []
-    storm_ids = []
-    prefix_len = np.zeros(n, dtype=np.int64)
-    for i, (event, wcat, wcont, wdeltas, j) in enumerate(rows):
-        cat[i, :j] = wcat[:j]
-        cont[i, :j] = wcont[:j]
-        deltas[i, :j] = wdeltas[:j]
-        mask[i, :j] = True
-        targets[i] = event.target_duration
-        event_ids.append(event.event_id)
-        storm_ids.append(event.storm_id)
-        prefix_len[i] = j
-    return SampleSet(
-        cat, cont, deltas, mask, targets, tuple(event_ids), tuple(storm_ids), prefix_len
-    )
+    """One sample per (event, revision j), j = 1..M, in event order."""
+    table = _encoded(events, "build_samples")
+    event = np.repeat(np.arange(len(table)), table.lengths)
+    prefix_len = np.arange(event.size) - table.offsets[event] + 1
+    return SampleSet(table, event, prefix_len, config.max_seq_len)
 
 
-def build_samples(events: Sequence[EncodedEvent], config: ModelConfig) -> SampleSet:
-    """One sample per (event, prefix length j), j = 1..min(M, max_seq_len)."""
-    if not events:
-        raise ValueError("build_samples: no events")
-    p = events[0].cat_idx.shape[1]
-    q = events[0].cont.shape[1]
-    rows = []
-    for event in events:
-        wcat, wcont, wdeltas = _window(event, config.max_seq_len)
-        for j in range(1, wdeltas.shape[0] + 1):
-            rows.append((event, wcat, wcont, wdeltas, j))
-    return _assemble(rows, config.max_seq_len, p, q)
-
-
-def build_final_samples(events: Sequence[EncodedEvent], config: ModelConfig) -> SampleSet:
-    """Only the full (windowed) sequence per event: the last-revision estimate."""
-    if not events:
-        raise ValueError("build_final_samples: no events")
-    p = events[0].cat_idx.shape[1]
-    q = events[0].cont.shape[1]
-    rows = []
-    for event in events:
-        wcat, wcont, wdeltas = _window(event, config.max_seq_len)
-        rows.append((event, wcat, wcont, wdeltas, wdeltas.shape[0]))
-    return _assemble(rows, config.max_seq_len, p, q)
+def build_final_samples(
+    events: EncodedTable | Sequence[EncodedEvent], config: ModelConfig
+) -> SampleSet:
+    """Only each event's last revision: the final estimate."""
+    table = _encoded(events, "build_final_samples")
+    return SampleSet(table, np.arange(len(table)), table.lengths, config.max_seq_len)
 
 
 def encode_events(
-    events: Sequence, state: TransformState, schema: FeatureSchema
-) -> list[EncodedEvent]:
-    return [apply_transforms(e, state, schema) for e in events]
+    events: EventTable | Sequence[EventSeries], state: TransformState, schema: FeatureSchema
+) -> EncodedTable:
+    """Encode a table of events (EventSeries objects are converted once)."""
+    return encode_table(as_event_table(events, schema), state, schema)
 
 
 # -- optimizer and scheduler ---------------------------------------------------
@@ -294,9 +304,9 @@ def train_model(
     already sets one), so optimization starts from an unbiased constant
     predictor instead of zero hours.
     """
-    splits = dataset.split_events()
+    splits = dataset.split_tables()
     train_events, val_events = splits["train"], splits["validation"]
-    if not train_events or not val_events:
+    if not len(train_events) or not len(val_events):
         raise ValueError("train_model: empty train or validation split")
     schema = dataset.schema
     state = fit_transforms(train_events, schema)
@@ -310,7 +320,7 @@ def train_model(
         target_mean = float(np.mean(train_samples.targets))
         model_config = replace(model_config, head_bias_init=target_mean)
 
-    params = init_params(model_config, schema, seed=train_config.seed)
+    params = replace(init_params(model_config, schema, seed=train_config.seed), loss=loss_config)
     adam = AdamState.for_params(params.tensors)
     plateau = PlateauState(lr=train_config.learning_rate)
     history = TrainHistory()
@@ -398,17 +408,16 @@ def _design_matrix(
 
 def fit_linear_baseline(dataset: Dataset) -> LinearBaseline:
     """Least squares (ridge jitter 1e-8) on each training event's last revision."""
-    train_events = dataset.split_events()["train"]
-    if not train_events:
+    train_events = dataset.split_tables()["train"]
+    if not len(train_events):
         raise ValueError("fit_linear_baseline: empty training split")
     schema = dataset.schema
     state = fit_transforms(train_events, schema)
     encoded = encode_events(train_events, state, schema)
     cat_widths = tuple(state.encoded_cardinality(f) for f in schema.categorical)
-    cat_last = np.stack([e.cat_idx[-1] for e in encoded])
-    cont_last = np.stack([e.cont[-1] for e in encoded])
-    y = np.asarray([e.target_duration for e in encoded])
-    x = _design_matrix(cat_last, cont_last, cat_widths)
+    last = encoded.offsets[1:] - 1
+    x = _design_matrix(encoded.cat_idx[last], encoded.cont[last], cat_widths)
+    y = encoded.targets
     gram = x.T @ x + 1e-8 * np.eye(x.shape[1])
     weights = np.linalg.solve(gram, x.T @ y)
     return LinearBaseline(schema, state, weights, cat_widths)
@@ -436,7 +445,7 @@ def baseline_predict(baseline: LinearBaseline, batch: SequenceBatch) -> np.ndarr
 
 def evaluate_model(
     predict_fn: Callable[[SequenceBatch], np.ndarray],
-    events: Sequence[EncodedEvent],
+    events: EncodedTable | Sequence[EncodedEvent],
     magnitudes: Mapping[str, str],
     model_config: ModelConfig,
     loss_config: LossConfig = LossConfig(),
@@ -453,11 +462,11 @@ def evaluate_model(
 
 def evaluate_per_revision(
     predict_fn: Callable[[SequenceBatch], np.ndarray],
-    events: Sequence[EncodedEvent],
+    events: EncodedTable | Sequence[EncodedEvent],
     model_config: ModelConfig,
     loss_config: LossConfig = LossConfig(),
 ) -> dict[int, dict[str, float]]:
-    """WAE and count per prefix length j over all (event, j) samples."""
+    """WAE and count per revision index j over all (event, j) samples."""
     samples = build_samples(events, model_config)
     preds = predict_in_chunks(predict_fn, samples)
     out: dict[int, dict[str, float]] = {}

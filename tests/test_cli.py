@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from etrcast.cli import SCALES, load_config_file, run
+from etrcast.data import Revision
+from etrcast.losses import LossConfig
 from etrcast.model import load_checkpoint, save_checkpoint
 
 GEN_ARGS = ["--storms-per-class", "6", "--events-per-storm", "5", "8"]
@@ -185,6 +188,63 @@ class TestEval:
         assert message in err and "Traceback" not in err
 
 
+class TestCheckpointLoss:
+    def test_eval_scores_with_the_loss_the_model_was_trained_with(self, pipeline, tmp_path):
+        cfg = tmp_path / "loss.cfg"
+        cfg.write_text("alpha = 3\n")
+        out, ev = str(tmp_path / "run"), str(tmp_path / "ev")
+        args = ["--dataset", pipeline["data"], "--seed", "0"]
+        assert run(["train", *args, "--out", out, "--epochs", "1", "--config", str(cfg)]) == 0
+        checkpoint = os.path.join(out, "checkpoint.bin")
+        assert run(["eval", *args, "--out", ev, "--checkpoint", checkpoint, "--split", "test"]) == 0
+        trained = json.load(open(os.path.join(out, "eval_test.json")))
+        evaluated = json.load(open(os.path.join(ev, "eval_test.json")))
+        assert evaluated["overall"]["wae"] == trained["overall"]["wae"]
+        assert evaluated == trained
+        manifest = json.load(open(os.path.join(out, "run_manifest.json")))
+        assert manifest["config"]["loss"] == {
+            "alpha": 3.0, "beta": 2.0, "tau": 8.0, "continuous_over": False
+        }  # fmt: skip
+        params, _, _ = load_checkpoint(checkpoint)
+        assert params.loss == LossConfig(alpha=3.0)
+
+    def test_version_one_checkpoint_loads_with_default_loss(self, pipeline, tmp_path):
+        good = os.path.join(pipeline["run"], "checkpoint.bin")
+        blob = open(good, "rb").read()
+        (length,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + length])
+        assert header.pop("format_version") == 2
+        del header["loss"]
+        old = json.dumps({**header, "format_version": 1}, sort_keys=True).encode()
+        path = str(tmp_path / "v1.bin")
+        with open(path, "wb") as fh:
+            fh.write(blob[:8] + struct.pack("<Q", len(old)) + old + blob[16 + length :])
+        params, state, fingerprint = load_checkpoint(path)
+        reference, ref_state, ref_fingerprint = load_checkpoint(good)
+        assert params.loss == LossConfig() and fingerprint == ref_fingerprint
+        assert state == ref_state
+        assert all(np.array_equal(params.tensors[k], v) for k, v in reference.tensors.items())
+        args = ["eval", "--dataset", pipeline["data"], "--checkpoint", path]
+        assert run([*args, "--out", str(tmp_path / "ev")]) == 0
+
+
+class TestCommandsStayColumnar:
+    def test_commands_build_no_revision_objects(self, pipeline, tmp_path, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a command built a Revision object")
+
+        monkeypatch.setattr(Revision, "__init__", refuse)
+        out = str(tmp_path / "run")
+        args = ["--dataset", pipeline["data"], "--seed", "0"]
+        assert run(["train", *args, "--out", out, "--epochs", "1"]) == 0
+        checkpoint = ["--checkpoint", os.path.join(out, "checkpoint.bin")]
+        assert run(["eval", *args, *checkpoint, "--out", str(tmp_path / "ev")]) == 0
+        explain = ["--revisions", "2", "--events", "1", "--permutations", "4"]
+        assert run(["explain", *args, *checkpoint, *explain, "--out", str(tmp_path / "ex")]) == 0
+        with pytest.raises(AssertionError):
+            Revision(0.0, (0,), (0.0,))
+
+
 class TestExplainAndAttention:
     def test_explain_writes_reports(self, pipeline, tmp_path):
         out = str(tmp_path / "ex")
@@ -246,6 +306,16 @@ class TestErrorHandling:
         rec["revisions"][0]["cat"][0] = "no-such-value"
         return json.dumps(rec)
 
+    @staticmethod
+    def _repeated_timestamp(rec):
+        rec["revisions"][1]["t"] = rec["revisions"][0]["t"]
+        return json.dumps(rec)
+
+    @staticmethod
+    def _short_revision(rec):
+        rec["revisions"][0]["cont"].pop()
+        return json.dumps(rec)
+
     @pytest.mark.parametrize(
         "damage, message",
         [
@@ -254,8 +324,15 @@ class TestErrorHandling:
              "missing field 'revisions'"),
             (_unknown_category, "unknown category value 'no-such-value'"),
             (lambda rec: json.dumps({**rec, "revisions": 5}), "'int' object is not iterable"),
+            (_repeated_timestamp, "event {event}: timestamps must be finite and strictly increase"),
+            (lambda rec: json.dumps({**rec, "target_duration": -1.0}),
+             "event {event}: bad target_duration"),
+            (_short_revision, "event {event} revision 0: value lengths do not match schema"),
+            (lambda rec: json.dumps({**rec, "revisions": []}),
+             "event {event}: needs at least one revision"),
         ],
-        ids=["malformed_json", "missing_field", "unknown_category", "wrong_type"],
+        ids=["malformed_json", "missing_field", "unknown_category", "wrong_type",
+             "repeated_timestamp", "negative_target", "wrong_value_count", "no_revisions"],
     )  # fmt: skip
     def test_bad_events_line_names_file_and_line(self, pipeline, tmp_path, capsys, damage, message):
         data = tmp_path / "data"
@@ -263,12 +340,27 @@ class TestErrorHandling:
         src = pipeline["data"]
         (data / "manifest.json").write_bytes(open(os.path.join(src, "manifest.json"), "rb").read())
         lines = open(os.path.join(src, "events.jsonl"), encoding="utf-8").read().splitlines()
+        event = json.loads(lines[1])["event_id"]
         lines[1] = damage(json.loads(lines[1]))
         (data / "events.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert run(["train", "--dataset", str(data), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert f"{data / 'events.jsonl'}:2: {message}" in err
+        assert f"{data / 'events.jsonl'}:2: {message.format(event=event)}" in err
         assert "Traceback" not in err
+
+    def test_first_bad_event_is_reported(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        src = pipeline["data"]
+        (data / "manifest.json").write_bytes(open(os.path.join(src, "manifest.json"), "rb").read())
+        lines = open(os.path.join(src, "events.jsonl"), encoding="utf-8").read().splitlines()
+        # a later line fails an earlier check, an earlier line a later one
+        lines[2] = self._unknown_category(json.loads(lines[2]))
+        lines[3] = lines[3][:-5]
+        lines[1] = json.dumps({**json.loads(lines[1]), "target_duration": None})
+        (data / "events.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["train", "--dataset", str(data), "--out", str(tmp_path / "o")]) == 1
+        assert f"{data / 'events.jsonl'}:2: event " in capsys.readouterr().err
 
     def test_bad_config_value_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

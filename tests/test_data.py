@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_data as reference
+from etrcast.dataio import load_dataset
+from etrcast.synth import GeneratorConfig, generate_dataset
 from etrcast.data import (
     MISSING_CAT,
     DatasetSplit,
@@ -15,6 +18,7 @@ from etrcast.data import (
     apply_transforms,
     classify_storm,
     compute_time_deltas,
+    encode_table,
     fit_transforms,
     stratified_split,
     validate_event,
@@ -156,6 +160,58 @@ class TestApplyTransforms:
         enc = apply_transforms(self.events[1], self.state, SCHEMA)
         np.testing.assert_array_equal(enc.deltas, [0.0, 2.0])
         assert enc.target_duration == 5.0
+
+
+class TestColumnarMatchesReference:
+    """Loading, fitting and encoding as columns is bit-identical to the per-value oracle."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("columnar") / "data")
+        cfg = GeneratorConfig(seed=5, storms_per_class=5, events_per_storm=(5, 8), missing_rate=0.2)
+        generate_dataset(cfg, out)
+        return out
+
+    def test_load_matches(self, saved):
+        ds = load_dataset(saved)
+        expected = reference.load_events(saved, ds.schema, ds.categories)
+        assert (ds.table.cat == MISSING_CAT).any() and np.isnan(ds.table.cont).any()
+        assert len(ds.events) == len(expected)
+        for got, want in zip(ds.events, expected):
+            assert (got.event_id, got.storm_id) == (want.event_id, want.storm_id)
+            assert got.target_duration == want.target_duration
+            for a, b in zip(got.revisions, want.revisions, strict=True):
+                assert a.timestamp == b.timestamp
+                assert a.categorical_values == b.categorical_values
+                got_cont, want_cont = np.array(a.continuous_values), np.array(b.continuous_values)
+                assert got_cont.tobytes() == want_cont.tobytes()
+
+    @pytest.mark.parametrize("n_fit", [3, None], ids=["few_events_fitted", "train_split"])
+    def test_fit_and_encode_match(self, saved, n_fit):
+        ds = load_dataset(saved)
+        schema = ds.schema
+        expected = reference.load_events(saved, schema, ds.categories)
+        train = ds.split_tables()["train"]
+        fit_on = train if n_fit is None else train.select(np.arange(n_fit))
+        state = fit_transforms(fit_on, schema)
+        wanted_ids = set(fit_on.event_ids)
+        want_state = reference.fit_transforms(
+            [e for e in expected if e.event_id in wanted_ids], schema
+        )
+        assert state == want_state
+        for name in schema.continuous:
+            assert state.cont_mean[name].hex() == want_state.cont_mean[name].hex()
+            assert state.cont_std[name].hex() == want_state.cont_std[name].hex()
+
+        encoded = encode_table(ds.table, state, schema)
+        want = [reference.apply_transforms(e, want_state, schema) for e in expected]
+        for column in ("cat_idx", "cont", "deltas"):
+            joined = np.concatenate([getattr(e, column) for e in want])
+            assert getattr(encoded, column).tobytes() == joined.tobytes(), column
+        np.testing.assert_array_equal(encoded.lengths, [len(e.deltas) for e in want])
+        if n_fit is not None:  # categories unseen in the fitted events map to UNKNOWN
+            unknown = [state.unknown_index(name) for name in schema.categorical]
+            assert (encoded.cat_idx == unknown).any()
 
 
 class TestStratifiedSplit:

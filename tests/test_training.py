@@ -50,10 +50,10 @@ class TestBuildSamples:
         enc = [e for e in encode_events(splits["train"], state, small_dataset.schema) if len(e.deltas) >= 5]
         event = enc[0]
         samples = build_samples([event], cfg)
-        # events longer than the window contribute max_seq_len samples
-        assert samples.size == 3
-        final = build_final_samples([event], cfg)
         m = len(event.deltas)
+        # every revision is a prediction point, also beyond the window length
+        assert samples.size == m
+        final = build_final_samples([event], cfg)
         np.testing.assert_allclose(
             final.cont[0, :3], event.cont[m - 3 : m]
         )
@@ -62,6 +62,31 @@ class TestBuildSamples:
             final.deltas[0, :3], event.deltas[m - 3 : m] - event.deltas[m - 3]
         )
         assert final.deltas[0, 0] == 0.0
+
+    def test_window_of_revision_j_holds_its_latest_revisions(self, small_dataset):
+        cfg = ModelConfig(max_seq_len=3, d_model=8, n_layers=1, n_heads=2)
+        splits = small_dataset.split_events()
+        state = fit_transforms(splits["train"], small_dataset.schema)
+        enc = encode_events(splits["train"], state, small_dataset.schema)
+        event = next(e for e in enc if len(e.deltas) >= 5)
+        m = len(event.deltas)
+        samples = build_samples([event], cfg)
+        assert samples.prefix_len.tolist() == list(range(1, m + 1))
+        for i, j in enumerate(samples.prefix_len.tolist()):
+            batch = samples.batch([i])
+            lo = max(0, j - cfg.max_seq_len)  # revisions max(1, j - S + 1)..j, 0-based
+            width = j - lo
+            assert batch.mask[0].tolist() == [True] * width
+            np.testing.assert_array_equal(batch.cat_idx[0], event.cat_idx[lo:j])
+            np.testing.assert_array_equal(batch.cont[0], event.cont[lo:j])
+            np.testing.assert_array_equal(batch.deltas[0], event.deltas[lo:j] - event.deltas[lo])
+            assert batch.deltas[0, 0] == 0.0
+        # a batch of several windows pads each to the longest one with zeros
+        batch = samples.batch(np.arange(m))
+        assert batch.mask.shape == (m, cfg.max_seq_len)
+        np.testing.assert_array_equal(batch.mask.sum(axis=1), np.minimum(np.arange(1, m + 1), 3))
+        assert not batch.cont[~batch.mask].any() and not batch.deltas[~batch.mask].any()
+        assert not batch.cat_idx[~batch.mask].any()
 
     def test_masks_are_prefixes(self, small_dataset):
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
@@ -321,17 +346,8 @@ class TestEvaluate:
         samples = build_samples(enc, cfg)
         # shuffle so that prefix lengths interleave instead of rising per event
         perm = np.random.default_rng(0).permutation(samples.size)
-        shuffled = replace(
-            samples,
-            cat_idx=samples.cat_idx[perm],
-            cont=samples.cont[perm],
-            deltas=samples.deltas[perm],
-            mask=samples.mask[perm],
-            targets=samples.targets[perm],
-            prefix_len=samples.prefix_len[perm],
-            event_ids=tuple(samples.event_ids[i] for i in perm),
-            storm_ids=tuple(samples.storm_ids[i] for i in perm),
-        )
+        shuffled = replace(samples, event=samples.event[perm], prefix_len=samples.prefix_len[perm])
+        np.testing.assert_array_equal(shuffled.targets, samples.targets[perm])
         assert np.any(np.diff(shuffled.prefix_len[:20]) < 0)
         seen = []
 
