@@ -6,8 +6,7 @@ loss that penalizes under-prediction more than moderate over-prediction.
 Includes a synthetic storm generator with a replayable ground truth,
 a reverse-mode autodiff tape, training with Adam and plateau decay,
 stratified evaluation, attention export, and permutation Shapley
-attributions. Hot kernels run through numba when available; set
-ETRCAST_KERNELS=numpy to force the pure-numpy fallback.
+attributions.
 """
 
 from .autodiff import NumericsError, Tape, fd_check

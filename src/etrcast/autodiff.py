@@ -1,10 +1,19 @@
 """Dense float64 tensors, forward primitives, and reverse-mode differentiation.
 
-A :class:`Tape` records every primitive application in topological order;
-:meth:`Tape.gradients` replays the record backwards from a scalar output and
-returns one gradient array per registered parameter. Primitives reject
-non-finite outputs outright: NaN or Inf anywhere is treated as a bug in the
-caller, never silently propagated.
+A :class:`Tape` records, in topological order, every primitive application
+that can reach a registered parameter: one whose inputs include a parameter
+or the output of an earlier recorded primitive. :meth:`Tape.gradients`
+replays that record backwards from a scalar output and returns one gradient
+array per registered parameter. A primitive over constants only records
+nothing, so a forward pass built from :meth:`Tape.constant` alone (inference)
+keeps no backward closures and frees each intermediate as soon as the next
+primitive has used it.
+
+Primitives reject non-finite outputs outright: NaN or Inf anywhere is treated
+as a bug in the caller, never silently propagated. The check costs one
+reduction per output: any NaN or Inf makes the sum non-finite, so a finite
+sum proves every value finite. Only a non-finite sum, which finite values can
+also produce by overflowing, is confirmed by a full ``isfinite`` scan.
 
 Gradient correctness is checked against central finite differences by
 :func:`fd_check`, which every primitive and the full training objective must
@@ -13,6 +22,7 @@ pass (see the test suite).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +40,9 @@ def _as_f64(value) -> np.ndarray:
 
 
 def _require_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(arr, axis=None)
+    if not math.isfinite(total) and not np.isfinite(arr).all():
         raise NumericsError(f"{op}: non-finite values in result")
 
 
@@ -68,6 +80,7 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._params: dict[str, Tensor] = {}
+        self._reaches_param: set[int] = set()  # tids of parameters and recorded outputs
         self._next_tid = 0
 
     # -- tensor creation ----------------------------------------------------
@@ -89,12 +102,16 @@ class Tape:
         _require_finite(arr, f"param {name}")
         t = self._wrap(arr)
         self._params[name] = t
+        self._reaches_param.add(t.tid)
         return t
 
     def _record(self, out: np.ndarray, inputs: Sequence[Tensor], backward, op: str) -> Tensor:
         _require_finite(out, op)
         t = self._wrap(out)
-        self._nodes.append(_Node(t.tid, tuple(x.tid for x in inputs), backward))
+        in_tids = tuple(x.tid for x in inputs)
+        if not self._reaches_param.isdisjoint(in_tids):
+            self._nodes.append(_Node(t.tid, in_tids, backward))
+            self._reaches_param.add(t.tid)
         return t
 
     # -- primitives ----------------------------------------------------------
@@ -139,11 +156,14 @@ class Tape:
         def backward(g):
             return g @ wd.T, xd.T @ g, np.sum(g, axis=0)
 
-        return self._record(xd @ wd + b.data, (x, w, b), backward, "linear")
+        out = xd @ wd
+        out += b.data
+        return self._record(out, (x, w, b), backward, "linear")
 
     def relu(self, a: Tensor) -> Tensor:
-        keep = a.data > 0.0
-        return self._record(np.where(keep, a.data, 0.0), (a,), lambda g: (g * keep,), "relu")
+        # np.maximum returns its second argument on a tie, so -0.0 maps to +0.0.
+        out = np.maximum(a.data, 0.0)
+        return self._record(out, (a,), lambda g: (g * (out > 0.0),), "relu")
 
     def tanh(self, a: Tensor) -> Tensor:
         out = np.tanh(a.data)
@@ -179,11 +199,11 @@ class Tape:
         d = x.shape[-1]
         if gain.shape != (d,) or bias.shape != (d,):
             raise NumericsError(f"layer_norm: affine shapes {gain.shape}/{bias.shape} vs d={d}")
-        y, mean, rstd = kernels.layer_norm(x.data, gain.data, bias.data, eps)
-        xd, gd = x.data, gain.data
+        y, xhat, rstd = kernels.layer_norm(x.data, gain.data, bias.data, eps)
+        gd = gain.data
 
         def backward(g):
-            return kernels.layer_norm_bwd(xd, mean, rstd, gd, g)
+            return kernels.layer_norm_bwd(xhat, rstd, gd, g)
 
         return self._record(y, (x, gain, bias), backward, "layer_norm")
 

@@ -1,342 +1,87 @@
 """Hot numeric kernels: masked softmax and layer normalization, forward and backward.
 
-Two interchangeable implementations live here. The numpy path is pure
-vectorized numpy. The loop path is the same kernels written as plain Python
-row loops; when numba is importable they are compiled with
-``numba.njit(cache=True)`` and registered as the ``numba`` backend. numba is
-optional (``pip install -e .[numba]``). Without it the numpy backend is the
-only one, and the uncompiled loops stay reachable as ``_LOOP_IMPL`` so that
-the agreement tests still run them against numpy. Selection happens once at
-import time from the ``ETRCAST_KERNELS`` environment variable (``numba`` or
-``numpy``; default is numba, falling back to numpy when numba is not
-importable). Matrix products are deliberately left to numpy/BLAS on both
-paths.
-
-Within one backend all kernels are sequential and bit-deterministic. The two
-backends agree to floating-point roundoff, not bit-for-bit (their summation
-orders differ); ``benchmarks/bench_kernels.py`` times one against the other.
+One implementation: vectorized numpy, with matrix products left to
+numpy/BLAS. Every kernel is sequential and bit-deterministic, and works in
+place on its own temporaries so that each output costs as few passes over
+memory as the arithmetic allows. The operation order is part of the
+contract: ``tests/_reference_kernels.py`` keeps the earlier out-of-place
+versions, and the tests require bit-identical results against them.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _NEG_INF = -np.inf
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
+def backend_name() -> str:
+    """Name of the kernel implementation, recorded in benchmark environments."""
+    return "numpy"
 
-def softmax_rows_numpy(x: np.ndarray) -> np.ndarray:
+
+def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise (last axis) softmax with max subtraction."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
-def softmax_rows_bwd_numpy(w: np.ndarray, grad_w: np.ndarray) -> np.ndarray:
+def softmax_rows_bwd(w: np.ndarray, grad_w: np.ndarray) -> np.ndarray:
     dot = np.sum(w * grad_w, axis=-1, keepdims=True)
-    return w * (grad_w - dot)
+    gx = grad_w - dot
+    gx *= w
+    return gx
 
 
-def masked_softmax_numpy(scores: np.ndarray, key_valid: np.ndarray) -> np.ndarray:
+def masked_softmax(scores: np.ndarray, key_valid: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of [B,H,S,S] scores with invalid keys frozen at 0.
 
     Invalid key columns take no part in the max or the normalizing sum, so
-    their (arbitrary finite) score values cannot perturb valid weights.
+    their (arbitrary finite) score values cannot perturb valid weights. They
+    hold -inf until the exponential maps them to exactly +0.0; every row
+    needs one valid key, so its max is finite.
     """
-    mask = key_valid[:, None, None, :]
-    shielded = np.where(mask, scores, _NEG_INF)
-    shifted = shielded - np.max(shielded, axis=-1, keepdims=True)
-    e = np.where(mask, np.exp(shifted), 0.0)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.where(key_valid[:, None, None, :], scores, _NEG_INF)
+    e -= np.max(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
-def masked_softmax_bwd_numpy(w: np.ndarray, grad_w: np.ndarray) -> np.ndarray:
-    # w is exactly 0 at masked keys, so masked entries get exactly 0 gradient.
-    dot = np.sum(w * grad_w, axis=-1, keepdims=True)
-    return w * (grad_w - dot)
+# w is exactly 0 at masked keys, so masked entries get exactly 0 gradient.
+masked_softmax_bwd = softmax_rows_bwd
 
 
-def layer_norm_numpy(
+def layer_norm(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalize the last axis to zero mean / unit variance, then apply affine.
 
-    Returns (y, mean, rstd); mean and rstd are cached for the backward pass.
+    Returns (y, xhat, rstd): the normalized input ``xhat`` and the reciprocal
+    standard deviation ``rstd`` (leading shape of ``x``) are what the
+    backward pass needs.
     """
-    mean = np.mean(x, axis=-1, keepdims=True)
-    var = np.mean((x - mean) ** 2, axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt(var + eps)
-    y = (x - mean) * rstd * gain + bias
-    return y, mean[..., 0], rstd[..., 0]
+    xhat = x - np.mean(x, axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=-1, keepdims=True) + eps)
+    xhat *= rstd
+    y = xhat * gain
+    y += bias
+    return y, xhat, rstd[..., 0]
 
 
-def layer_norm_bwd_numpy(
-    x: np.ndarray,
-    mean: np.ndarray,
-    rstd: np.ndarray,
-    gain: np.ndarray,
-    grad_y: np.ndarray,
+def layer_norm_bwd(
+    xhat: np.ndarray, rstd: np.ndarray, gain: np.ndarray, grad_y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xhat = (x - mean[..., None]) * rstd[..., None]
-    gy = grad_y * gain
-    m1 = np.mean(gy, axis=-1, keepdims=True)
-    m2 = np.mean(gy * xhat, axis=-1, keepdims=True)
-    gx = (gy - m1 - xhat * m2) * rstd[..., None]
-    flat_hat = xhat.reshape(-1, x.shape[-1])
-    flat_gy = grad_y.reshape(-1, x.shape[-1])
-    ggain = np.sum(flat_gy * flat_hat, axis=0)
-    gbias = np.sum(flat_gy, axis=0)
+    """Gradients (x, gain, bias) of :func:`layer_norm` from its cached ``xhat`` and ``rstd``."""
+    d = xhat.shape[-1]
+    gx = grad_y * gain
+    m1 = np.mean(gx, axis=-1, keepdims=True)
+    m2 = np.mean(gx * xhat, axis=-1, keepdims=True)
+    gx -= m1
+    gx -= xhat * m2
+    gx *= rstd[..., None]
+    ggain = np.sum((grad_y * xhat).reshape(-1, d), axis=0)
+    gbias = np.sum(grad_y.reshape(-1, d), axis=0)
     return gx, ggain, gbias
-
-
-# ---------------------------------------------------------------------------
-# row-loop implementations: plain Python, compiled by numba when importable
-# ---------------------------------------------------------------------------
-
-def _softmax_rows_loop(x):
-    out = np.empty_like(x)
-    rows, cols = x.shape
-    for i in range(rows):
-        m = x[i, 0]
-        for j in range(1, cols):
-            if x[i, j] > m:
-                m = x[i, j]
-        s = 0.0
-        for j in range(cols):
-            e = np.exp(x[i, j] - m)
-            out[i, j] = e
-            s += e
-        for j in range(cols):
-            out[i, j] /= s
-    return out
-
-
-def _softmax_rows_bwd_loop(w, grad_w):
-    out = np.empty_like(w)
-    rows, cols = w.shape
-    for i in range(rows):
-        dot = 0.0
-        for j in range(cols):
-            dot += w[i, j] * grad_w[i, j]
-        for j in range(cols):
-            out[i, j] = w[i, j] * (grad_w[i, j] - dot)
-    return out
-
-
-def _masked_softmax_loop(scores, key_valid):
-    b, h, s, _ = scores.shape
-    out = np.zeros_like(scores)
-    for bi in range(b):
-        for hi in range(h):
-            for i in range(s):
-                m = _NEG_INF
-                for j in range(s):
-                    if key_valid[bi, j] and scores[bi, hi, i, j] > m:
-                        m = scores[bi, hi, i, j]
-                z = 0.0
-                for j in range(s):
-                    if key_valid[bi, j]:
-                        e = np.exp(scores[bi, hi, i, j] - m)
-                        out[bi, hi, i, j] = e
-                        z += e
-                for j in range(s):
-                    if key_valid[bi, j]:
-                        out[bi, hi, i, j] /= z
-    return out
-
-
-def _masked_softmax_bwd_loop(w, grad_w):
-    b, h, s, _ = w.shape
-    out = np.empty_like(w)
-    for bi in range(b):
-        for hi in range(h):
-            for i in range(s):
-                dot = 0.0
-                for j in range(s):
-                    dot += w[bi, hi, i, j] * grad_w[bi, hi, i, j]
-                for j in range(s):
-                    out[bi, hi, i, j] = w[bi, hi, i, j] * (grad_w[bi, hi, i, j] - dot)
-    return out
-
-
-def _layer_norm_loop(x, gain, bias, eps):
-    rows, d = x.shape
-    y = np.empty_like(x)
-    mean = np.empty(rows)
-    rstd = np.empty(rows)
-    for i in range(rows):
-        mu = 0.0
-        for j in range(d):
-            mu += x[i, j]
-        mu /= d
-        var = 0.0
-        for j in range(d):
-            diff = x[i, j] - mu
-            var += diff * diff
-        var /= d
-        r = 1.0 / np.sqrt(var + eps)
-        mean[i] = mu
-        rstd[i] = r
-        for j in range(d):
-            y[i, j] = (x[i, j] - mu) * r * gain[j] + bias[j]
-    return y, mean, rstd
-
-
-def _layer_norm_bwd_loop(x, mean, rstd, gain, grad_y):
-    rows, d = x.shape
-    gx = np.empty_like(x)
-    ggain = np.zeros(d)
-    gbias = np.zeros(d)
-    for i in range(rows):
-        m1 = 0.0
-        m2 = 0.0
-        for j in range(d):
-            xhat = (x[i, j] - mean[i]) * rstd[i]
-            gy = grad_y[i, j] * gain[j]
-            m1 += gy
-            m2 += gy * xhat
-            ggain[j] += grad_y[i, j] * xhat
-            gbias[j] += grad_y[i, j]
-        m1 /= d
-        m2 /= d
-        for j in range(d):
-            xhat = (x[i, j] - mean[i]) * rstd[i]
-            gy = grad_y[i, j] * gain[j]
-            gx[i, j] = (gy - m1 - xhat * m2) * rstd[i]
-    return gx, ggain, gbias
-
-
-def _loop_table(jit) -> dict:
-    """Kernel table over the row loops, each passed through ``jit`` first.
-
-    The wrappers flatten leading axes and make inputs contiguous, so the
-    table takes the same arguments as the numpy one.
-    """
-    softmax_rows_k = jit(_softmax_rows_loop)
-    softmax_rows_bwd_k = jit(_softmax_rows_bwd_loop)
-    masked_softmax_k = jit(_masked_softmax_loop)
-    masked_softmax_bwd_k = jit(_masked_softmax_bwd_loop)
-    layer_norm_k = jit(_layer_norm_loop)
-    layer_norm_bwd_k = jit(_layer_norm_bwd_loop)
-
-    def softmax_rows(x: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
-        return softmax_rows_k(flat).reshape(x.shape)
-
-    def softmax_rows_bwd(w: np.ndarray, grad_w: np.ndarray) -> np.ndarray:
-        cols = w.shape[-1]
-        out = softmax_rows_bwd_k(
-            np.ascontiguousarray(w.reshape(-1, cols)),
-            np.ascontiguousarray(grad_w.reshape(-1, cols)),
-        )
-        return out.reshape(w.shape)
-
-    def masked_softmax(scores: np.ndarray, key_valid: np.ndarray) -> np.ndarray:
-        return masked_softmax_k(np.ascontiguousarray(scores), np.ascontiguousarray(key_valid))
-
-    def masked_softmax_bwd(w: np.ndarray, grad_w: np.ndarray) -> np.ndarray:
-        return masked_softmax_bwd_k(np.ascontiguousarray(w), np.ascontiguousarray(grad_w))
-
-    def layer_norm(x, gain, bias, eps):
-        d = x.shape[-1]
-        y, mean, rstd = layer_norm_k(
-            np.ascontiguousarray(x.reshape(-1, d)),
-            np.ascontiguousarray(gain),
-            np.ascontiguousarray(bias),
-            eps,
-        )
-        lead = x.shape[:-1]
-        return y.reshape(x.shape), mean.reshape(lead), rstd.reshape(lead)
-
-    def layer_norm_bwd(x, mean, rstd, gain, grad_y):
-        d = x.shape[-1]
-        gx, ggain, gbias = layer_norm_bwd_k(
-            np.ascontiguousarray(x.reshape(-1, d)),
-            np.ascontiguousarray(mean.reshape(-1)),
-            np.ascontiguousarray(rstd.reshape(-1)),
-            np.ascontiguousarray(gain),
-            np.ascontiguousarray(grad_y.reshape(-1, d)),
-        )
-        return gx.reshape(x.shape), ggain, gbias
-
-    return {
-        "softmax_rows": softmax_rows,
-        "softmax_rows_bwd": softmax_rows_bwd,
-        "masked_softmax": masked_softmax,
-        "masked_softmax_bwd": masked_softmax_bwd,
-        "layer_norm": layer_norm,
-        "layer_norm_bwd": layer_norm_bwd,
-    }
-
-
-# The uncompiled row loops, for tests on machines without numba. Too slow to
-# be a selectable backend.
-_LOOP_IMPL = _loop_table(lambda fn: fn)
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-
-_IMPLS = {
-    "numpy": {
-        "softmax_rows": softmax_rows_numpy,
-        "softmax_rows_bwd": softmax_rows_bwd_numpy,
-        "masked_softmax": masked_softmax_numpy,
-        "masked_softmax_bwd": masked_softmax_bwd_numpy,
-        "layer_norm": layer_norm_numpy,
-        "layer_norm_bwd": layer_norm_bwd_numpy,
-    }
-}
-if _HAVE_NUMBA:  # pragma: no cover
-    _IMPLS["numba"] = _loop_table(numba.njit(cache=True))
-
-
-def _resolve_backend() -> str:
-    requested = os.environ.get("ETRCAST_KERNELS", "").strip().lower()
-    if requested:
-        if requested not in ("numba", "numpy"):
-            raise ValueError(f"ETRCAST_KERNELS must be 'numba' or 'numpy', got {requested!r}")
-        if requested == "numba" and not _HAVE_NUMBA:
-            raise ValueError("ETRCAST_KERNELS=numba but numba is not importable")
-        return requested
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _resolve_backend()
-
-
-def backend_name() -> str:
-    """Name of the kernel backend selected at import time."""
-    return _BACKEND
-
-
-def get_impl(backend: str | None = None) -> dict:
-    """Kernel table for ``backend`` (default: the active one).
-
-    Raises ``ValueError`` for a backend that is not registered, e.g.
-    ``"numba"`` when numba is not importable.
-    """
-    name = backend or _BACKEND
-    if name not in _IMPLS:
-        reason = " (numba is not importable)" if name == "numba" and not _HAVE_NUMBA else ""
-        raise ValueError(
-            f"kernel backend {name!r} is not available{reason}; available: {sorted(_IMPLS)}"
-        )
-    return _IMPLS[name]
-
-
-softmax_rows = _IMPLS[_BACKEND]["softmax_rows"]
-softmax_rows_bwd = _IMPLS[_BACKEND]["softmax_rows_bwd"]
-masked_softmax = _IMPLS[_BACKEND]["masked_softmax"]
-masked_softmax_bwd = _IMPLS[_BACKEND]["masked_softmax_bwd"]
-layer_norm = _IMPLS[_BACKEND]["layer_norm"]
-layer_norm_bwd = _IMPLS[_BACKEND]["layer_norm_bwd"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,39 @@ def test_finite_check_raises_on_overflow():
         tape.mul(x, tape.constant(np.array([1e308])))
 
 
+def test_finite_check_accepts_overflowing_sum():
+    # finite values whose sum overflows to inf, or to inf - inf = nan
+    tape = Tape()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = tape.constant(np.array([1.5e308, 1.5e308]))
+        out = tape.add(big, tape.constant(np.zeros(2)))
+        tape.constant(np.array([1.5e308, 1.5e308, -1.5e308, -1.5e308]))
+    np.testing.assert_array_equal(out.data, [1.5e308, 1.5e308])
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", ["nan", "+inf", "-inf"])
+def test_finite_check_rejects_nonfinite_anywhere(bad, where):
+    n = 10_001
+    pos = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    tape = Tape()
+    if bad == "nan":
+        # eps=0 on a constant row: 0 * (1 / sqrt(0)) = nan in that row only
+        x = np.random.default_rng(0).normal(size=(n, 2))
+        x[pos] = 3.0
+        gain, bias = tape.constant(np.ones(2)), tape.constant(np.zeros(2))
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match="layer_norm"):
+            tape.layer_norm(tape.constant(x), gain, bias, eps=0.0)
+    else:
+        a = np.ones(n)
+        a[pos] = 1e300
+        b = np.ones(n)
+        b[pos] = 1e300 if bad == "+inf" else -1e300
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="mul"):
+            tape.mul(tape.constant(a), tape.constant(b))
+
+
 def test_duplicate_param_rejected():
     tape = Tape()
     tape.param("w", np.zeros(2))
@@ -185,6 +220,40 @@ def test_untouched_param_gets_zero_gradient():
     out = tape.sum_all(tape.mul(x, x))
     grads = tape.gradients(out)
     np.testing.assert_array_equal(grads["unused"], np.zeros(2))
+    assert grads["x"][0] == 4.0
+
+
+def test_only_param_reachable_primitives_are_recorded():
+    tape = Tape()
+    c = tape.constant(np.array([0.5, -1.0]))
+    branch = tape.scale(tape.tanh(c), 2.0)
+    assert tape._nodes == []
+    w = tape.param("w", np.array([1.0, 2.0]))
+    tape.sum_all(tape.mul(w, branch))
+    assert len(tape._nodes) == 2  # mul and sum_all
+
+
+def test_constant_only_branch_fd_check():
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=(4, 3))
+    params = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+
+    def build(t, p):
+        ones, zeros = t.constant(np.ones((3, 2))), t.constant(np.zeros(2))
+        const_branch = t.tanh(t.linear(t.constant(c), ones, zeros))
+        param_branch = t.tanh(t.linear(t.constant(c), p["w"], p["b"]))
+        return t.sum_all(t.mul(t.add(const_branch, param_branch), param_branch))
+
+    assert check(build, params) < TOL
+
+
+def test_unreached_param_gets_zero_gradient():
+    tape = Tape()
+    x = tape.param("x", np.array([2.0]))
+    side = tape.param("side", np.array([1.0, -1.0]))
+    tape.sum_all(tape.tanh(side))  # reaches a recorded node, never the output
+    grads = tape.gradients(tape.sum_all(tape.mul(x, x)))
+    np.testing.assert_array_equal(grads["side"], np.zeros(2))
     assert grads["x"][0] == 4.0
 
 

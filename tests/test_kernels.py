@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import _reference_kernels as reference
 from etrcast import kernels
+from etrcast.autodiff import Tape
 
 
 def _rand_scores(rng, b=3, h=2, s=6):
@@ -11,58 +13,6 @@ def _rand_scores(rng, b=3, h=2, s=6):
 def _rand_mask(rng, b=3, s=6):
     lengths = rng.integers(1, s + 1, size=b)
     return np.arange(s)[None, :] < lengths[:, None]
-
-
-@pytest.fixture(scope="module")
-def impls():
-    # Without numba, check the same row loops uncompiled.
-    loop_impl = kernels.get_impl("numba") if kernels._HAVE_NUMBA else kernels._LOOP_IMPL
-    return kernels.get_impl("numpy"), loop_impl
-
-
-def test_backends_agree_softmax(impls):
-    np_impl, nb_impl = impls
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(50, 9)) * 3
-    a = np_impl["softmax_rows"](x)
-    b = nb_impl["softmax_rows"](x)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
-    g = rng.normal(size=a.shape)
-    np.testing.assert_allclose(
-        np_impl["softmax_rows_bwd"](a, g), nb_impl["softmax_rows_bwd"](b, g),
-        rtol=1e-12, atol=1e-15,
-    )
-
-
-def test_backends_agree_masked_softmax(impls):
-    np_impl, nb_impl = impls
-    rng = np.random.default_rng(1)
-    scores = _rand_scores(rng)
-    mask = _rand_mask(rng)
-    a = np_impl["masked_softmax"](scores, mask)
-    b = nb_impl["masked_softmax"](scores, mask)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
-    g = rng.normal(size=a.shape)
-    np.testing.assert_allclose(
-        np_impl["masked_softmax_bwd"](a, g), nb_impl["masked_softmax_bwd"](b, g),
-        rtol=1e-12, atol=1e-15,
-    )
-
-
-def test_backends_agree_layer_norm(impls):
-    np_impl, nb_impl = impls
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(40, 16))
-    gain = rng.normal(size=16) * 0.2 + 1.0
-    bias = rng.normal(size=16) * 0.1
-    ya, ma, ra = np_impl["layer_norm"](x, gain, bias, 1e-5)
-    yb, mb, rb = nb_impl["layer_norm"](x, gain, bias, 1e-5)
-    np.testing.assert_allclose(ya, yb, rtol=1e-12, atol=1e-14)
-    g = rng.normal(size=x.shape)
-    ga = np_impl["layer_norm_bwd"](x, ma, ra, gain, g)
-    gb = nb_impl["layer_norm_bwd"](x, mb, rb, gain, g)
-    for u, v in zip(ga, gb):
-        np.testing.assert_allclose(u, v, rtol=1e-11, atol=1e-13)
 
 
 def test_masked_softmax_rows_sum_to_one_over_valid():
@@ -101,25 +51,96 @@ def test_layer_norm_known_values():
     x = np.array([[1.0, 3.0]])
     gain = np.ones(2)
     bias = np.zeros(2)
-    y, mean, rstd = kernels.layer_norm(x, gain, bias, 0.0)
+    y, xhat, rstd = kernels.layer_norm(x, gain, bias, 0.0)
     np.testing.assert_allclose(y, [[-1.0, 1.0]], atol=1e-12)
-    assert mean[0] == 2.0
+    np.testing.assert_array_equal(xhat, [[-1.0, 1.0]])
+    assert rstd[0] == 1.0
     # constant row maps to bias
     y2, _, _ = kernels.layer_norm(np.full((1, 4), 7.0), np.ones(4), np.full(4, 5.0), 1e-5)
     np.testing.assert_allclose(y2, 5.0, atol=1e-6)
 
 
-def test_env_selects_backend(monkeypatch):
-    monkeypatch.setenv("ETRCAST_KERNELS", "numpy")
-    assert kernels._resolve_backend() == "numpy"
-    monkeypatch.setenv("ETRCAST_KERNELS", "bogus")
-    with pytest.raises(ValueError, match="ETRCAST_KERNELS"):
-        kernels._resolve_backend()
+# -- bit identity against the out-of-place reference kernels --------------------
 
 
-def test_get_impl_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="bogus"):
-        kernels.get_impl("bogus")
-    if not kernels._HAVE_NUMBA:
-        with pytest.raises(ValueError, match="numba is not importable"):
-            kernels.get_impl("numba")
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def _with_negative_zeros(rng, x, frac=0.1):
+    x = x.copy()
+    x[rng.random(x.shape) < frac] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_softmax_rows_bit_identical_to_reference(seed):
+    rng = np.random.default_rng(seed)
+    x = _with_negative_zeros(rng, rng.normal(size=(37, 9)) * 4)
+    w = kernels.softmax_rows(x)
+    assert_same_bits(w, reference.softmax_rows(x))
+    g = _with_negative_zeros(rng, rng.normal(size=x.shape))
+    assert_same_bits(kernels.softmax_rows_bwd(w, g), reference.softmax_rows_bwd(w, g))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_masked_softmax_bit_identical_to_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    b, h, s = 9, 3, 7
+    scores = _with_negative_zeros(rng, rng.normal(size=(b, h, s, s)) * 3)
+    lengths = rng.integers(1, s + 1, size=b)
+    lengths[:3] = 1  # rows with a single valid key
+    mask = np.arange(s)[None, :] < lengths[:, None]
+    scores[np.broadcast_to(~mask[:, None, None, :], scores.shape)] = 1e300
+    w = kernels.masked_softmax(scores, mask)
+    assert_same_bits(w, reference.masked_softmax(scores, mask))
+    g = _with_negative_zeros(rng, rng.normal(size=w.shape))
+    assert_same_bits(kernels.masked_softmax_bwd(w, g), reference.softmax_rows_bwd(w, g))
+
+
+@pytest.mark.parametrize("shape", [(23, 16), (4, 5, 8), (1, 1)])
+def test_layer_norm_bit_identical_to_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    d = shape[-1]
+    x = _with_negative_zeros(rng, rng.normal(size=shape) * 2 + 0.5)
+    x.reshape(-1, d)[0] = 3.0  # a constant row
+    gain = _with_negative_zeros(rng, rng.normal(size=d) * 0.2 + 1.0)
+    bias = _with_negative_zeros(rng, rng.normal(size=d) * 0.1)
+    y, xhat, rstd = kernels.layer_norm(x, gain, bias, 1e-5)
+    ref_y, ref_mean, ref_rstd = reference.layer_norm(x, gain, bias, 1e-5)
+    assert_same_bits(y, ref_y)
+    assert_same_bits(rstd, ref_rstd)
+    assert_same_bits(xhat, (x - ref_mean[..., None]) * ref_rstd[..., None])
+    g = _with_negative_zeros(rng, rng.normal(size=shape))
+    for got, want in zip(
+        kernels.layer_norm_bwd(xhat, rstd, gain, g),
+        reference.layer_norm_bwd(x, ref_mean, ref_rstd, gain, g),
+    ):
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, 1001])
+def test_relu_bit_identical_to_reference(size):
+    rng = np.random.default_rng(size)
+    a = rng.normal(size=(size, 3))
+    a.reshape(-1)[::4] = -0.0
+    a.reshape(-1)[1::4] = 0.0
+    tape = Tape()
+    x = tape.param("a", a)
+    out = tape.relu(x)
+    assert_same_bits(out.data, reference.relu(a))
+    g = _with_negative_zeros(rng, rng.normal(size=a.shape), frac=0.2)
+    grad = tape.gradients(tape.sum_all(tape.mul(out, tape.constant(g))))["a"]
+    assert_same_bits(grad, g * (a > 0.0))
+
+
+def test_linear_bit_identical_to_reference():
+    rng = np.random.default_rng(7)
+    x = _with_negative_zeros(rng, rng.normal(size=(31, 6)))
+    w = rng.normal(size=(6, 5))
+    b = _with_negative_zeros(rng, rng.normal(size=5), frac=0.4)
+    tape = Tape()
+    out = tape.linear(tape.constant(x), tape.constant(w), tape.constant(b))
+    assert_same_bits(out.data, reference.linear(x, w, b))

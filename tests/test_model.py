@@ -5,6 +5,7 @@ import pytest
 
 from etrcast.autodiff import Tape, fd_check
 from etrcast.data import FeatureSchema, TransformState
+from etrcast import model as model_module
 from etrcast.losses import LossConfig, asymmetric_loss
 from etrcast.model import (
     ModelConfig,
@@ -307,6 +308,29 @@ class TestForward:
         assert set(grads_p) == set(grads_s)
         for name in grads_p:
             np.testing.assert_array_equal(grads_p[name], grads_s[name])
+
+
+    def test_inference_records_no_tape_nodes(
+        self, micro_params, micro_config, micro_schema, monkeypatch
+    ):
+        batch = make_batch(micro_schema, micro_config, n=3, seed=13, lengths=[2, 5, 4])
+        tape = Tape()
+        out = forward(tape, micro_params, batch, as_params=False)
+        assert tape._nodes == []
+        train_tape = Tape()
+        forward(train_tape, micro_params, batch, as_params=True)
+        assert train_tape._nodes
+
+        tapes = []
+
+        class SpyTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(model_module, "Tape", SpyTape)
+        np.testing.assert_array_equal(predict(micro_params, batch), out.data)
+        assert len(tapes) == 1 and tapes[0]._nodes == []
 
 
 class TestEndToEndGradient:
