@@ -18,9 +18,7 @@ from .data import (
     StormRecord,
     TransformState,
     classify_storm,
-    compute_time_deltas,
     fit_transforms,
-    apply_transforms,
     stratified_split,
 )
 from .dataio import Dataset, load_dataset, save_dataset
@@ -64,9 +62,7 @@ __all__ = [
     "StormRecord",
     "TransformState",
     "classify_storm",
-    "compute_time_deltas",
     "fit_transforms",
-    "apply_transforms",
     "stratified_split",
     "Dataset",
     "load_dataset",

@@ -317,11 +317,6 @@ class Tape:
         }
 
 
-def backward(tape: Tape, output: Tensor) -> dict[str, np.ndarray]:
-    """Functional alias for :meth:`Tape.gradients`."""
-    return tape.gradients(output)
-
-
 def fd_check(
     f: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
     params: dict[str, np.ndarray],

@@ -435,7 +435,6 @@ def cmd_attention(args) -> int:
 def cmd_selfcheck(args) -> int:
     """Quick internal property suites: gradients, metrics, masking, scheduler."""
     from .data import FeatureSchema
-    from .synth import GeneratorConfig as GC, generate_dataset as gen
 
     checks = 0
 

@@ -11,9 +11,11 @@ event as one row of flat arrays (timestamps ``t [R]``, raw category indices
 ``offsets[i]:offsets[i + 1]``, and per-event arrays hold ids, storm ids and
 targets. ``fit_transforms`` and ``encode_table`` are a few numpy operations
 over all rows at once, and an :class:`EncodedTable` keeps the same layout with
-dense indices, Z-scores and time deltas. :class:`EventSeries` and
-:class:`Revision` remain the object form of one event, for the generator and
-for callers that build events by hand; a function here that takes events
+dense indices, Z-scores and time deltas. The generator and the loader both
+build their table with :func:`build_table`, from
+``(event_id, storm_id, target, t, cat, cont)`` records. :class:`EventSeries`
+and :class:`Revision` remain an object view of one event for callers that
+build or read events by hand; a function here that takes such objects
 converts them to a table once, at the top. Fitted statistics live in an
 immutable :class:`TransformState`.
 
@@ -78,6 +80,13 @@ class FeatureSchema:
         return len(self.continuous)
 
 
+# The object view (Revision, EventSeries, EventTable.from_events/to_events and
+# as_event_table) is on no command's path, but code outside the package still
+# reads it: perfbench's set-up passes EventSeries lists from
+# Dataset.split_events() to fit_transforms and training.encode_events, and the
+# acceptance tests build time-shifted EventSeries from Dataset.events (and call
+# explain.event_batch on one event's arrays). It can go once those read
+# Dataset.split_tables() instead.
 @dataclass(frozen=True)
 class Revision:
     """One timestamped snapshot of an event's features.
@@ -109,11 +118,6 @@ class EventSeries:
             raise ValueError(f"event {self.event_id}: timestamps must strictly increase")
         if not (self.target_duration >= 0.0 and math.isfinite(self.target_duration)):
             raise ValueError(f"event {self.event_id}: bad target_duration")
-
-
-def validate_event(event: EventSeries, schema: FeatureSchema) -> None:
-    """The checks ``build_table`` runs (value lengths, index ranges, ...) on one event."""
-    EventTable.from_events([event], schema)
 
 
 @dataclass(frozen=True)
@@ -169,18 +173,6 @@ class DatasetSplit:
         total = sum(len(p) for p in parts)
         if len(parts[0] | parts[1] | parts[2]) != total:
             raise ValueError("splits must be disjoint")
-
-
-@dataclass(frozen=True)
-class EncodedEvent:
-    """Model-ready event: dense category indices, Z-scores, and time deltas."""
-
-    event_id: str
-    storm_id: str
-    cat_idx: np.ndarray  # [M, p] int64, every index < fitted cardinality + 1
-    cont: np.ndarray  # [M, q] float64 Z-scores
-    deltas: np.ndarray  # [M] float64 hours since first revision
-    target_duration: float
 
 
 class EventError(ValueError):
@@ -385,45 +377,13 @@ def as_event_table(events: EventTable | Sequence[EventSeries], schema: FeatureSc
 
 @dataclass(frozen=True, eq=False)
 class EncodedTable(_Events):
-    """Model-ready events as columns; ``table[i]`` is event i as an EncodedEvent."""
+    """Model-ready events as columns: dense indices, Z-scores and time deltas."""
 
     cat_idx: np.ndarray  # [R, p] int64, every index < fitted cardinality + 1
     cont: np.ndarray  # [R, q] float64 Z-scores
     deltas: np.ndarray  # [R] float64 hours since the event's first revision
 
     ROW_COLUMNS: ClassVar[tuple[str, ...]] = ("cat_idx", "cont", "deltas")
-
-    @classmethod
-    def from_events(cls, events: Sequence[EncodedEvent]) -> "EncodedTable":
-        return cls(
-            tuple(e.event_id for e in events),
-            tuple(e.storm_id for e in events),
-            np.array([e.target_duration for e in events], dtype=np.float64),
-            _offsets([len(e.deltas) for e in events]),
-            np.concatenate([e.cat_idx for e in events]),
-            np.concatenate([e.cont for e in events]),
-            np.concatenate([e.deltas for e in events]),
-        )
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.select(np.arange(len(self))[i])
-        i = range(len(self))[i]
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return EncodedEvent(
-            self.event_ids[i],
-            self.storm_ids[i],
-            self.cat_idx[lo:hi],
-            self.cont[lo:hi],
-            self.deltas[lo:hi],
-            float(self.targets[i]),
-        )
-
-
-def compute_time_deltas(event: EventSeries) -> list[float]:
-    """Hours elapsed since the event's first revision, one value per revision."""
-    t0 = event.revisions[0].timestamp
-    return [r.timestamp - t0 for r in event.revisions]
 
 
 def classify_storm(
@@ -505,13 +465,6 @@ def encode_table(table: EventTable, state: TransformState, schema: FeatureSchema
     return EncodedTable(
         table.event_ids, table.storm_ids, table.targets, table.offsets, cat_idx, cont, deltas
     )
-
-
-def apply_transforms(
-    event: EventSeries, state: TransformState, schema: FeatureSchema
-) -> EncodedEvent:
-    """Encode one event, as ``encode_table`` encodes a table of events."""
-    return encode_table(EventTable.from_events([event], schema), state, schema)[0]
 
 
 def stratified_split(

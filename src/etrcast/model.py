@@ -203,6 +203,12 @@ def _get(tape: Tape, params: ModelParams, name: str, as_params: bool) -> Tensor:
     return tape.param(name, arr) if as_params else tape.constant(arr)
 
 
+def _linear(tape: Tape, params: ModelParams, x: Tensor, name: str, as_params: bool) -> Tensor:
+    """``x @ {name}/W + {name}/b``; W is fetched before b, which fixes the tape order."""
+    w = _get(tape, params, f"{name}/W", as_params)
+    return tape.linear(x, w, _get(tape, params, f"{name}/b", as_params))
+
+
 def embed_revision(
     tape: Tape, batch: SequenceBatch, params: ModelParams, as_params: bool = False
 ) -> Tensor:
@@ -216,11 +222,7 @@ def embed_revision(
     stacked = tape.concat_last(parts)  # [B,S,d_in]
     b, s, d_in = stacked.shape
     flat = tape.reshape(stacked, (b * s, d_in))
-    proj = tape.linear(
-        flat,
-        _get(tape, params, "proj/W", as_params),
-        _get(tape, params, "proj/b", as_params),
-    )
+    proj = _linear(tape, params, flat, "proj", as_params)
     return tape.reshape(proj, (b, s, params.config.d_model))
 
 
@@ -257,11 +259,7 @@ def encode_sequence(
         name = f"layer{layer}"
 
         def heads(part: str) -> Tensor:
-            y = tape.linear(
-                x,
-                _get(tape, params, f"{name}/attn/{part}/W", as_params),
-                _get(tape, params, f"{name}/attn/{part}/b", as_params),
-            )
+            y = _linear(tape, params, x, f"{name}/attn/{part}", as_params)
             return tape.transpose(tape.reshape(y, (b, s, n_heads, dh)), (0, 2, 1, 3))
 
         q, k, v = heads("q"), heads("k"), heads("v")
@@ -273,30 +271,14 @@ def encode_sequence(
             capture.append(weights.data.copy())
         ctx = tape.matmul(weights, v)  # [B,H,S,dh]
         ctx = tape.reshape(tape.transpose(ctx, (0, 2, 1, 3)), (b * s, d))
-        attn_out = tape.linear(
-            ctx,
-            _get(tape, params, f"{name}/attn/o/W", as_params),
-            _get(tape, params, f"{name}/attn/o/b", as_params),
-        )
+        attn_out = _linear(tape, params, ctx, f"{name}/attn/o", as_params)
         x = tape.layer_norm(
             tape.add(x, maybe_dropout(attn_out)),
             _get(tape, params, f"{name}/ln1/g", as_params),
             _get(tape, params, f"{name}/ln1/b", as_params),
         )
-        hidden = _activation(
-            tape,
-            cfg,
-            tape.linear(
-                x,
-                _get(tape, params, f"{name}/ffn/1/W", as_params),
-                _get(tape, params, f"{name}/ffn/1/b", as_params),
-            ),
-        )
-        ffn_out = tape.linear(
-            hidden,
-            _get(tape, params, f"{name}/ffn/2/W", as_params),
-            _get(tape, params, f"{name}/ffn/2/b", as_params),
-        )
+        hidden = _activation(tape, cfg, _linear(tape, params, x, f"{name}/ffn/1", as_params))
+        ffn_out = _linear(tape, params, hidden, f"{name}/ffn/2", as_params)
         x = tape.layer_norm(
             tape.add(x, maybe_dropout(ffn_out)),
             _get(tape, params, f"{name}/ln2/g", as_params),
@@ -328,20 +310,8 @@ def forward(
     h = encode_sequence(tape, h, batch.mask, params, as_params, capture, dropout_rng)
     last_idx = batch.mask.sum(axis=1) - 1
     rep = tape.gather_rows(h, last_idx)
-    hidden = _activation(
-        tape,
-        params.config,
-        tape.linear(
-            rep,
-            _get(tape, params, "head/1/W", as_params),
-            _get(tape, params, "head/1/b", as_params),
-        ),
-    )
-    out = tape.linear(
-        hidden,
-        _get(tape, params, "head/2/W", as_params),
-        _get(tape, params, "head/2/b", as_params),
-    )
+    hidden = _activation(tape, params.config, _linear(tape, params, rep, "head/1", as_params))
+    out = _linear(tape, params, hidden, "head/2", as_params)
     return tape.reshape(out, (batch.size,))
 
 

@@ -33,11 +33,10 @@ from .data import (
     CONTINUOUS,
     MAGNITUDES,
     MISSING_CAT,
-    EventSeries,
     EventTable,
     FeatureSchema,
-    Revision,
     StormRecord,
+    build_table,
     classify_storm,
     stratified_split,
 )
@@ -203,26 +202,23 @@ def ground_truth_duration(
     )
 
 
-def replay_ground_truth(event: EventSeries, schema: FeatureSchema, categories) -> float:
-    """Re-evaluate g from a serialized event; oracle for the zero-noise case."""
-    cat_pos = {name: i for i, name in enumerate(schema.categorical)}
-    cont_pos = {name: i for i, name in enumerate(schema.continuous)}
-    first = event.revisions[0]
-    m = len(event.revisions)
-    mid = (m + 1) // 2 - 1  # middle revision, 0-based
-    t0 = first.timestamp
-    deltas = [r.timestamp - t0 for r in event.revisions]
-    dispatched = [r.continuous_values[cont_pos["crew_dispatched_events"]] for r in event.revisions]
-    priority = categories["priority"][first.categorical_values[cat_pos["priority"]]]
+def replay_ground_truth(table: EventTable, i: int, schema: FeatureSchema, categories) -> float:
+    """Re-evaluate g from event ``i`` of a table; oracle for the zero-noise case."""
+    lo, hi = table.offsets[i], table.offsets[i + 1]
+    t = table.t[lo:hi]
+
+    def column(name: str) -> list[float]:
+        return table.cont[lo:hi, schema.continuous.index(name)].tolist()
+
+    mid = (hi - lo + 1) // 2 - 1  # middle revision, 0-based
+    priority = categories["priority"][table.cat[lo, schema.categorical.index("priority")]]
     return ground_truth_duration(
-        u_first=first.continuous_values[cont_pos["customers_under_outage"]],
+        u_first=column("customers_under_outage")[0],
         priority=priority,
-        concurrent_first=first.continuous_values[cont_pos["concurrent_event_count"]],
-        dispatch_delay=dispatch_delay_hours(dispatched, deltas),
-        churn_mid=event.revisions[mid].continuous_values[
-            cont_pos["crew_unassigned_transitions"]
-        ],
-        rolling_first=first.continuous_values[cont_pos["rolling_avg_restore_last_25"]],
+        concurrent_first=column("concurrent_event_count")[0],
+        dispatch_delay=dispatch_delay_hours(column("crew_dispatched_events"), (t - t[0]).tolist()),
+        churn_mid=column("crew_unassigned_transitions")[mid],
+        rolling_first=column("rolling_avg_restore_last_25")[0],
     )
 
 
@@ -232,8 +228,12 @@ def _storm_rng(cfg: GeneratorConfig, magnitude: str, index: int) -> np.random.Ge
 
 def generate_storm(
     cfg: GeneratorConfig, magnitude: str, index: int
-) -> tuple[StormRecord, list[EventSeries]]:
-    """Generate one storm's record and events; deterministic in (cfg, magnitude, index)."""
+) -> tuple[StormRecord, list[tuple]]:
+    """Generate one storm's record and events; deterministic in (cfg, magnitude, index).
+
+    Each event is a ``(event_id, storm_id, target, t, cat, cont)`` record, as
+    :func:`etrcast.data.build_table` takes it.
+    """
     if magnitude not in RATIO_BANDS:
         raise ValueError(f"unknown magnitude {magnitude!r}")
     rng = _storm_rng(cfg, magnitude, index)
@@ -270,7 +270,7 @@ def generate_storm(
     def concurrent(at: float) -> float:
         return float(sum(1 for c in open_closes if c > at))
 
-    events: list[EventSeries] = []
+    records: list[tuple] = []
     for i, t_first in enumerate(starts):
         m = int(rng.integers(cfg.revisions_per_event[0], cfg.revisions_per_event[1] + 1))
         gaps = [max(1.0 / GRID, snap(rng.uniform(0.25, 6.0))) for _ in range(m - 1)]
@@ -316,24 +316,12 @@ def generate_storm(
         noise = rng.normal(0.0, cfg.noise_std) if cfg.noise_std > 0 else 0.0
         duration = max(g + noise, MIN_DURATION)
 
-        revisions = []
-        for j in range(m):
-            cats = [priority_idx]
-            for c in range(n_filler_cat):
-                cats.append(MISSING_CAT if missing_cat[j, c] else int(filler_cat[j, c]))
-            conts = [customers[j], dispatched[j], churn[j], rolling[j], concur[j]]
-            for c in range(n_filler_cont):
-                conts.append(float("nan") if missing_cont[j, c] else float(filler_cont[j, c]))
-            revisions.append(Revision(timestamps[j], tuple(cats), tuple(conts)))
-
-        events.append(
-            EventSeries(
-                event_id=f"{storm_id}-e{i:04d}",
-                storm_id=storm_id,
-                revisions=tuple(revisions),
-                target_duration=duration,
-            )
-        )
+        fill_cat = np.where(missing_cat, MISSING_CAT, filler_cat).tolist()
+        fill_cont = np.where(missing_cont, math.nan, filler_cont).tolist()
+        signal = zip(customers, dispatched, churn, rolling, concur)
+        cat = [[priority_idx, *f] for f in fill_cat]
+        cont = [[*sig, *f] for sig, f in zip(signal, fill_cont)]
+        records.append((f"{storm_id}-e{i:04d}", storm_id, duration, timestamps, cat, cont))
 
         close = t_first + duration
         open_closes.append(close)
@@ -345,28 +333,28 @@ def generate_storm(
         customers_affected=affected,
         customers_served=served,
         magnitude=magnitude,
-        event_ids=tuple(e.event_id for e in events),
+        event_ids=tuple(r[0] for r in records),
     )
-    return record, events
+    return record, records
 
 
 def generate_dataset(cfg: GeneratorConfig, out_dir: str | None = None) -> Dataset:
     """Generate all storms, split them, and optionally write the dataset."""
     schema, categories = build_schema(cfg)
     storms: list[StormRecord] = []
-    events: list[EventSeries] = []
+    records: list[tuple] = []
     for magnitude in MAGNITUDES:
         for index in range(cfg.storms_per_class):
-            record, storm_events = generate_storm(cfg, magnitude, index)
-            storms.append(record)
-            events.extend(storm_events)
+            storm, storm_records = generate_storm(cfg, magnitude, index)
+            storms.append(storm)
+            records.extend(storm_records)
     split = stratified_split(storms, cfg.split_ratios, seed=cfg.seed)
     dataset = Dataset(
         schema=schema,
         categories=categories,
         storms=tuple(storms),
         split=split,
-        table=EventTable.from_events(events, schema),
+        table=build_table(records, schema),
         generator_config=cfg.to_dict(),
         seed=cfg.seed,
     )

@@ -30,7 +30,6 @@ import numpy as np
 
 from .autodiff import NumericsError, Tape
 from .data import (
-    EncodedEvent,
     EncodedTable,
     EventSeries,
     EventTable,
@@ -143,15 +142,13 @@ class SampleSet:
         return SequenceBatch(cat_idx=cat, cont=cont, deltas=deltas, mask=mask)
 
 
-def _encoded(events: EncodedTable | Sequence[EncodedEvent], caller: str) -> EncodedTable:
+def _encoded(events: EncodedTable, caller: str) -> EncodedTable:
     if not len(events):
         raise ValueError(f"{caller}: no events")
-    return events if isinstance(events, EncodedTable) else EncodedTable.from_events(events)
+    return events
 
 
-def build_samples(
-    events: EncodedTable | Sequence[EncodedEvent], config: ModelConfig
-) -> SampleSet:
+def build_samples(events: EncodedTable, config: ModelConfig) -> SampleSet:
     """One sample per (event, revision j), j = 1..M, in event order."""
     table = _encoded(events, "build_samples")
     event = np.repeat(np.arange(len(table)), table.lengths)
@@ -159,9 +156,7 @@ def build_samples(
     return SampleSet(table, event, prefix_len, config.max_seq_len)
 
 
-def build_final_samples(
-    events: EncodedTable | Sequence[EncodedEvent], config: ModelConfig
-) -> SampleSet:
+def build_final_samples(events: EncodedTable, config: ModelConfig) -> SampleSet:
     """Only each event's last revision: the final estimate."""
     table = _encoded(events, "build_final_samples")
     return SampleSet(table, np.arange(len(table)), table.lengths, config.max_seq_len)
@@ -423,21 +418,12 @@ def fit_linear_baseline(dataset: Dataset) -> LinearBaseline:
     return LinearBaseline(schema, state, weights, cat_widths)
 
 
-def baseline_predict_features(
-    baseline: LinearBaseline, cat_idx: np.ndarray, cont: np.ndarray
-) -> np.ndarray:
-    """Predict from raw encoded final-revision features [N,p] and [N,q]."""
-    x = _design_matrix(cat_idx, cont, baseline.cat_widths)
-    return x @ baseline.weights
-
-
 def baseline_predict(baseline: LinearBaseline, batch: SequenceBatch) -> np.ndarray:
-    """SequenceBatch interface: reads each row's last valid revision."""
+    """Predict from each row's last valid revision."""
     last = batch.mask.astype(bool).sum(axis=1) - 1
     rows = np.arange(batch.size)
-    return baseline_predict_features(
-        baseline, batch.cat_idx[rows, last], batch.cont[rows, last]
-    )
+    x = _design_matrix(batch.cat_idx[rows, last], batch.cont[rows, last], baseline.cat_widths)
+    return x @ baseline.weights
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -445,7 +431,7 @@ def baseline_predict(baseline: LinearBaseline, batch: SequenceBatch) -> np.ndarr
 
 def evaluate_model(
     predict_fn: Callable[[SequenceBatch], np.ndarray],
-    events: EncodedTable | Sequence[EncodedEvent],
+    events: EncodedTable,
     magnitudes: Mapping[str, str],
     model_config: ModelConfig,
     loss_config: LossConfig = LossConfig(),
@@ -462,7 +448,7 @@ def evaluate_model(
 
 def evaluate_per_revision(
     predict_fn: Callable[[SequenceBatch], np.ndarray],
-    events: EncodedTable | Sequence[EncodedEvent],
+    events: EncodedTable,
     model_config: ModelConfig,
     loss_config: LossConfig = LossConfig(),
 ) -> dict[int, dict[str, float]]:

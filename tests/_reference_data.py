@@ -11,17 +11,28 @@ from __future__ import annotations
 import json
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 
 from etrcast.data import (
     MISSING_CAT,
-    EncodedEvent,
     EventSeries,
     FeatureSchema,
     Revision,
     TransformState,
 )
+
+
+class EncodedEvent(NamedTuple):
+    """One encoded event: dense category indices, Z-scores and time deltas."""
+
+    event_id: str
+    storm_id: str
+    cat_idx: np.ndarray  # [M, p] int64
+    cont: np.ndarray  # [M, q] float64
+    deltas: np.ndarray  # [M] float64
+    target_duration: float
 
 
 def _is_missing_cont(value: float) -> bool:

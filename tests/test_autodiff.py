@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etrcast.autodiff import NumericsError, Tape, backward, fd_check
+from etrcast.autodiff import NumericsError, Tape, fd_check
 
 TOL = 1e-4
 H = 1e-5
@@ -255,13 +255,6 @@ def test_unreached_param_gets_zero_gradient():
     grads = tape.gradients(tape.sum_all(tape.mul(x, x)))
     np.testing.assert_array_equal(grads["side"], np.zeros(2))
     assert grads["x"][0] == 4.0
-
-
-def test_backward_alias_matches_gradients():
-    tape = Tape()
-    x = tape.param("x", np.array([1.5, -0.5]))
-    out = tape.sum_all(tape.tanh(x))
-    np.testing.assert_array_equal(backward(tape, out)["x"], tape.gradients(out)["x"])
 
 
 def test_masked_softmax_requires_valid_key():

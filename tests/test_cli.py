@@ -234,6 +234,7 @@ class TestCommandsStayColumnar:
             raise AssertionError("a command built a Revision object")
 
         monkeypatch.setattr(Revision, "__init__", refuse)
+        assert run(["generate", "--out", str(tmp_path / "gen"), "--seed", "0", *GEN_ARGS]) == 0
         out = str(tmp_path / "run")
         args = ["--dataset", pipeline["data"], "--seed", "0"]
         assert run(["train", *args, "--out", out, "--epochs", "1"]) == 0
@@ -241,6 +242,7 @@ class TestCommandsStayColumnar:
         assert run(["eval", *args, *checkpoint, "--out", str(tmp_path / "ev")]) == 0
         explain = ["--revisions", "2", "--events", "1", "--permutations", "4"]
         assert run(["explain", *args, *checkpoint, *explain, "--out", str(tmp_path / "ex")]) == 0
+        assert run(["attention", *args, *checkpoint, "--out", str(tmp_path / "at")]) == 0
         with pytest.raises(AssertionError):
             Revision(0.0, (0,), (0.0,))
 

@@ -11,17 +11,16 @@ from etrcast.synth import GeneratorConfig, generate_dataset
 from etrcast.data import (
     MISSING_CAT,
     DatasetSplit,
+    EventError,
     EventSeries,
+    EventTable,
     FeatureSchema,
     Revision,
     StormRecord,
-    apply_transforms,
     classify_storm,
-    compute_time_deltas,
     encode_table,
     fit_transforms,
     stratified_split,
-    validate_event,
 )
 
 SCHEMA = FeatureSchema(
@@ -37,6 +36,12 @@ def ev(event_id, stamps, cats, conts, storm="s1", target=5.0):
     return EventSeries(event_id, storm, revs, target)
 
 
+def encode(events, state=None):
+    """``events`` encoded as one table, with ``state`` or transforms fitted on them."""
+    table = EventTable.from_events(events, SCHEMA)
+    return encode_table(table, fit_transforms(table, SCHEMA) if state is None else state, SCHEMA)
+
+
 def storm(sid, affected, served, magnitude, n_events=0):
     return StormRecord(sid, affected, served, magnitude, tuple(f"{sid}-e{i}" for i in range(n_events)))
 
@@ -44,18 +49,18 @@ def storm(sid, affected, served, magnitude, n_events=0):
 class TestTimeDeltas:
     def test_example(self):
         e = ev("a", [10.0, 12.5, 16.0], [0, 1, 2], [1.0, 2.0, 3.0])
-        assert compute_time_deltas(e) == [0.0, 2.5, 6.0]
+        assert encode([e]).deltas.tolist() == [0.0, 2.5, 6.0]
 
     def test_single_revision(self):
         e = ev("a", [99.0], [0], [1.0])
-        assert compute_time_deltas(e) == [0.0]
+        assert encode([e]).deltas.tolist() == [0.0]
 
     def test_translation_invariance(self):
         stamps = [3.0, 7.25, 11.5]
-        base = compute_time_deltas(ev("a", stamps, [0, 0, 0], [0.0, 0.0, 0.0]))
-        shifted = compute_time_deltas(
-            ev("a", [t + 1e6 for t in stamps], [0, 0, 0], [0.0, 0.0, 0.0])
-        )
+        base = encode([ev("a", stamps, [0, 0, 0], [0.0, 0.0, 0.0])]).deltas.tolist()
+        shifted = encode(
+            [ev("a", [t + 1e6 for t in stamps], [0, 0, 0], [0.0, 0.0, 0.0])]
+        ).deltas.tolist()
         assert base == shifted
 
     def test_strictly_increasing_enforced(self):
@@ -96,7 +101,7 @@ class TestFitTransforms:
         events = [ev("a", [0.0, 1.0, 2.0], [0, 0, 0], [5.0, 5.0, 5.0])]
         state = fit_transforms(events, SCHEMA)
         assert state.cont_std["load"] == 1.0
-        enc = apply_transforms(events[0], state, SCHEMA)
+        enc = encode(events[:1], state)
         np.testing.assert_array_equal(enc.cont[:, 0], 0.0)
 
     def test_missing_excluded_from_stats(self):
@@ -132,34 +137,33 @@ class TestApplyTransforms:
         self.state = fit_transforms(self.events, SCHEMA)
 
     def test_zscore(self):
-        enc = apply_transforms(self.events[0], self.state, SCHEMA)
+        enc = encode(self.events[:1], self.state)
         mean, std = self.state.cont_mean["load"], self.state.cont_std["load"]
         np.testing.assert_allclose(enc.cont[:, 0], (np.array([2.0, 4.0]) - mean) / std)
 
     def test_train_zscore_mean_near_zero(self):
-        encs = [apply_transforms(e, self.state, SCHEMA) for e in self.events]
-        pooled = np.concatenate([e.cont[:, 0] for e in encs])
+        pooled = encode(self.events, self.state).cont[:, 0]
         assert abs(pooled.mean()) < 1e-9
 
     def test_missing_cont_imputes_to_zero(self):
         e = ev("c", [0.0], [0], [math.nan])
-        enc = apply_transforms(e, self.state, SCHEMA)
+        enc = encode([e], self.state)
         assert enc.cont[0, 0] == 0.0
 
     def test_missing_cat_imputes_to_mode(self):
         e = ev("c", [0.0], [MISSING_CAT], [2.0])
-        enc = apply_transforms(e, self.state, SCHEMA)
+        enc = encode([e], self.state)
         assert enc.cat_idx[0, 0] == self.state.cat_modes["color"]
 
     def test_unseen_category_maps_to_unknown(self):
         e = ev("c", [0.0], [3], [2.0])  # raw 3 never observed in training
-        enc = apply_transforms(e, self.state, SCHEMA)
+        enc = encode([e], self.state)
         assert enc.cat_idx[0, 0] == self.state.unknown_index("color")
 
     def test_deltas_and_target_copied(self):
-        enc = apply_transforms(self.events[1], self.state, SCHEMA)
+        enc = encode(self.events[1:], self.state)
         np.testing.assert_array_equal(enc.deltas, [0.0, 2.0])
-        assert enc.target_duration == 5.0
+        assert enc.targets.tolist() == [5.0]
 
 
 class TestColumnarMatchesReference:
@@ -296,8 +300,8 @@ class TestValidation:
 
     def test_validate_event_catches_out_of_range(self):
         e = ev("a", [0.0], [7], [1.0])
-        with pytest.raises(ValueError):
-            validate_event(e, SCHEMA)
+        with pytest.raises(EventError, match="index 7 out of range"):
+            EventTable.from_events([e], SCHEMA)
 
     def test_storm_record_bounds(self):
         with pytest.raises(ValueError):

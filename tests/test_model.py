@@ -237,7 +237,8 @@ class TestForward:
     def test_timestamp_translation_bit_identical(self, micro_params, micro_config, micro_schema):
         # deltas are differences; translating the underlying clock by 1e6
         # hours leaves them untouched because stamps sit on a dyadic grid
-        from etrcast.data import EventSeries, Revision, compute_time_deltas
+        from etrcast.data import EventSeries, Revision, fit_transforms
+        from etrcast.training import encode_events
 
         stamps = [100.0, 102.25, 107.5]
         shifted = [t + 1e6 for t in stamps]
@@ -245,9 +246,9 @@ class TestForward:
         mk = lambda ts: EventSeries(
             "e", "s", tuple(Revision(t, (0,), (0.5,)) for t in ts), 4.0
         )
-        d0 = compute_time_deltas(mk(stamps))
-        d_up = compute_time_deltas(mk(shifted))
-        d_dn = compute_time_deltas(mk(down))
+        events = [mk(stamps), mk(shifted), mk(down)]
+        enc = encode_events(events, fit_transforms(events, micro_schema), micro_schema)
+        d0, d_up, d_dn = (enc.deltas[lo:lo + 3].tolist() for lo in enc.offsets[:-1])
         assert d0 == d_up == d_dn
 
         batch = make_batch(micro_schema, micro_config, n=2, seed=8)

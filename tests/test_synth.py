@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from etrcast.data import MAGNITUDES, validate_event
+from etrcast.data import MAGNITUDES, EventTable
 from etrcast.dataio import load_dataset, save_dataset
 from etrcast.synth import (
     GRID,
@@ -33,8 +33,7 @@ def test_twelve_storms_at_four_per_class():
 
 def test_events_validate_against_schema():
     ds = generate_dataset(SMALL)
-    for e in ds.events:
-        validate_event(e, ds.schema)
+    EventTable.from_events(ds.events, ds.schema)
 
 
 def test_ratio_bands_respected():
@@ -61,10 +60,10 @@ def test_zero_noise_replay_matches_ground_truth():
         seed=11, storms_per_class=4, events_per_storm=(6, 10), noise_std=0.0
     )
     ds = generate_dataset(cfg)
-    assert len(ds.events) > 50
-    for event in ds.events:
-        g = replay_ground_truth(event, ds.schema, ds.categories)
-        assert abs(g - event.target_duration) <= 1e-9, event.event_id
+    assert len(ds.table) > 50
+    for i, target in enumerate(ds.table.targets.tolist()):
+        g = replay_ground_truth(ds.table, i, ds.schema, ds.categories)
+        assert abs(g - target) <= 1e-9, ds.table.event_ids[i]
 
 
 def test_noise_perturbs_targets():
@@ -149,7 +148,7 @@ def test_single_revision_range_degenerates():
 
 
 def test_storm_generation_independent_of_other_classes():
-    # NaN-free config so dataclass equality is meaningful
+    # NaN-free config so equality of the records is meaningful
     cfg = GeneratorConfig(seed=7, storms_per_class=4, events_per_storm=(5, 9), missing_rate=0.0)
     a = generate_storm(cfg, "Medium", 2)
     b = generate_storm(cfg, "Medium", 2)

@@ -34,26 +34,25 @@ class TestBuildSamples:
         state = fit_transforms(splits["train"], small_dataset.schema)
         enc = encode_events(splits["train"], state, small_dataset.schema)
         samples = build_samples(enc, cfg)
-        expect = sum(min(len(e.deltas), cfg.max_seq_len) for e in enc)
+        expect = sum(min(m, cfg.max_seq_len) for m in enc.lengths.tolist())
         assert samples.size == expect
         # prefix lengths run 1..M for each event
-        first = enc[0]
-        rows = [i for i, eid in enumerate(samples.event_ids) if eid == first.event_id]
+        rows = [i for i, eid in enumerate(samples.event_ids) if eid == enc.event_ids[0]]
         assert [int(samples.prefix_len[r]) for r in rows] == list(
-            range(1, len(first.deltas) + 1)
+            range(1, int(enc.lengths[0]) + 1)
         )
 
     def test_window_keeps_most_recent(self, small_dataset):
         cfg = ModelConfig(max_seq_len=3, d_model=8, n_layers=1, n_heads=2)
         splits = small_dataset.split_events()
         state = fit_transforms(splits["train"], small_dataset.schema)
-        enc = [e for e in encode_events(splits["train"], state, small_dataset.schema) if len(e.deltas) >= 5]
-        event = enc[0]
-        samples = build_samples([event], cfg)
+        enc = encode_events(splits["train"], state, small_dataset.schema)
+        event = enc.select([np.flatnonzero(enc.lengths >= 5)[0]])
+        samples = build_samples(event, cfg)
         m = len(event.deltas)
         # every revision is a prediction point, also beyond the window length
         assert samples.size == m
-        final = build_final_samples([event], cfg)
+        final = build_final_samples(event, cfg)
         np.testing.assert_allclose(
             final.cont[0, :3], event.cont[m - 3 : m]
         )
@@ -68,9 +67,9 @@ class TestBuildSamples:
         splits = small_dataset.split_events()
         state = fit_transforms(splits["train"], small_dataset.schema)
         enc = encode_events(splits["train"], state, small_dataset.schema)
-        event = next(e for e in enc if len(e.deltas) >= 5)
+        event = enc.select([np.flatnonzero(enc.lengths >= 5)[0]])
         m = len(event.deltas)
-        samples = build_samples([event], cfg)
+        samples = build_samples(event, cfg)
         assert samples.prefix_len.tolist() == list(range(1, m + 1))
         for i, j in enumerate(samples.prefix_len.tolist()):
             batch = samples.batch([i])
@@ -93,7 +92,7 @@ class TestBuildSamples:
         splits = small_dataset.split_events()
         state = fit_transforms(splits["train"], small_dataset.schema)
         enc = encode_events(splits["train"], state, small_dataset.schema)
-        samples = build_samples(enc[:10], cfg)
+        samples = build_samples(enc.select(np.arange(10)), cfg)
         for i in range(samples.size):
             m = samples.mask[i]
             k = int(samples.prefix_len[i])
@@ -314,7 +313,7 @@ class TestEvaluate:
         table = evaluate_per_revision(lambda b: predict(params, b), enc, cfg)
         assert 1 in table
         total = sum(row["count"] for row in table.values())
-        assert total == sum(min(len(e.deltas), cfg.max_seq_len) for e in enc)
+        assert total == sum(min(m, cfg.max_seq_len) for m in enc.lengths.tolist())
 
     def test_empty_split_rejected(self, small_dataset):
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
