@@ -66,6 +66,10 @@ SCALES = {
 }
 
 
+# validation and test each take 2 storms of every class, so 5 leaves 1 to train
+MIN_STORMS_PER_CLASS = 5
+
+
 class CliError(Exception):
     """Validation problem; maps to exit code 1."""
 
@@ -186,6 +190,11 @@ def cmd_generate(args) -> int:
     }
     resolved = _layered(defaults, file_cfg, flags)
     cfg = GeneratorConfig.from_dict(resolved)
+    if cfg.storms_per_class < MIN_STORMS_PER_CLASS:
+        raise CliError(
+            f"storms_per_class must be >= {MIN_STORMS_PER_CLASS}, got {cfg.storms_per_class}: "
+            "validation and test take 2 storms of each class, so the training split would be empty"
+        )
     os.makedirs(args.out, exist_ok=True)
     generate_dataset(cfg, args.out)
     outputs = [os.path.join(args.out, "manifest.json"), os.path.join(args.out, "events.jsonl")]

@@ -7,11 +7,22 @@ duration from every intermediate revision state, which mirrors how an
 estimate would be re-issued as updates arrive. The sample for revision j
 holds revisions max(1, j - max_seq_len + 1) to j, with time deltas restarted
 at its first row, so it depends only on what was known at revision j. A
-batch gathers its samples from the table on demand; the final-revision set
-used for evaluation is a choice of indices, not a second builder. Optimization is
-Adam with bias correction; the learning rate decays by a fixed factor when
-the validation WAE stops improving. Everything, dropout included, is seeded,
-so two runs with the same inputs produce bit-identical histories.
+batch gathers its samples from the table on demand, padded to its own widest
+window; the final-revision set used for evaluation is a choice of indices,
+not a second builder.
+
+Every batch holds samples of similar window width, so little of it is
+padding. Prediction visits the samples in width order (``by_width``). A
+training epoch cuts a seeded permutation into pools of ``POOL_BATCHES``
+batches, sorts each pool by width with the same rule and cuts it into
+batches, then visits the batches in a seeded random order
+(``epoch_batches``): the pools keep each batch a random draw of the
+epoch's samples apart from its width, as in length bucketing (Krell et al.
+2021, arXiv 2107.02027). Optimization is Adam with bias correction; the
+learning rate decays by a fixed factor when the validation WAE stops
+improving. Everything, dropout included, is seeded, so two runs with the
+same inputs produce bit-identical histories. One progress line per epoch
+goes to stderr; wall-clock figures stay out of the history.
 
 The linear baseline fits ordinary least squares (tiny ridge jitter for rank
 safety) on each event's final revision with one-hot categoricals, and is
@@ -21,6 +32,7 @@ evaluated on exactly the same final-prefix prediction set as the model.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -106,6 +118,11 @@ class SampleSet:
     def targets(self) -> np.ndarray:
         return self.events.targets[self.event]
 
+    @cached_property
+    def width(self) -> np.ndarray:
+        """[N] window width min(j, max_seq_len): the valid slots of each sample."""
+        return np.minimum(self.prefix_len, self.max_seq_len)
+
     @property
     def event_ids(self) -> tuple[str, ...]:
         return tuple(self.events.event_ids[i] for i in self.event.tolist())
@@ -117,8 +134,7 @@ class SampleSet:
     @property
     def mask(self) -> np.ndarray:
         """[N, L] valid slots of the whole set as one batch, L its longest window."""
-        width = np.minimum(self.prefix_len, self.max_seq_len)
-        return np.arange(width.max(initial=0)) < width[:, None]
+        return np.arange(self.width.max(initial=0)) < self.width[:, None]
 
     # the whole set as one padded batch
     cat_idx = property(lambda self: self.batch(slice(None)).cat_idx)
@@ -128,7 +144,7 @@ class SampleSet:
     def batch(self, idx: np.ndarray | slice) -> SequenceBatch:
         """The samples at ``idx``, zero-padded to the longest window among them."""
         j = self.prefix_len[idx]
-        width = np.minimum(j, self.max_seq_len)
+        width = self.width[idx]
         first = (self.events.offsets[self.event[idx]] + j - width)[:, None]
         mask = np.arange(width.max(initial=0)) < width[:, None]
         rows = np.where(mask, first + np.arange(mask.shape[1]), first)
@@ -264,15 +280,42 @@ class TrainResult:
     fingerprint: str
 
 
+POOL_BATCHES = 8  # batches per width-sorted pool of a training epoch
+
+
+def by_width(samples: SampleSet, idx: np.ndarray) -> np.ndarray:
+    """``idx`` reordered by window width, narrowest first (stable)."""
+    return idx[np.argsort(samples.width[idx], kind="stable")]
+
+
+def epoch_batches(
+    samples: SampleSet, batch_size: int, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """One training epoch's batches of sample indices, in visiting order.
+
+    A permutation from ``rng`` is cut into pools of ``POOL_BATCHES`` x
+    ``batch_size`` samples; each pool is sorted by width (``by_width``) and
+    cut into batches, so no batch spans two pools. The batches are then
+    visited in an order drawn from the same ``rng``.
+    """
+    order = rng.permutation(samples.size)
+    pool = POOL_BATCHES * batch_size
+    batches = []
+    for start in range(0, order.size, pool):
+        ranked = by_width(samples, order[start : start + pool])
+        batches += [ranked[b : b + batch_size] for b in range(0, ranked.size, batch_size)]
+    return [batches[k] for k in rng.permutation(len(batches))]
+
+
 def predict_in_chunks(
     predict_fn: Callable[[SequenceBatch], np.ndarray], samples: SampleSet, chunk: int = 512
 ) -> np.ndarray:
     """Predict every sample, returned in input order.
 
-    Rows go to ``predict_fn`` in chunks of ``chunk``, shortest prefix first
-    (stable order), so each chunk is trimmed to about its own length.
+    Rows go to ``predict_fn`` in chunks of ``chunk``, narrowest window first
+    (``by_width``), so each chunk is trimmed to about its own width.
     """
-    order = np.argsort(samples.prefix_len, kind="stable")
+    order = by_width(samples, np.arange(samples.size))
     preds = np.empty(samples.size)
     for start in range(0, samples.size, chunk):
         idx = order[start : start + chunk]
@@ -326,12 +369,14 @@ def train_model(
 
     for epoch in range(train_config.max_epochs):
         t_start = time.perf_counter()
-        order = np.random.default_rng((train_config.seed, 1000 + epoch)).permutation(n)
+        order_rng = np.random.default_rng((train_config.seed, 1000 + epoch))
         dropout_rng = np.random.default_rng((train_config.seed, 2000 + epoch))
         loss_sum = 0.0
-        for bi, start in enumerate(range(0, n, train_config.batch_size)):
-            idx = order[start : start + train_config.batch_size]
+        slots = 0
+        batches = epoch_batches(train_samples, train_config.batch_size, order_rng)
+        for bi, idx in enumerate(batches):
             batch = train_samples.batch(idx)
+            slots += batch.mask.size
             targets = train_samples.targets[idx]
             tape = Tape()
             try:
@@ -352,14 +397,13 @@ def train_model(
             best_params = params.copy()
         lr_used = plateau.lr
         plateau = plateau_scheduler(val_wae, plateau, train_config)
-        history.epochs.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=train_loss,
-                val_wae=val_wae,
-                lr=lr_used,
-                wall_time=time.perf_counter() - t_start,
-            )
+        seconds = time.perf_counter() - t_start
+        history.epochs.append(EpochRecord(epoch, train_loss, val_wae, lr_used, seconds))
+        print(
+            f"epoch {epoch}: train loss {train_loss:.4f}, val WAE {val_wae:.4f}, "
+            f"lr {lr_used:.3g}, {seconds:.2f} s, {n / seconds:.0f} samples/s, "
+            f"valid slots {train_samples.width.sum() / slots:.3f}",
+            file=sys.stderr,
         )
 
     return TrainResult(

@@ -52,6 +52,23 @@ class TestGenerate:
             os.path.join(out, "manifest.json"),
         }
 
+    @pytest.mark.parametrize("storms", ["4", "1"])
+    def test_too_few_storms_exits_one(self, tmp_path, capsys, storms):
+        out = str(tmp_path / "d")
+        argv = ["generate", "--out", out, "--storms-per-class", storms]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "storms_per_class must be >= 5" in err
+        assert "training split would be empty" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
+    def test_five_storms_per_class_trains(self, tmp_path):
+        data, rund = str(tmp_path / "d"), str(tmp_path / "r")
+        argv = ["generate", "--out", data, "--storms-per-class", "5", "--events-per-storm", "4", "5"]
+        assert run(argv) == 0
+        assert run(["train", "--dataset", data, "--out", rund, "--epochs", "1"]) == 0
+
     def test_deterministic_rerun(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         run(["generate", "--out", a, "--seed", "5", *GEN_ARGS])
@@ -90,6 +107,21 @@ class TestTrain:
         history = json.load(open(os.path.join(pipeline["run"], "history.json")))
         assert len(history) == 2
         assert set(history[0]) == {"epoch", "train_loss", "val_wae", "lr"}
+
+    def test_one_progress_line_per_epoch_on_stderr(self, pipeline, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        argv = ["train", "--dataset", pipeline["data"], "--out", out, "--epochs", "3"]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["epoch 0", "epoch 1", "epoch 2"]
+        for line in lines:
+            for part in ("train loss", "val WAE", "lr", " s,", "samples/s", "valid slots"):
+                assert part in line, (part, line)
+        assert "epoch 0" not in captured.out
+        history = json.load(open(os.path.join(out, "history.json")))
+        assert len(history) == 3
+        assert all(set(row) == {"epoch", "train_loss", "val_wae", "lr"} for row in history)
 
     def test_scale_presets(self):
         assert SCALES["desk"]["model"]["d_model"] == 32

@@ -9,6 +9,7 @@ from etrcast.losses import LossConfig
 from etrcast.model import ModelConfig, init_params, predict
 from etrcast.synth import GeneratorConfig, generate_dataset
 from etrcast.training import (
+    POOL_BATCHES,
     AdamState,
     PlateauState,
     TrainConfig,
@@ -18,6 +19,7 @@ from etrcast.training import (
     build_final_samples,
     build_samples,
     encode_events,
+    epoch_batches,
     evaluate_model,
     evaluate_per_revision,
     fit_linear_baseline,
@@ -97,6 +99,70 @@ class TestBuildSamples:
             m = samples.mask[i]
             k = int(samples.prefix_len[i])
             assert m[:k].all() and not m[k:].any()
+
+
+def train_samples(dataset, max_seq_len=20):
+    train = dataset.split_tables()["train"]
+    state = fit_transforms(train, dataset.schema)
+    enc = encode_events(train, state, dataset.schema)
+    return build_samples(enc, ModelConfig(max_seq_len=max_seq_len))
+
+
+class TestEpochOrder:
+    BATCH = 8
+
+    def batches(self, samples, seed=(0, 1000)):
+        return epoch_batches(samples, self.BATCH, np.random.default_rng(seed))
+
+    def test_every_sample_once_per_epoch(self, small_dataset):
+        samples = train_samples(small_dataset)
+        batches = self.batches(samples)
+        assert samples.size > 4 * POOL_BATCHES * self.BATCH  # several pools
+        visited = np.concatenate(batches)
+        np.testing.assert_array_equal(np.sort(visited), np.arange(samples.size))
+        assert all(0 < b.size <= self.BATCH for b in batches)
+        assert sum(b.size < self.BATCH for b in batches) <= 1
+
+    def test_no_batch_spans_two_pools(self, small_dataset):
+        samples = train_samples(small_dataset)
+        perm = np.random.default_rng((0, 1000)).permutation(samples.size)
+        pool_of = np.empty(samples.size, dtype=np.int64)
+        pool_of[perm] = np.arange(samples.size) // (POOL_BATCHES * self.BATCH)
+        batches = self.batches(samples)
+        for b in batches:
+            assert np.unique(pool_of[b]).size == 1
+        # within its pool a batch is a run of the width order
+        for b in batches:
+            assert np.all(np.diff(samples.width[b]) >= 0)
+        # and the batches do not come pool by pool
+        firsts = [int(pool_of[b[0]]) for b in batches]
+        assert firsts != sorted(firsts)
+
+    def test_same_seed_same_order(self, small_dataset):
+        samples = train_samples(small_dataset)
+        a, b = self.batches(samples), self.batches(samples)
+        assert len(a) == len(b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_epochs_differ(self, small_dataset):
+        samples = train_samples(small_dataset)
+        a = np.concatenate(self.batches(samples, (0, 1000)))
+        b = np.concatenate(self.batches(samples, (0, 1001)))
+        assert not np.array_equal(a, b)
+
+    def test_windows_longer_than_max_seq_len_share_one_width(self, small_dataset):
+        samples = train_samples(small_dataset, max_seq_len=3)
+        assert samples.prefix_len.max() > 3
+        np.testing.assert_array_equal(samples.width, np.minimum(samples.prefix_len, 3))
+        visited = np.concatenate(self.batches(samples))
+        np.testing.assert_array_equal(np.sort(visited), np.arange(samples.size))
+
+    def test_desk_batches_are_mostly_valid_slots(self):
+        # the default generator's prefixes run 1-9; desk-scale batches of 128
+        samples = train_samples(generate_dataset(GeneratorConfig()))
+        batches = epoch_batches(samples, 128, np.random.default_rng((0, 1000)))
+        slots = sum(b.size * int(samples.width[b].max()) for b in batches)
+        assert samples.width.sum() / slots >= 0.8
 
 
 class TestAdam:
