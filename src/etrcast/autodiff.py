@@ -10,10 +10,10 @@ keeps no backward closures and frees each intermediate as soon as the next
 primitive has used it.
 
 Primitives reject non-finite outputs outright: NaN or Inf anywhere is treated
-as a bug in the caller, never silently propagated. The check costs one
-reduction per output: any NaN or Inf makes the sum non-finite, so a finite
-sum proves every value finite. Only a non-finite sum, which finite values can
-also produce by overflowing, is confirmed by a full ``isfinite`` scan.
+as a bug in the caller, never silently propagated. A large output costs one
+reduction: any NaN or Inf makes the sum non-finite, so a finite sum proves
+every value finite. A non-finite sum (finite values can overflow), or an output
+below ``FINITE_SCAN_BELOW`` values, gets a full ``isfinite`` scan instead.
 
 Gradient correctness is checked against central finite differences by
 :func:`fd_check`, which every primitive and the full training objective must
@@ -29,6 +29,8 @@ import numpy as np
 
 from . import kernels
 
+FINITE_SCAN_BELOW = 100_000  # below it one isfinite scan beats np.errstate plus a sum
+
 
 class NumericsError(ValueError):
     """Shape mismatch, non-finite value, or misuse of a primitive."""
@@ -40,9 +42,11 @@ def _as_f64(value) -> np.ndarray:
 
 
 def _require_finite(arr: np.ndarray, op: str) -> None:
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.add.reduce(arr, axis=None)
-    if not math.isfinite(total) and not np.isfinite(arr).all():
+    if arr.size >= FINITE_SCAN_BELOW:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if math.isfinite(np.add.reduce(arr, axis=None)):
+                return
+    if not np.isfinite(arr).all():
         raise NumericsError(f"{op}: non-finite values in result")
 
 
@@ -175,16 +179,16 @@ class Tape:
         return self._record(w, (x,), lambda g: (kernels.softmax_rows_bwd(w, g),), "softmax_rows")
 
     def masked_softmax(self, scores: Tensor, key_valid: np.ndarray) -> Tensor:
-        """Softmax over the last axis of [B,H,S,S] scores; invalid keys get exactly 0.
+        """Softmax over the last axis of [B,H,Sq,S] scores; invalid keys get exactly 0.
 
-        ``key_valid`` is a [B,S] boolean array, not a differentiable input.
+        ``key_valid`` is a [B,S] boolean key mask, not a differentiable input.
         Equivalent to adding -inf to invalid key columns before a plain
         softmax, fused so no non-finite intermediate is ever materialized.
         """
         if scores.data.ndim != 4:
-            raise NumericsError(f"masked_softmax: expected [B,H,S,S], got {scores.shape}")
-        b, _, s, s2 = scores.shape
-        if s != s2 or key_valid.shape != (b, s):
+            raise NumericsError(f"masked_softmax: expected [B,H,Sq,S], got {scores.shape}")
+        b, _, _, s = scores.shape
+        if key_valid.shape != (b, s):
             raise NumericsError(
                 f"masked_softmax: mask shape {key_valid.shape} vs scores {scores.shape}"
             )

@@ -36,12 +36,13 @@ def softmax_rows_bwd(w: np.ndarray, grad_w: np.ndarray) -> np.ndarray:
 
 
 def masked_softmax(scores: np.ndarray, key_valid: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of [B,H,S,S] scores with invalid keys frozen at 0.
+    """Softmax over the last axis of [B,H,Sq,S] scores with invalid keys frozen at 0.
 
-    Invalid key columns take no part in the max or the normalizing sum, so
-    their (arbitrary finite) score values cannot perturb valid weights. They
-    hold -inf until the exponential maps them to exactly +0.0; every row
-    needs one valid key, so its max is finite.
+    ``key_valid`` [B,S] broadcasts over heads and query rows. Invalid key
+    columns take no part in the max or the normalizing sum, so their
+    (arbitrary finite) score values cannot perturb valid weights. They hold
+    -inf until the exponential maps them to exactly +0.0; every row needs one
+    valid key, so its max is finite.
     """
     e = np.where(key_valid[:, None, None, :], scores, _NEG_INF)
     e -= np.max(e, axis=-1, keepdims=True)

@@ -4,9 +4,9 @@ Forward pipeline per event prefix: per-feature categorical embeddings are
 concatenated with the continuous values and linearly projected to d_model;
 a continuous-time sinusoidal encoding of the time delta since the first
 revision is added; a stack of post-norm transformer encoder layers with a
-key-padding mask mixes the positions; the representation at the last valid
-position feeds a small fully connected head that emits the predicted
-restoration duration in hours.
+key-padding mask mixes the positions, its last layer at the readout row (the
+last valid position) only; a small fully connected head reads that row and
+emits the predicted restoration duration in hours.
 
 Padded positions are sanitized to neutral values on entry and excluded from
 attention by the mask, so their contents can never influence a prediction
@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import kernels
 from .autodiff import Tape, Tensor
 from .data import FeatureSchema, TransformState
 from .dataio import canonical_json
@@ -230,23 +231,31 @@ def encode_sequence(
     tape: Tape,
     h: Tensor,
     mask: np.ndarray,
+    last_idx: np.ndarray,
     params: ModelParams,
     as_params: bool = False,
     capture: list | None = None,
     dropout_rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run the transformer encoder stack on h [B,L,d_model]; returns [B,L,d_model].
+    """Run the encoder stack on h [B,L,d_model]; returns the readout rows [B,d_model].
+
+    ``last_idx`` [B] names each row's readout position. The last layer takes
+    keys and values at all L positions but computes its query, attention
+    output, layer norms and FFN at the readout row only.
 
     When ``capture`` is a list, each layer's attention weights [B,H,L,L] are
-    appended to it, L being the batch's longest valid prefix (data only;
-    capturing never alters the computation). With ``dropout_rng`` set and
-    config.dropout > 0, inverted dropout is applied to each sublayer output
-    before its residual add (training only).
+    appended to it, L being the batch's longest valid prefix; the last layer's
+    full map is built as plain data, so capturing never alters the computation.
+    With ``dropout_rng`` set and config.dropout > 0, inverted dropout is
+    applied to each sublayer output before its residual add (training only).
     """
     cfg = params.config
     b, s, d = h.shape
     n_heads = cfg.n_heads
     dh = d // n_heads
+    inv_sqrt_dh = 1.0 / math.sqrt(dh)
+    if cfg.n_layers == 0:
+        return tape.gather_rows(h, last_idx)
     x = tape.reshape(h, (b * s, d))
 
     def maybe_dropout(t: Tensor) -> Tensor:
@@ -255,22 +264,29 @@ def encode_sequence(
         keep = (dropout_rng.random(t.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
         return tape.mul(t, tape.constant(keep))
 
+    def heads(src: Tensor, n: int, prefix: str) -> Tensor:  # [B*n,d] -> [B,H,n,dh]
+        y = _linear(tape, params, src, prefix, as_params)
+        return tape.transpose(tape.reshape(y, (b, n, n_heads, dh)), (0, 2, 1, 3))
+
     for layer in range(cfg.n_layers):
         name = f"layer{layer}"
-
-        def heads(part: str) -> Tensor:
-            y = _linear(tape, params, x, f"{name}/attn/{part}", as_params)
-            return tape.transpose(tape.reshape(y, (b, s, n_heads, dh)), (0, 2, 1, 3))
-
-        q, k, v = heads("q"), heads("k"), heads("v")
-        scores = tape.scale(
-            tape.matmul(q, tape.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh)
-        )
-        weights = tape.masked_softmax(scores, mask)
-        if capture is not None:
+        kv, rows = x, s
+        if layer == cfg.n_layers - 1:
+            x, rows = tape.gather_rows(tape.reshape(x, (b, s, d)), last_idx), 1
+        q = heads(x, rows, f"{name}/attn/q")
+        k, v = heads(kv, s, f"{name}/attn/k"), heads(kv, s, f"{name}/attn/v")
+        k_t = tape.transpose(k, (0, 1, 3, 2))
+        scores = tape.scale(tape.matmul(q, k_t), inv_sqrt_dh)
+        weights = tape.masked_softmax(scores, mask)  # [B,H,rows,S]
+        if capture is not None and rows < s:  # queries at every row, off the tape
+            q_all = kv.data @ params.tensors[f"{name}/attn/q/W"]
+            q_all += params.tensors[f"{name}/attn/q/b"]
+            q_all = np.ascontiguousarray(q_all.reshape(b, s, n_heads, dh).transpose(0, 2, 1, 3))
+            capture.append(kernels.masked_softmax((q_all @ k_t.data) * inv_sqrt_dh, mask))
+        elif capture is not None:
             capture.append(weights.data.copy())
-        ctx = tape.matmul(weights, v)  # [B,H,S,dh]
-        ctx = tape.reshape(tape.transpose(ctx, (0, 2, 1, 3)), (b * s, d))
+        ctx = tape.matmul(weights, v)  # [B,H,rows,dh]
+        ctx = tape.reshape(tape.transpose(ctx, (0, 2, 1, 3)), (b * rows, d))
         attn_out = _linear(tape, params, ctx, f"{name}/attn/o", as_params)
         x = tape.layer_norm(
             tape.add(x, maybe_dropout(attn_out)),
@@ -284,7 +300,7 @@ def encode_sequence(
             _get(tape, params, f"{name}/ln2/g", as_params),
             _get(tape, params, f"{name}/ln2/b", as_params),
         )
-    return tape.reshape(x, (b, s, d))
+    return x
 
 
 def forward(
@@ -298,7 +314,7 @@ def forward(
     """Full forward pass to predicted durations; returns Tensor [B].
 
     Columns past the longest valid prefix L are cut first; captured attention
-    is [B,H,L,L].
+    is [B,H,L,L]. The last layer computes only the readout row the head reads.
     """
     validate_batch(batch, params.config, params.schema)
     used = int(batch.mask.astype(bool).sum(axis=1).max(initial=1))
@@ -307,9 +323,8 @@ def forward(
     h = embed_revision(tape, batch, params, as_params)
     pe = positional_encode(batch.deltas, params.config.d_model, params.config.pe_base)
     h = tape.add(h, tape.constant(pe))
-    h = encode_sequence(tape, h, batch.mask, params, as_params, capture, dropout_rng)
     last_idx = batch.mask.sum(axis=1) - 1
-    rep = tape.gather_rows(h, last_idx)
+    rep = encode_sequence(tape, h, batch.mask, last_idx, params, as_params, capture, dropout_rng)
     hidden = _activation(tape, params.config, _linear(tape, params, rep, "head/1", as_params))
     out = _linear(tape, params, hidden, "head/2", as_params)
     return tape.reshape(out, (batch.size,))

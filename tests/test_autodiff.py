@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etrcast.autodiff import NumericsError, Tape, fd_check
+from etrcast.autodiff import FINITE_SCAN_BELOW, NumericsError, Tape, fd_check
 
 TOL = 1e-4
 H = 1e-5
@@ -255,6 +255,37 @@ def test_unreached_param_gets_zero_gradient():
     grads = tape.gradients(tape.sum_all(tape.mul(x, x)))
     np.testing.assert_array_equal(grads["side"], np.zeros(2))
     assert grads["x"][0] == 4.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_check_rejects_nonfinite_above_scan_size(bad):
+    # past FINITE_SCAN_BELOW the check is one reduction, confirmed by a scan
+    values = np.ones(FINITE_SCAN_BELOW + 1)
+    values[-1] = bad
+    with pytest.raises(NumericsError, match="constant"):
+        Tape().constant(values)
+    # finite values whose sum overflows pass the confirming scan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Tape().constant(np.full(FINITE_SCAN_BELOW + 1, 1.5e308))
+
+
+def test_rectangular_masked_softmax_gradient():
+    # one and three query rows over five keys, one row with a single valid key
+    rng = np.random.default_rng(7)
+    mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]], dtype=bool)
+    for sq in (1, 3):
+        weight = rng.normal(size=(3, 2, sq, 5))
+        params = {"s": rng.normal(size=(3, 2, sq, 5))}
+        build = lambda t, p: t.sum_all(t.mul(t.masked_softmax(p["s"], mask), t.constant(weight)))
+        assert check(build, params) < TOL
+
+
+def test_rectangular_masked_softmax_checks_key_width():
+    tape = Tape()
+    scores = tape.param("s", np.zeros((2, 1, 1, 4)))
+    with pytest.raises(NumericsError, match="mask shape"):
+        tape.masked_softmax(scores, np.ones((2, 3), dtype=bool))
 
 
 def test_masked_softmax_requires_valid_key():

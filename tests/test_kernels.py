@@ -100,6 +100,19 @@ def test_masked_softmax_bit_identical_to_reference(seed):
     assert_same_bits(kernels.masked_softmax_bwd(w, g), reference.softmax_rows_bwd(w, g))
 
 
+@pytest.mark.parametrize("sq", [1, 3])
+def test_rectangular_masked_softmax_bit_identical_to_reference(sq):
+    # [B,H,Sq,S] scores: fewer query rows than keys, as in a readout-only layer
+    rng = np.random.default_rng(200 + sq)
+    b, h, s = 4, 2, 5
+    scores = _with_negative_zeros(rng, rng.normal(size=(b, h, sq, s)) * 3)
+    mask = np.arange(s)[None, :] < np.array([1, 5, 3, 2])[:, None]
+    w = kernels.masked_softmax(scores, mask)
+    assert w.shape == (b, h, sq, s)
+    assert_same_bits(w, reference.masked_softmax(scores, mask))
+    assert_same_bits(Tape().masked_softmax(Tape().constant(scores), mask).data, w)
+
+
 @pytest.mark.parametrize("shape", [(23, 16), (4, 5, 8), (1, 1)])
 def test_layer_norm_bit_identical_to_reference(shape):
     rng = np.random.default_rng(sum(shape))

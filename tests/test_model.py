@@ -22,6 +22,7 @@ from etrcast.model import (
     validate_batch,
 )
 
+import _reference_model as reference
 from conftest import make_batch
 
 
@@ -332,6 +333,79 @@ class TestForward:
         monkeypatch.setattr(model_module, "Tape", SpyTape)
         np.testing.assert_array_equal(predict(micro_params, batch), out.data)
         assert len(tapes) == 1 and tapes[0]._nodes == []
+
+
+class TestReadoutOnlyLastLayer:
+    """The last layer runs only at the readout row; the full-layer encoder is the oracle."""
+
+    BATCHES = {
+        "padded": [1, 3, 5, 2, 5, 1],  # single-revision and padded rows
+        "single": [1, 1, 1],  # L = 1: the readout row is every row
+    }
+
+    @staticmethod
+    def run(fwd, params, batch, targets):
+        tape = Tape()
+        preds = fwd(tape, params, batch, as_params=True)
+        loss = tape.scalar_op(preds, lambda p: asymmetric_loss(p, targets, LossConfig()))
+        return preds.data, tape.gradients(loss)
+
+    @pytest.mark.parametrize("lengths", sorted(BATCHES))
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    def test_matches_full_layer_oracle(self, micro_schema, n_layers, activation, lengths):
+        cfg = ModelConfig(
+            max_seq_len=5, d_model=8, n_layers=n_layers, n_heads=2, activation=activation
+        )
+        params = init_params(cfg, micro_schema, seed=n_layers)
+        lens = self.BATCHES[lengths]
+        batch = make_batch(micro_schema, cfg, n=len(lens), seed=21, lengths=lens)
+        targets = np.linspace(2.0, 30.0, len(lens))
+
+        np.testing.assert_allclose(
+            predict(params, batch), reference.forward(Tape(), params, batch).data,
+            rtol=1e-10, atol=0.0,
+        )
+        preds, grads = self.run(forward, params, batch, targets)
+        ref_preds, ref_grads = self.run(reference.forward, params, batch, targets)
+        np.testing.assert_allclose(preds, ref_preds, rtol=1e-10, atol=0.0)
+        assert list(grads) == list(ref_grads)
+        for name, ref in ref_grads.items():
+            # the floor is for the key biases: a per-row constant leaves a
+            # softmax unchanged, so their exact gradient is 0 and both read noise
+            tol = 1e-9 * np.abs(ref).max() + 1e-15
+            assert np.abs(grads[name] - ref).max() <= tol, name
+
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    def test_captured_maps_are_the_full_layer_maps(self, micro_schema, n_layers):
+        cfg = ModelConfig(max_seq_len=5, d_model=8, n_layers=n_layers, n_heads=2)
+        params = init_params(cfg, micro_schema, seed=4)
+        batch = make_batch(micro_schema, cfg, n=4, seed=22, lengths=[2, 5, 1, 4])
+        captured, ref_captured = [], []
+        predict(params, batch, capture=captured)
+        reference.forward(Tape(), params, batch, capture=ref_captured)
+        assert len(captured) == len(ref_captured) == n_layers
+        for w, ref in zip(captured, ref_captured):
+            np.testing.assert_array_equal(w, ref)
+
+    def test_last_layer_ffn_sees_one_row_per_sequence(self, micro_params, micro_schema):
+        cfg = micro_params.config
+        batch = make_batch(micro_schema, cfg, n=4, seed=23, lengths=[5, 2, 4, 3])
+        rows: dict[str, list[int]] = {}
+
+        class SpyTape(Tape):
+            def linear(self, x, w, b):
+                name = next(n for n, t in self._params.items() if t.tid == w.tid)
+                rows.setdefault(name, []).append(x.shape[0])
+                return super().linear(x, w, b)
+
+        forward(SpyTape(), micro_params, batch, as_params=True)
+        b, s = batch.size, cfg.max_seq_len
+        last = cfg.n_layers - 1
+        assert rows[f"layer{last}/ffn/1/W"] == [b]
+        assert rows[f"layer{last}/attn/q/W"] == [b]
+        assert rows[f"layer{last}/attn/k/W"] == rows[f"layer{last}/attn/v/W"] == [b * s]
+        assert rows["layer0/ffn/1/W"] == [b * s]
 
 
 class TestEndToEndGradient:
