@@ -38,7 +38,7 @@ from .synth import GeneratorConfig, generate_dataset, generate_storm
 from .training import (
     TrainConfig,
     TrainResult,
-    evaluate_model,
+    evaluate,
     fit_linear_baseline,
     train_model,
 )
@@ -91,7 +91,7 @@ __all__ = [
     "generate_storm",
     "TrainConfig",
     "TrainResult",
-    "evaluate_model",
+    "evaluate",
     "fit_linear_baseline",
     "train_model",
     "aggregate_topk",

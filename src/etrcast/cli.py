@@ -4,10 +4,8 @@ Every subcommand takes a ``--seed``, resolves its configuration in layers
 (built-in defaults, then an optional ``--config`` key=value file, then flags),
 writes its outputs to a distinct ``--out`` directory, and records a
 run_manifest.json with the resolved config, input/output checksums, and
-timestamps. ``--threads`` is only recorded in the manifest: it sets no thread
-count, and the BLAS library runs with its own default. With a fixed seed
-every artifact except the manifest (which carries wall-clock timestamps by
-design) is byte-reproducible on one machine.
+timestamps. With a fixed seed every artifact except the manifest (which
+carries wall-clock timestamps by design) is byte-reproducible on one machine.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
 """
@@ -26,7 +24,7 @@ import numpy as np
 
 from . import explain as explain_mod
 from .autodiff import Tape, fd_check
-from .data import TransformState
+from .data import EncodedTable, TransformState
 from .dataio import Dataset, canonical_json, dataset_fingerprint, file_sha256, load_dataset
 from .losses import LossConfig, asymmetric_loss, piecewise_loss
 from .metrics import EvalReport, csi, format_report, opr8, rmse, upr, wae
@@ -45,11 +43,11 @@ from .training import (
     PlateauState,
     TrainConfig,
     TrainError,
+    TrainResult,
     build_final_samples,
     build_samples,
     encode_events,
-    evaluate_model,
-    evaluate_per_revision,
+    evaluate,
     plateau_scheduler,
     train_model,
 )
@@ -164,11 +162,18 @@ def _write_json(path: str, doc) -> str:
     return _write_text(path, canonical_json(doc) + "\n")
 
 
-def _report_paths(out_dir: str, name: str, report: EvalReport) -> list[str]:
-    return [
+def _report_paths(
+    out_dir: str, name: str, report: EvalReport, per_revision: dict | None = None
+) -> list[str]:
+    """Write ``<name>.json`` and ``<name>.txt``, and ``per_revision.json`` if given."""
+    paths = [
         _write_json(os.path.join(out_dir, f"{name}.json"), report.to_dict()),
         _write_text(os.path.join(out_dir, f"{name}.txt"), format_report(report, title=name)),
     ]
+    if per_revision is not None:
+        rows = {str(j): row for j, row in per_revision.items()}
+        paths.append(_write_json(os.path.join(out_dir, "per_revision.json"), rows))
+    return paths
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -220,7 +225,6 @@ def _configs_from_args(args) -> tuple[ModelConfig, TrainConfig, LossConfig]:
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
 
-    model_flags = {}
     train_flags = {
         "seed": args.seed,
         "learning_rate": getattr(args, "lr", None),
@@ -228,7 +232,7 @@ def _configs_from_args(args) -> tuple[ModelConfig, TrainConfig, LossConfig]:
         "max_epochs": getattr(args, "epochs", None),
         "loss": getattr(args, "loss", None),
     }
-    model_cfg = ModelConfig(**_layered(model_defaults, model_file, model_flags))
+    model_cfg = ModelConfig(**_layered(model_defaults, model_file, {}))
     train_cfg = TrainConfig(**_layered(train_defaults, train_file, train_flags))
     loss_cfg = LossConfig(**_layered(loss_defaults, loss_file, {}))
     return model_cfg, train_cfg, loss_cfg
@@ -240,36 +244,26 @@ def _train_once(
     train_cfg: TrainConfig,
     loss_cfg: LossConfig,
     out_dir: str,
-) -> tuple[list[str], dict]:
+) -> tuple[list[str], TrainResult, EvalReport]:
+    """Train, write the checkpoint, history and reports; returns the test report too."""
     os.makedirs(out_dir, exist_ok=True)
     result = train_model(dataset, model_cfg, train_cfg, loss_cfg)
-    outputs = []
     ckpt = os.path.join(out_dir, "checkpoint.bin")
     save_checkpoint(ckpt, result.params, result.transform_state, result.fingerprint)
-    outputs.append(ckpt)
-    outputs.append(
-        _write_json(os.path.join(out_dir, "history.json"), result.history.to_doc())
-    )
+    outputs = [ckpt, _write_json(os.path.join(out_dir, "history.json"), result.history.to_doc())]
 
     splits = dataset.split_tables()
     magnitudes = dataset.magnitude_of()
     model_fn = lambda batch: predict(result.params, batch)
-    summaries = {}
-    for split_name in ("validation", "test"):
-        encoded = encode_events(splits[split_name], result.transform_state, dataset.schema)
-        report = evaluate_model(model_fn, encoded, magnitudes, model_cfg, loss_cfg)
-        outputs.extend(_report_paths(out_dir, f"eval_{split_name}", report))
-        summaries[split_name] = report.to_dict()
-    per_rev = evaluate_per_revision(model_fn, encoded, model_cfg, loss_cfg)  # the test split
-    outputs.append(
-        _write_json(
-            os.path.join(out_dir, "per_revision.json"),
-            {str(j): row for j, row in per_rev.items()},
-        )
-    )
-    summaries["best_epoch"] = result.best_epoch
-    summaries["best_val_wae"] = result.best_val_wae
-    return outputs, summaries
+    encode = lambda name: encode_events(splits[name], result.transform_state, dataset.schema)
+    # validation reports the final revisions only; test also feeds the per-revision curve
+    val_samples = build_final_samples(encode("validation"), model_cfg)
+    val_report, _ = evaluate(model_fn, val_samples, magnitudes, loss_cfg)
+    outputs += _report_paths(out_dir, "eval_validation", val_report)
+    test_samples = build_samples(encode("test"), model_cfg)
+    test_report, per_revision = evaluate(model_fn, test_samples, magnitudes, loss_cfg)
+    outputs += _report_paths(out_dir, "eval_test", test_report, per_revision)
+    return outputs, result, test_report
 
 
 def cmd_train(args) -> int:
@@ -283,12 +277,14 @@ def cmd_train(args) -> int:
     for trial in range(args.trials):
         trial_cfg = replace(train_cfg, seed=train_cfg.seed + trial)
         trial_dir = args.out if args.trials == 1 else os.path.join(args.out, f"trial{trial}")
-        outputs, summary = _train_once(dataset, model_cfg, trial_cfg, loss_cfg, trial_dir)
+        outputs, result, test_report = _train_once(
+            dataset, model_cfg, trial_cfg, loss_cfg, trial_dir
+        )
         all_outputs.extend(outputs)
-        test_waes.append(summary["test"]["overall"]["wae"])
+        test_waes.append(test_report.overall.wae)
         print(
-            f"trial {trial}: best epoch {summary['best_epoch']} "
-            f"val WAE {summary['best_val_wae']:.4f} test WAE {test_waes[-1]:.4f}"
+            f"trial {trial}: best epoch {result.best_epoch} "
+            f"val WAE {result.best_val_wae:.4f} test WAE {test_waes[-1]:.4f}"
         )
     if args.trials > 1:
         all_outputs.append(
@@ -302,7 +298,6 @@ def cmd_train(args) -> int:
         "train": train_cfg.to_dict(),
         "loss": asdict(loss_cfg),
         "trials": args.trials,
-        "threads": args.threads,
         "scale": args.scale,
     }
     inputs = {"dataset": os.path.join(args.dataset, "manifest.json")}
@@ -310,38 +305,35 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_for_inference(args) -> tuple[Dataset, ModelParams, TransformState]:
+def _load_for_inference(
+    args,
+) -> tuple[Dataset, ModelParams, TransformState, EncodedTable, dict[str, str]]:
+    """The dataset, the checkpoint, the encoded ``--split`` and the manifest inputs."""
     dataset = load_dataset(args.dataset)
     fingerprint = dataset_fingerprint(dataset.schema, dataset.categories)
     params, state, _ = load_checkpoint(args.checkpoint, expect_fingerprint=fingerprint)
     if state is None:
         raise CliError(f"checkpoint {args.checkpoint} carries no transform state")
-    return dataset, params, state
-
-
-def cmd_eval(args) -> int:
-    started = time.time()
-    dataset, params, state = _load_for_inference(args)
     events = dataset.split_tables()[args.split]
     if not len(events):
         raise CliError(f"split {args.split!r} is empty")
     encoded = encode_events(events, state, dataset.schema)
-    loss_cfg = params.loss  # score with the loss the model was trained with
-    model_fn = lambda batch: predict(params, batch)
-    report = evaluate_model(model_fn, encoded, dataset.magnitude_of(), params.config, loss_cfg)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = _report_paths(args.out, f"eval_{args.split}", report)
-    per_rev = evaluate_per_revision(model_fn, encoded, params.config, loss_cfg)
-    outputs.append(
-        _write_json(
-            os.path.join(args.out, "per_revision.json"),
-            {str(j): row for j, row in per_rev.items()},
-        )
-    )
     inputs = {
         "dataset": os.path.join(args.dataset, "manifest.json"),
         "checkpoint": args.checkpoint,
     }
+    return dataset, params, state, encoded, inputs
+
+
+def cmd_eval(args) -> int:
+    started = time.time()
+    dataset, params, _, encoded, inputs = _load_for_inference(args)
+    samples = build_samples(encoded, params.config)
+    model_fn = lambda batch: predict(params, batch)
+    # score with the loss the model was trained with
+    report, per_revision = evaluate(model_fn, samples, dataset.magnitude_of(), params.loss)
+    os.makedirs(args.out, exist_ok=True)
+    outputs = _report_paths(args.out, f"eval_{args.split}", report, per_revision)
     write_run_manifest(
         args.out, "eval", {"split": args.split}, args.seed, inputs, outputs, started
     )
@@ -351,13 +343,8 @@ def cmd_eval(args) -> int:
 
 def cmd_explain(args) -> int:
     started = time.time()
-    dataset, params, state = _load_for_inference(args)
-    splits = dataset.split_tables()
-    target = encode_events(splits[args.split], state, dataset.schema)
-    train_encoded = encode_events(splits["train"], state, dataset.schema)
-    if not len(target):
-        raise CliError(f"split {args.split!r} is empty")
-
+    dataset, params, state, target, inputs = _load_for_inference(args)
+    train_encoded = encode_events(dataset.split_tables()["train"], state, dataset.schema)
     target_samples = build_samples(target, params.config)
     train_samples = build_samples(train_encoded, params.config)
     schema = dataset.schema
@@ -403,10 +390,6 @@ def cmd_explain(args) -> int:
         "permutations": args.permutations,
         "topk": args.topk,
     }
-    inputs = {
-        "dataset": os.path.join(args.dataset, "manifest.json"),
-        "checkpoint": args.checkpoint,
-    }
     write_run_manifest(
         args.out, "explain", config_doc, args.seed, inputs, [topk_path, attr_path], started
     )
@@ -416,26 +399,18 @@ def cmd_explain(args) -> int:
 
 def cmd_attention(args) -> int:
     started = time.time()
-    dataset, params, state = _load_for_inference(args)
-    events = dataset.split_tables()[args.split]
-    if not len(events):
-        raise CliError(f"split {args.split!r} is empty")
-    event_id = events.event_ids[0] if args.event is None else args.event
-    if event_id not in events.event_ids:
+    _, params, _, encoded, inputs = _load_for_inference(args)
+    event_id = encoded.event_ids[0] if args.event is None else args.event
+    if event_id not in encoded.event_ids:
         raise CliError(f"event {args.event!r} not found in split {args.split!r}")
-    event = events.select([events.event_ids.index(event_id)])
-    encoded = encode_events(event, state, dataset.schema)
-    batch = build_final_samples(encoded, params.config).batch(slice(0, 1))
+    event = encoded.select([encoded.event_ids.index(event_id)])
+    batch = build_final_samples(event, params.config).batch(slice(0, 1))
     stack = explain_mod.extract_attention(
         params, batch, n_random_heads=args.heads, seed=args.seed
     )
     os.makedirs(args.out, exist_ok=True)
     paths = explain_mod.export_heatmap(stack, args.out)
     config_doc = {"event": event_id, "heads": args.heads, "split": args.split}
-    inputs = {
-        "dataset": os.path.join(args.dataset, "manifest.json"),
-        "checkpoint": args.checkpoint,
-    }
     write_run_manifest(args.out, "attention", config_doc, args.seed, inputs, paths, started)
     print(f"wrote {len(paths)} heatmap grids to {args.out}")
     return 0
@@ -545,7 +520,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--threads", type=int, default=1, help="recorded only; sets no thread count")
 
     gen = sub.add_parser("generate", help="generate a synthetic dataset")
     common(gen, dataset=False)

@@ -84,9 +84,8 @@ class FeatureSchema:
 # as_event_table) is on no command's path, but code outside the package still
 # reads it: perfbench's set-up passes EventSeries lists from
 # Dataset.split_events() to fit_transforms and training.encode_events, and the
-# acceptance tests build time-shifted EventSeries from Dataset.events (and call
-# explain.event_batch on one event's arrays). It can go once those read
-# Dataset.split_tables() instead.
+# acceptance tests build time-shifted EventSeries from Dataset.events. It can
+# go once those read Dataset.split_tables() instead.
 @dataclass(frozen=True)
 class Revision:
     """One timestamped snapshot of an event's features.

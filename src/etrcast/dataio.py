@@ -236,27 +236,30 @@ def load_dataset(path: str) -> Dataset:
             manifest = json.load(fh)
     except OSError as exc:
         raise OSError(f"failed reading {manifest_path}: {exc}") from exc
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"{manifest_path}: unsupported format_version {manifest.get('format_version')!r}"
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ValueError(f"{manifest_path}: malformed manifest ({exc})") from exc
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{manifest_path}: unsupported format_version {version!r}")
+    try:
+        schema, categories = _parse_schema(manifest["schema"])
+        storms = tuple(
+            StormRecord(
+                storm_id=s["storm_id"],
+                customers_affected=s["customers_affected"],
+                customers_served=s["customers_served"],
+                magnitude=s["magnitude"],
+                event_ids=tuple(s["event_ids"]),
+            )
+            for s in manifest["storms"]
         )
-    schema, categories = _parse_schema(manifest["schema"])
-
-    storms = tuple(
-        StormRecord(
-            storm_id=s["storm_id"],
-            customers_affected=s["customers_affected"],
-            customers_served=s["customers_served"],
-            magnitude=s["magnitude"],
-            event_ids=tuple(s["event_ids"]),
+        split = DatasetSplit(
+            tuple(manifest["split"]["train"]),
+            tuple(manifest["split"]["validation"]),
+            tuple(manifest["split"]["test"]),
         )
-        for s in manifest["storms"]
-    )
-    split = DatasetSplit(
-        tuple(manifest["split"]["train"]),
-        tuple(manifest["split"]["validation"]),
-        tuple(manifest["split"]["test"]),
-    )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
 
     return Dataset(
         schema=schema,

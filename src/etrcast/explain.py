@@ -50,17 +50,6 @@ class AttentionStack:
     valid_len: int
 
 
-def event_batch(cat_idx: np.ndarray, cont: np.ndarray, deltas: np.ndarray) -> SequenceBatch:
-    """Single-event batch, exactly as long as the event (no padding)."""
-    m = deltas.shape[0]
-    return SequenceBatch(
-        cat_idx=cat_idx[None, :, :],
-        cont=cont[None, :, :],
-        deltas=deltas[None, :],
-        mask=np.ones((1, m), dtype=bool),
-    )
-
-
 def extract_attention(
     params: ModelParams,
     batch: SequenceBatch,

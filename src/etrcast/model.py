@@ -50,10 +50,14 @@ class ModelConfig:
             object.__setattr__(self, "ffn_hidden", 4 * self.d_model)
         if self.head_hidden is None:
             object.__setattr__(self, "head_hidden", self.d_model)
+        # sizes first: the divisibility check below divides by n_heads
+        for name in ("max_seq_len", "d_model", "n_heads", "ffn_hidden", "head_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_layers < 0:
+            raise ValueError(f"n_layers must be >= 0, got {self.n_layers}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.max_seq_len < 1 or self.n_layers < 0 or self.n_heads < 1:
-            raise ValueError("bad size fields in ModelConfig")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.activation not in ("relu", "tanh"):
@@ -420,7 +424,10 @@ def load_checkpoint(
         if len(raw_len) != 8:
             raise ValueError(f"{path}: truncated header")
         (hlen,) = struct.unpack("<Q", raw_len)
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise ValueError(f"{path}: malformed checkpoint header ({exc})") from exc
         version = header.get("format_version") if isinstance(header, dict) else None
         if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"{path}: unsupported checkpoint version")
@@ -435,7 +442,7 @@ def load_checkpoint(
             loss = LossConfig(**header["loss"]) if version > 1 else LossConfig()
             entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
             expected = init_params(config, schema).tensors
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
         if expect_fingerprint is not None and fingerprint != expect_fingerprint:
             raise ValueError(

@@ -8,8 +8,9 @@ estimate would be re-issued as updates arrive. The sample for revision j
 holds revisions max(1, j - max_seq_len + 1) to j, with time deltas restarted
 at its first row, so it depends only on what was known at revision j. A
 batch gathers its samples from the table on demand, padded to its own widest
-window; the final-revision set used for evaluation is a choice of indices,
-not a second builder.
+window. Evaluation (``evaluate``) predicts every sample of a split once: the
+final-revision report reads the samples at each event's last revision, and
+the per-revision error curve reads all of them.
 
 Every batch holds samples of similar window width, so little of it is
 padding. Prediction visits the samples in width order (``by_width``). A
@@ -26,7 +27,7 @@ goes to stderr; wall-clock figures stay out of the history.
 
 The linear baseline fits ordinary least squares (tiny ridge jitter for rank
 safety) on each event's final revision with one-hot categoricals, and is
-evaluated on exactly the same final-prefix prediction set as the model.
+scored by the same ``evaluate`` as the model.
 """
 
 from __future__ import annotations
@@ -128,18 +129,9 @@ class SampleSet:
         return tuple(self.events.event_ids[i] for i in self.event.tolist())
 
     @property
-    def storm_ids(self) -> tuple[str, ...]:
-        return tuple(self.events.storm_ids[i] for i in self.event.tolist())
-
-    @property
     def mask(self) -> np.ndarray:
         """[N, L] valid slots of the whole set as one batch, L its longest window."""
         return np.arange(self.width.max(initial=0)) < self.width[:, None]
-
-    # the whole set as one padded batch
-    cat_idx = property(lambda self: self.batch(slice(None)).cat_idx)
-    cont = property(lambda self: self.batch(slice(None)).cont)
-    deltas = property(lambda self: self.batch(slice(None)).deltas)
 
     def batch(self, idx: np.ndarray | slice) -> SequenceBatch:
         """The samples at ``idx``, zero-padded to the longest window among them."""
@@ -473,37 +465,27 @@ def baseline_predict(baseline: LinearBaseline, batch: SequenceBatch) -> np.ndarr
 # -- evaluation ----------------------------------------------------------------
 
 
-def evaluate_model(
+def evaluate(
     predict_fn: Callable[[SequenceBatch], np.ndarray],
-    events: EncodedTable,
+    samples: SampleSet,
     magnitudes: Mapping[str, str],
-    model_config: ModelConfig,
     loss_config: LossConfig = LossConfig(),
-) -> EvalReport:
-    """Metrics over one prediction per event at its final revision, stratified."""
-    if not events:
-        raise ValueError("evaluate_model: empty split")
-    samples = build_final_samples(events, model_config)
-    preds = predict_in_chunks(predict_fn, samples)
-    strata = tuple(magnitudes[eid] for eid in samples.event_ids)
-    pset = PredictionSet(preds, samples.targets, strata)
-    return eval_report(pset, loss_config)
+) -> tuple[EvalReport, dict[int, dict[str, float]]]:
+    """Score every sample in one chunked pass.
 
-
-def evaluate_per_revision(
-    predict_fn: Callable[[SequenceBatch], np.ndarray],
-    events: EncodedTable,
-    model_config: ModelConfig,
-    loss_config: LossConfig = LossConfig(),
-) -> dict[int, dict[str, float]]:
-    """WAE and count per revision index j over all (event, j) samples."""
-    samples = build_samples(events, model_config)
+    Returns the report over each event's final revision (the samples whose
+    ``prefix_len`` is the event's length), stratified by storm magnitude, and
+    the WAE and count per revision index j over all samples.
+    """
     preds = predict_in_chunks(predict_fn, samples)
-    out: dict[int, dict[str, float]] = {}
-    for j in sorted(set(samples.prefix_len.tolist())):
-        mask = samples.prefix_len == j
-        out[j] = {
-            "wae": wae(preds[mask], samples.targets[mask], loss_config),
-            "count": int(mask.sum()),
+    final = np.flatnonzero(samples.prefix_len == samples.events.lengths[samples.event])
+    strata = tuple(magnitudes[samples.events.event_ids[i]] for i in samples.event[final].tolist())
+    report = eval_report(PredictionSet(preds[final], samples.targets[final], strata), loss_config)
+    per_revision = {}
+    for j in np.unique(samples.prefix_len).tolist():
+        rows = samples.prefix_len == j
+        per_revision[j] = {
+            "wae": wae(preds[rows], samples.targets[rows], loss_config),
+            "count": int(rows.sum()),
         }
-    return out
+    return report, per_revision

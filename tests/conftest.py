@@ -48,3 +48,13 @@ def make_batch(schema, config, n=4, seed=0, lengths=None):
     lengths = np.asarray(lengths)
     mask = np.arange(s)[None, :] < lengths[:, None]
     return SequenceBatch(cat_idx=cat, cont=cont, deltas=deltas, mask=mask)
+
+
+def event_batch(cat_idx, cont, deltas):
+    """Single-event batch, exactly as long as the event (no padding)."""
+    return SequenceBatch(
+        cat_idx=cat_idx[None, :, :],
+        cont=cont[None, :, :],
+        deltas=deltas[None, :],
+        mask=np.ones((1, deltas.shape[0]), dtype=bool),
+    )

@@ -36,15 +36,14 @@ from etrcast.training import (
     build_final_samples,
     build_samples,
     encode_events,
-    evaluate_model,
-    evaluate_per_revision,
+    evaluate,
     fit_linear_baseline,
     plateau_scheduler,
     train_model,
 )
 from etrcast.cli import run as cli_run
 
-from conftest import make_batch
+from conftest import event_batch, make_batch
 
 
 def verdict(label: str, ok: bool, detail: str = "") -> None:
@@ -361,15 +360,15 @@ def test_06_trained_model_beats_linear_baseline(scale_run):
     magnitudes = dataset.magnitude_of()
     test_enc = encode_events(splits["test"], result.transform_state, dataset.schema)
     model_fn = lambda b: predict(result.params, b)
-    model_wae = evaluate_model(model_fn, test_enc, magnitudes, model_cfg).overall.wae
+    model_report, per_rev = evaluate(model_fn, build_samples(test_enc, model_cfg), magnitudes)
+    model_wae = model_report.overall.wae
 
     baseline = fit_linear_baseline(dataset)
     base_enc = encode_events(splits["test"], baseline.state, dataset.schema)
-    base_wae = evaluate_model(
-        lambda b: baseline_predict(baseline, b), base_enc, magnitudes, model_cfg
-    ).overall.wae
+    base_samples = build_final_samples(base_enc, model_cfg)
+    base_report, _ = evaluate(lambda b: baseline_predict(baseline, b), base_samples, magnitudes)
+    base_wae = base_report.overall.wae
 
-    per_rev = evaluate_per_revision(model_fn, test_enc, model_cfg)
     rev1, rev5 = per_rev[1]["wae"], per_rev[5]["wae"]
 
     ok = (
@@ -521,7 +520,7 @@ def test_09_attention_heatmaps_well_formed(micro_schema, micro_config, micro_par
     cont = np.array([[0.5], [-0.25], [1.0], [0.0]])
     deltas = np.array([0.0, 1.5, 4.0, 9.25])
     stack = explain_mod.extract_attention(
-        micro_params, explain_mod.event_batch(cat, cont, deltas)
+        micro_params, event_batch(cat, cont, deltas)
     )
     paths = explain_mod.export_heatmap(stack, str(tmp_path))
     export_ok = len(paths) == micro_config.n_layers
@@ -533,7 +532,7 @@ def test_09_attention_heatmaps_well_formed(micro_schema, micro_config, micro_par
     # degenerate single-revision event collapses to [[1]]
     single = explain_mod.extract_attention(
         micro_params,
-        explain_mod.event_batch(cat[:1], cont[:1], deltas[:1]),
+        event_batch(cat[:1], cont[:1], deltas[:1]),
     )
     single_ok = all(
         layer.mean_weights.shape == (1, 1)
@@ -563,7 +562,7 @@ def test_10_cli_reruns_byte_identical(tmp_path):
         assert cli_run(
             [
                 "train", "--dataset", data, "--out", rund,
-                "--seed", "0", "--epochs", "1", "--threads", "1",
+                "--seed", "0", "--epochs", "1",
             ]
         ) == 0
         assert cli_run(

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from etrcast.cli import SCALES, load_config_file, run
+from etrcast.cli import SCALES, build_parser, load_config_file, run
 from etrcast.data import Revision
 from etrcast.losses import LossConfig
 from etrcast.model import load_checkpoint, save_checkpoint
@@ -30,7 +31,6 @@ def pipeline(tmp_path_factory):
                 "--out", rund,
                 "--seed", "0",
                 "--epochs", "2",
-                "--threads", "1",
             ]
         )
         == 0
@@ -408,6 +408,84 @@ class TestErrorHandling:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no_such_knob = 5\n")
         assert run(["generate", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("field", ["n_heads", "d_model"])
+    def test_zero_model_size_exits_one(self, pipeline, tmp_path, capsys, field):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(f"{field} = 0\n")
+        argv = ["train", "--dataset", pipeline["data"], "--out", str(tmp_path / "o")]
+        assert run([*argv, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{field} must be >= 1" in err and "Traceback" not in err
+
+    @staticmethod
+    def _drop_storm_magnitude(manifest):
+        del manifest["storms"][0]["magnitude"]
+
+    @staticmethod
+    def _with_header(header: bytes):
+        def damage(blob):
+            (length,) = struct.unpack("<Q", blob[8:16])
+            return blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + length :]
+
+        return damage
+
+    @staticmethod
+    def _zero_heads(blob):
+        (length,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + length])
+        header["model_config"]["n_heads"] = 0
+        return TestErrorHandling._with_header(json.dumps(header).encode())(blob)
+
+    @pytest.mark.parametrize(
+        "manifest_damage, checkpoint_damage, message",
+        [
+            (lambda m: m.pop("schema"), None, "malformed manifest"),
+            (lambda m: m.pop("split"), None, "malformed manifest"),
+            (_drop_storm_magnitude, None, "malformed manifest"),
+            ("{not json", None, "malformed manifest"),
+            (None, _with_header(b"\xff\xfe{}"), "malformed checkpoint header"),
+            (None, _with_header(b"{not json"), "malformed checkpoint header"),
+            (None, _zero_heads, "malformed checkpoint header (ValueError('n_heads must be >= 1"),
+        ],
+        ids=["no_schema", "no_split", "no_magnitude", "manifest_not_json",
+             "header_not_utf8", "header_not_json", "header_zero_heads"],
+    )  # fmt: skip
+    def test_malformed_input_names_the_file(
+        self, pipeline, tmp_path, capsys, manifest_damage, checkpoint_damage, message
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        src = pipeline["data"]
+        manifest_text = open(os.path.join(src, "manifest.json"), encoding="utf-8").read()
+        if isinstance(manifest_damage, str):
+            manifest_text = manifest_damage
+        elif manifest_damage is not None:
+            manifest = json.loads(manifest_text)
+            manifest_damage(manifest)
+            manifest_text = json.dumps(manifest)
+        (data / "manifest.json").write_text(manifest_text, encoding="utf-8")
+        (data / "events.jsonl").write_bytes(open(os.path.join(src, "events.jsonl"), "rb").read())
+        checkpoint = tmp_path / "checkpoint.bin"
+        blob = open(os.path.join(pipeline["run"], "checkpoint.bin"), "rb").read()
+        checkpoint.write_bytes(checkpoint_damage(blob) if checkpoint_damage else blob)
+        bad = data / "manifest.json" if manifest_damage is not None else checkpoint
+        argv = ["eval", "--dataset", str(data), "--checkpoint", str(checkpoint)]
+        assert run([*argv, "--out", str(tmp_path / "ev")]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: {message}" in err and "Traceback" not in err
+
+
+class TestReadme:
+    def test_quick_start_commands_parse(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        text = open(readme, encoding="utf-8").read()
+        section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+        lines = section.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines if line.startswith("etrcast ")]
+        assert len(commands) >= 6
+        for argv in commands:
+            build_parser().parse_args(argv[1:])  # an unknown flag raises CliError
 
 
 class TestConfigLayering:

@@ -8,7 +8,6 @@ from etrcast import explain as explain_mod
 from etrcast.data import FeatureSchema, fit_transforms
 from etrcast.explain import (
     aggregate_topk,
-    event_batch,
     export_heatmap,
     extract_attention,
     final_revision_features,
@@ -19,7 +18,7 @@ from etrcast.explain import (
 from etrcast.model import ModelConfig, SequenceBatch, init_params, predict
 from etrcast.training import build_samples, encode_events
 
-from conftest import make_batch
+from conftest import event_batch, make_batch
 
 
 def linear_predict_fn(w_cont, bias=0.0):

@@ -6,6 +6,7 @@ import pytest
 
 from etrcast.data import FeatureSchema, fit_transforms
 from etrcast.losses import LossConfig
+from etrcast.metrics import PredictionSet, eval_report, wae
 from etrcast.model import ModelConfig, init_params, predict
 from etrcast.synth import GeneratorConfig, generate_dataset
 from etrcast.training import (
@@ -20,8 +21,7 @@ from etrcast.training import (
     build_samples,
     encode_events,
     epoch_batches,
-    evaluate_model,
-    evaluate_per_revision,
+    evaluate,
     fit_linear_baseline,
     plateau_scheduler,
     predict_in_chunks,
@@ -54,7 +54,7 @@ class TestBuildSamples:
         m = len(event.deltas)
         # every revision is a prediction point, also beyond the window length
         assert samples.size == m
-        final = build_final_samples(event, cfg)
+        final = build_final_samples(event, cfg).batch(slice(None))
         np.testing.assert_allclose(
             final.cont[0, :3], event.cont[m - 3 : m]
         )
@@ -364,8 +364,8 @@ class TestEvaluate:
         enc = encode_events(splits["test"], state, small_dataset.schema)
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
         params = init_params(cfg, small_dataset.schema, seed=0)
-        report = evaluate_model(
-            lambda b: predict(params, b), enc, small_dataset.magnitude_of(), cfg
+        report, _ = evaluate(
+            lambda b: predict(params, b), build_samples(enc, cfg), small_dataset.magnitude_of()
         )
         assert report.overall.count == len(enc)
         assert sum(r.count for r in report.strata.values()) == len(enc)
@@ -376,16 +376,68 @@ class TestEvaluate:
         enc = encode_events(splits["test"], state, small_dataset.schema)
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
         params = init_params(cfg, small_dataset.schema, seed=0)
-        table = evaluate_per_revision(lambda b: predict(params, b), enc, cfg)
+        magnitudes = small_dataset.magnitude_of()
+        _, table = evaluate(lambda b: predict(params, b), build_samples(enc, cfg), magnitudes)
         assert 1 in table
         total = sum(row["count"] for row in table.values())
         assert total == sum(min(m, cfg.max_seq_len) for m in enc.lengths.tolist())
 
     def test_empty_split_rejected(self, small_dataset):
+        splits = small_dataset.split_tables()
+        state = fit_transforms(splits["train"], small_dataset.schema)
+        empty = encode_events(splits["test"], state, small_dataset.schema).select([])
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
         params = init_params(cfg, small_dataset.schema, seed=0)
         with pytest.raises(ValueError):
-            evaluate_model(lambda b: predict(params, b), [], {}, cfg)
+            evaluate(lambda b: predict(params, b), build_samples(empty, cfg), {})
+
+    @staticmethod
+    def _scored_test_split(small_dataset):
+        splits = small_dataset.split_tables()
+        state = fit_transforms(splits["train"], small_dataset.schema)
+        enc = encode_events(splits["test"], state, small_dataset.schema)
+        cfg = ModelConfig(max_seq_len=4, d_model=8, n_layers=2, n_heads=2)
+        params = init_params(cfg, small_dataset.schema, seed=0)
+        return enc, cfg, lambda b: predict(params, b)
+
+    def test_predicts_every_sample_once(self, small_dataset):
+        enc, cfg, model_fn = self._scored_test_split(small_dataset)
+        samples = build_samples(enc, cfg)
+        rows = []
+
+        def counting(batch):
+            rows.append(batch.size)
+            return model_fn(batch)
+
+        evaluate(counting, samples, small_dataset.magnitude_of())
+        assert sum(rows) == samples.size
+
+    def test_per_revision_is_the_chunked_pass_over_all_samples(self, small_dataset):
+        enc, cfg, model_fn = self._scored_test_split(small_dataset)
+        samples = build_samples(enc, cfg)
+        _, per_revision = evaluate(model_fn, samples, small_dataset.magnitude_of())
+        preds = predict_in_chunks(model_fn, samples)
+        expected = {}
+        for j in sorted(set(samples.prefix_len.tolist())):
+            rows = samples.prefix_len == j
+            expected[j] = {"wae": wae(preds[rows], samples.targets[rows]), "count": int(rows.sum())}
+        assert per_revision == expected
+
+    def test_report_matches_final_revision_predictions(self, small_dataset):
+        enc, cfg, model_fn = self._scored_test_split(small_dataset)
+        magnitudes = small_dataset.magnitude_of()
+        report, _ = evaluate(model_fn, build_samples(enc, cfg), magnitudes)
+        final = build_final_samples(enc, cfg)
+        strata = tuple(magnitudes[eid] for eid in final.event_ids)
+        pset = PredictionSet(predict_in_chunks(model_fn, final), final.targets, strata)
+        expected = eval_report(pset)
+        assert set(report.strata) == set(expected.strata) and report.notes == expected.notes
+        pairs = [(report.overall, expected.overall)]
+        pairs += [(report.strata[name], row) for name, row in expected.strata.items()]
+        for got, want in pairs:
+            assert got.count == want.count
+            for metric in ("upr", "opr8", "wae", "csi", "rmse"):
+                assert math.isclose(getattr(got, metric), getattr(want, metric), rel_tol=1e-12)
 
     def test_chunked_prediction_matches_single_pass(self, small_dataset):
         splits = small_dataset.split_events()
