@@ -1,11 +1,13 @@
 """Command-line pipeline: generate -> train -> eval -> explain / attention.
 
-Every subcommand takes a ``--seed``, resolves its configuration in layers
-(built-in defaults, then an optional ``--config`` key=value file, then flags),
-writes its outputs to a distinct ``--out`` directory, and records a
-run_manifest.json with the resolved config, input/output checksums, and
-timestamps. With a fixed seed every artifact except the manifest (which
-carries wall-clock timestamps by design) is byte-reproducible on one machine.
+Every pipeline subcommand takes a ``--seed``, writes its outputs to a
+distinct ``--out`` directory, and records a run_manifest.json with the
+resolved config, input/output checksums, and timestamps. ``generate`` and
+``train`` resolve their config dataclasses in layers: the field defaults
+(and ``train``'s ``--scale`` preset), then an optional ``--config``
+key=value file of dataclass fields, then flags named like the fields.
+With a fixed seed every artifact except the manifest (which carries
+wall-clock timestamps by design) is byte-reproducible on one machine.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
 """
@@ -17,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -95,33 +97,45 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _layered(defaults: dict, file_cfg: dict[str, str], flags: dict) -> dict:
-    """defaults < config file < explicit flags; values parsed to default's type."""
-    resolved = dict(defaults)
-    for key, raw in file_cfg.items():
-        if key not in resolved:
-            raise CliError(f"unknown config key {key!r}")
-        resolved[key] = _parse_like(resolved[key], raw, key)
-    for key, value in flags.items():
-        if value is not None:
-            resolved[key] = value
-    return resolved
+def _config_file(args, *classes) -> dict[str, str]:
+    """The ``--config`` entries; each key must be a field of one of ``classes``."""
+    file_cfg = load_config_file(args.config) if args.config else {}
+    known = {f.name for cls in classes for f in fields(cls)}
+    unknown = sorted(set(file_cfg) - known)
+    if unknown:
+        raise CliError(f"unknown config keys: {unknown}")
+    return file_cfg
+
+
+def _resolve(cls, preset: dict, file_cfg: dict[str, str], args):
+    """``cls`` from its defaults < ``preset`` < file < ``args`` attributes named like fields."""
+    defaults = cls()
+    resolved = dict(preset)
+    for f in fields(cls):
+        if f.name in file_cfg:
+            resolved[f.name] = _parse_like(getattr(defaults, f.name), file_cfg[f.name], f.name)
+        flag = getattr(args, f.name, None)
+        if flag is not None:
+            resolved[f.name] = tuple(flag) if isinstance(flag, list) else flag
+    return cls(**resolved)
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _parse_like(default, raw: str, key: str):
+    """``raw`` as the type of ``default``; a tuple needs exactly its length."""
+    if isinstance(default, tuple):
+        parts = raw.replace(",", " ").split()
+        if len(parts) != len(default):
+            raise CliError(f"config key {key!r}: expected {len(default)} values, got {raw!r}")
+        return tuple(_parse_like(d, part, key) for d, part in zip(default, parts))
+    if isinstance(default, bool):
+        if raw.lower() not in _BOOLS:
+            raise CliError(f"config key {key!r}: expected true/false/yes/no/1/0, got {raw!r}")
+        return _BOOLS[raw.lower()]
     try:
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if isinstance(default, (tuple, list)):
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            elem = default[0] if default else 0
-            cast = int if isinstance(elem, int) else float
-            return tuple(cast(p) for p in parts)
-        return raw
+        return type(default)(raw)
     except ValueError as exc:
         raise CliError(f"config key {key!r}: cannot parse {raw!r}") from exc
 
@@ -181,20 +195,7 @@ def _report_paths(
 
 def cmd_generate(args) -> int:
     started = time.time()
-    file_cfg = load_config_file(args.config) if args.config else {}
-    defaults = GeneratorConfig().to_dict()
-    flags = {
-        "seed": args.seed,
-        "storms_per_class": args.storms_per_class,
-        "noise_std": args.noise_std,
-        "missing_rate": args.missing_rate,
-        "events_per_storm": tuple(args.events_per_storm) if args.events_per_storm else None,
-        "revisions_per_event": tuple(args.revisions_per_event)
-        if args.revisions_per_event
-        else None,
-    }
-    resolved = _layered(defaults, file_cfg, flags)
-    cfg = GeneratorConfig.from_dict(resolved)
+    cfg = _resolve(GeneratorConfig, {}, _config_file(args, GeneratorConfig), args)
     if cfg.storms_per_class < MIN_STORMS_PER_CLASS:
         raise CliError(
             f"storms_per_class must be >= {MIN_STORMS_PER_CLASS}, got {cfg.storms_per_class}: "
@@ -210,32 +211,12 @@ def cmd_generate(args) -> int:
 
 def _configs_from_args(args) -> tuple[ModelConfig, TrainConfig, LossConfig]:
     scale = SCALES[args.scale]
-    file_cfg = load_config_file(args.config) if args.config else {}
-    model_defaults = {**ModelConfig().to_dict(), **scale["model"]}
-    # ffn/head widths follow the scaled d_model unless explicitly configured
-    model_defaults["ffn_hidden"] = 4 * model_defaults["d_model"]
-    model_defaults["head_hidden"] = model_defaults["d_model"]
-    train_defaults = {**TrainConfig().to_dict(), **scale["train"]}
-    loss_defaults = {"alpha": 5.0, "beta": 2.0, "tau": 8.0, "continuous_over": False}
-
-    model_file = {k: v for k, v in file_cfg.items() if k in model_defaults}
-    train_file = {k: v for k, v in file_cfg.items() if k in train_defaults}
-    loss_file = {k: v for k, v in file_cfg.items() if k in loss_defaults}
-    unknown = set(file_cfg) - set(model_file) - set(train_file) - set(loss_file)
-    if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
-
-    train_flags = {
-        "seed": args.seed,
-        "learning_rate": getattr(args, "lr", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "max_epochs": getattr(args, "epochs", None),
-        "loss": getattr(args, "loss", None),
-    }
-    model_cfg = ModelConfig(**_layered(model_defaults, model_file, {}))
-    train_cfg = TrainConfig(**_layered(train_defaults, train_file, train_flags))
-    loss_cfg = LossConfig(**_layered(loss_defaults, loss_file, {}))
-    return model_cfg, train_cfg, loss_cfg
+    file_cfg = _config_file(args, ModelConfig, TrainConfig, LossConfig)
+    return (
+        _resolve(ModelConfig, scale["model"], file_cfg, args),
+        _resolve(TrainConfig, scale["train"], file_cfg, args),
+        _resolve(LossConfig, {}, file_cfg, args),
+    )
 
 
 def _train_once(
@@ -268,8 +249,8 @@ def _train_once(
 
 def cmd_train(args) -> int:
     started = time.time()
-    dataset = load_dataset(args.dataset)
     model_cfg, train_cfg, loss_cfg = _configs_from_args(args)
+    dataset = load_dataset(args.dataset)
     os.makedirs(args.out, exist_ok=True)
 
     all_outputs: list[str] = []
@@ -294,8 +275,8 @@ def cmd_train(args) -> int:
             )
         )
     config_doc = {
-        "model": model_cfg.to_dict(),
-        "train": train_cfg.to_dict(),
+        "model": asdict(model_cfg),
+        "train": asdict(train_cfg),
         "loss": asdict(loss_cfg),
         "trials": args.trials,
         "scale": args.scale,
@@ -508,6 +489,14 @@ def cmd_selfcheck(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="etrcast", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -518,8 +507,10 @@ def build_parser() -> _Parser:
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="checkpoint file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", help="key=value config file")
+        # generate and train resolve --seed and --config into their config dataclasses
+        p.add_argument("--seed", type=int, default=0 if checkpoint else None)
+        if not checkpoint:
+            p.add_argument("--config", help="key=value file of config dataclass fields")
 
     gen = sub.add_parser("generate", help="generate a synthetic dataset")
     common(gen, dataset=False)
@@ -533,11 +524,11 @@ def build_parser() -> _Parser:
     train = sub.add_parser("train", help="train a model on a dataset")
     common(train)
     train.add_argument("--scale", choices=sorted(SCALES), default="desk")
-    train.add_argument("--epochs", type=int)
+    train.add_argument("--epochs", type=int, dest="max_epochs")
     train.add_argument("--batch-size", type=int)
-    train.add_argument("--lr", type=float)
+    train.add_argument("--lr", type=float, dest="learning_rate")
     train.add_argument("--loss", choices=("asymmetric", "mse"))
-    train.add_argument("--trials", type=int, default=1)
+    train.add_argument("--trials", type=positive_int, default=1)
     train.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -559,7 +550,7 @@ def build_parser() -> _Parser:
     common(at, checkpoint=True)
     at.add_argument("--split", default="test", choices=("train", "validation", "test"))
     at.add_argument("--event", help="event id (default: first event of the split)")
-    at.add_argument("--heads", type=int, help="random heads per layer (default: all)")
+    at.add_argument("--heads", type=positive_int, help="random heads per layer (default: all)")
     at.set_defaults(func=cmd_attention)
 
     sc = sub.add_parser("selfcheck", help="run quick internal property checks")

@@ -65,9 +65,6 @@ class Dataset:
         """The events as objects, built from the table on first use."""
         return self.table.to_events()
 
-    def storms_by_id(self) -> dict[str, StormRecord]:
-        return {s.storm_id: s for s in self.storms}
-
     def _split_positions(self) -> dict[str, list[int]]:
         """Positions of each split's events, in dataset order."""
         out = {}

@@ -65,9 +65,6 @@ class ModelConfig:
         if self.embed_dim_cap < 1 or self.pe_base <= 1.0:
             raise ValueError("bad embed_dim_cap or pe_base")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def embed_dim(cardinality: int, cap: int = 16) -> int:
     """Embedding width for one categorical feature: ceil(sqrt(card)), capped."""
@@ -388,7 +385,7 @@ def save_checkpoint(
     names = sorted(params.tensors)
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "model_config": params.config.to_dict(),
+        "model_config": asdict(params.config),
         "loss": asdict(params.loss),
         "schema": {
             "features": [[n, k] for n, k in params.schema.features],

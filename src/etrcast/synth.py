@@ -118,16 +118,6 @@ class GeneratorConfig:
             d[key] = list(d[key])
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorConfig":
-        kw = dict(d)
-        for key in ("events_per_storm", "revisions_per_event", "thresholds"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
-        if "split_ratios" in kw:
-            kw["split_ratios"] = tuple(kw["split_ratios"])
-        return cls(**kw)
-
 
 def filler_categorical_names(cfg: GeneratorConfig) -> tuple[str, ...]:
     return tuple(f"filler_code_{i + 1}" for i in range(cfg.n_filler_categorical))

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -87,9 +87,6 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # -- sample construction ------------------------------------------------------

@@ -1,17 +1,27 @@
+import contextlib
+import io
 import json
 import os
 import shlex
+import string
 import struct
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etrcast import cli
 from etrcast.cli import SCALES, build_parser, load_config_file, run
 from etrcast.data import Revision
 from etrcast.losses import LossConfig
-from etrcast.model import load_checkpoint, save_checkpoint
+from etrcast.model import ModelConfig, load_checkpoint, save_checkpoint
+from etrcast.synth import GeneratorConfig
+from etrcast.training import TrainConfig
 
 GEN_ARGS = ["--storms-per-class", "6", "--events-per-storm", "5", "8"]
 
@@ -409,6 +419,26 @@ class TestErrorHandling:
         cfg.write_text("no_such_knob = 5\n")
         assert run(["generate", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["train", "--dataset", "d", "--out", "o", "--trials", "0"], "--trials"),
+            (["attention", "--dataset", "d", "--checkpoint", "c", "--out", "o", "--heads", "0"],
+             "--heads"),
+        ],
+    )  # fmt: skip
+    def test_count_flag_below_one_exits_one(self, tmp_path, capsys, argv, flag):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= 1, got 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "explain", "attention"])
+    def test_config_only_on_generate_and_train(self, tmp_path, capsys, command):
+        argv = [command, "--dataset", "d", "--checkpoint", "c", "--out", str(tmp_path / "o")]
+        assert run([*argv, "--config", str(tmp_path / "no_such_file.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --config" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("field", ["n_heads", "d_model"])
     def test_zero_model_size_exits_one(self, pipeline, tmp_path, capsys, field):
         cfg = tmp_path / "model.cfg"
@@ -517,6 +547,170 @@ class TestConfigLayering:
         assert load_config_file(str(cfg)) == {"alpha": "3.5"}
         with pytest.raises(Exception):
             load_config_file(str(tmp_path / "missing.cfg"))
+
+    def test_every_field_reaches_the_resolved_config(self, tmp_path):
+        assert set(FIELD_VALUES) == _field_names(*CONFIG_CLASSES)
+        for name, (raw, expected) in FIELD_VALUES.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"{name} = {raw}\n")
+            with_file = _resolved(cfg, name)
+            assert with_file == expected and type(with_file) is type(expected), name
+            assert _resolved(None, name) != expected, name
+
+    def test_ffn_and_head_widths_follow_the_file_d_model(self, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("d_model = 64\n")
+        model_cfg, _, _ = _train_configs("--config", str(cfg))
+        assert (model_cfg.d_model, model_cfg.ffn_hidden, model_cfg.head_hidden) == (64, 256, 64)
+        cfg.write_text("d_model = 64\nhead_hidden = 16\n")
+        model_cfg, _, _ = _train_configs("--config", str(cfg))
+        assert (model_cfg.ffn_hidden, model_cfg.head_hidden) == (256, 16)
+
+    def test_file_seed_takes_effect_and_the_flag_wins(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("seed = 7\n")
+        assert _generator_config().seed == 0
+        assert _generator_config("--config", str(cfg)).seed == 7
+        assert _generator_config("--config", str(cfg), "--seed", "2").seed == 2
+        assert _train_configs()[1].seed == 0
+        assert _train_configs("--config", str(cfg))[1].seed == 7
+        assert _train_configs("--config", str(cfg), "--seed", "2")[1].seed == 2
+
+    @pytest.mark.parametrize("spelling", ["1", "TRUE", "Yes", "true", "0", "False", "NO"])
+    def test_bool_spellings(self, tmp_path, spelling):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(f"continuous_over = {spelling}\n")
+        loss_cfg = _train_configs("--config", str(cfg))[2]
+        assert loss_cfg.continuous_over is (spelling.lower() in ("1", "true", "yes"))
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("generate", "events_per_storm = 4"),
+            ("generate", "split_ratios = 0.7 0.3"),
+            ("generate", "revisions_per_event = 3 4 5"),
+            ("train", "continuous_over = flase"),
+            ("train", "continuous_over = 2"),
+        ],
+    )
+    def test_malformed_value_exits_one_naming_the_key(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = str(tmp_path / "o")
+        argv = {"generate": ["generate"], "train": ["train", "--dataset", str(tmp_path / "none")]}
+        assert run([*argv[command], "--out", out, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"config key {line.split()[0]!r}" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+
+CONFIG_CLASSES = (GeneratorConfig, ModelConfig, TrainConfig, LossConfig)
+
+# a valid value unlike the resolved default (desk preset for train), per field
+FIELD_VALUES = {
+    # GeneratorConfig; seed is also a TrainConfig field
+    "seed": ("7", 7),
+    "storms_per_class": ("6", 6),
+    "events_per_storm": ("3, 4", (3, 4)),
+    "revisions_per_event": ("2 5", (2, 5)),
+    "n_filler_categorical": ("2", 2),
+    "n_filler_continuous": ("3", 3),
+    "noise_std": ("0.25", 0.25),
+    "missing_rate": ("0.1", 0.1),
+    "thresholds": ("0.04,0.3", (0.04, 0.3)),
+    "split_ratios": ("0.6 0.2 0.2", (0.6, 0.2, 0.2)),
+    # ModelConfig; max_seq_len is also a GeneratorConfig field
+    "max_seq_len": ("12", 12),
+    "d_model": ("64", 64),
+    "n_layers": ("3", 3),
+    "n_heads": ("8", 8),
+    "ffn_hidden": ("100", 100),
+    "head_hidden": ("20", 20),
+    "embed_dim_cap": ("8", 8),
+    "dropout": ("0.1", 0.1),
+    "activation": ("tanh", "tanh"),
+    "pe_base": ("500", 500.0),
+    "head_bias_init": ("1.5", 1.5),
+    # TrainConfig
+    "learning_rate": ("0.01", 0.01),
+    "batch_size": ("64", 64),
+    "beta1": ("0.8", 0.8),
+    "beta2": ("0.99", 0.99),
+    "adam_eps": ("1e-7", 1e-7),
+    "plateau_factor": ("0.5", 0.5),
+    "plateau_patience": ("3", 3),
+    "min_delta": ("0.01", 0.01),
+    "max_epochs": ("7", 7),
+    "loss": ("mse", "mse"),
+    # LossConfig
+    "alpha": ("4", 4.0),
+    "beta": ("3", 3.0),
+    "tau": ("6.5", 6.5),
+    "continuous_over": ("yes", True),
+}
+
+
+def _generator_config(*argv):
+    args = build_parser().parse_args(["generate", "--out", "unused", *argv])
+    return cli._resolve(GeneratorConfig, {}, cli._config_file(args, GeneratorConfig), args)
+
+
+def _train_configs(*argv):
+    args = build_parser().parse_args(["train", "--dataset", "unused", "--out", "unused", *argv])
+    return cli._configs_from_args(args)
+
+
+def _resolved(cfg, name):
+    """Field ``name`` as resolved by generate and/or train, whichever has it."""
+    argv = ("--config", str(cfg)) if cfg else ()
+    values = []
+    if name in _field_names(GeneratorConfig):
+        values.append(getattr(_generator_config(*argv), name))
+    if name in _field_names(ModelConfig, TrainConfig, LossConfig):
+        values += [getattr(c, name) for c in _train_configs(*argv) if name in _field_names(type(c))]
+    assert values and all(v == values[0] for v in values), (name, values)
+    return values[0]
+
+
+def _field_names(*classes):
+    return {f.name for cls in classes for f in fields(cls)}
+
+
+_number = st.one_of(
+    st.integers().map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-0"]),
+)
+_value = st.one_of(
+    _number,
+    st.text(alphabet=string.ascii_letters, min_size=1, max_size=8),
+    st.builds(lambda sep, parts: sep.join(parts), st.sampled_from([" ", ",", ", "]),
+              st.lists(_number, max_size=4)),
+)
+_key = st.sampled_from(
+    sorted(_field_names(*CONFIG_CLASSES)) + ["no_such_knob", "D_MODEL", "lr", "epochs", "trials"]
+)
+_config_text = st.lists(st.builds("{} = {}".format, _key, _value), max_size=6).map("\n".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_config_text)
+def test_any_config_file_ends_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "c.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        data = os.path.join(tmp, "data")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            missing = os.path.join(tmp, "missing")
+            train_code = run(["train", "--dataset", missing, "--out", os.path.join(tmp, "t"),
+                              "--config", cfg])  # fmt: skip
+            gen_code = run(["generate", "--out", data, "--storms-per-class", "1", "--config", cfg])
+        assert train_code in (1, 2)
+        assert gen_code == 1
+        assert not os.path.exists(data)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSelfcheck:

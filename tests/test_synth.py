@@ -227,8 +227,3 @@ def test_schema_has_expected_features():
     for name in SIGNAL_CONTINUOUS:
         assert name in schema.continuous
     assert categories["priority"] == ("P1", "P2", "P3", "P4")
-
-
-def test_config_roundtrip():
-    cfg = GeneratorConfig(seed=5, storms_per_class=6, noise_std=0.25)
-    assert GeneratorConfig.from_dict(cfg.to_dict()) == cfg
