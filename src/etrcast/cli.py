@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -145,16 +145,17 @@ def write_run_manifest(
     command: str,
     config: dict,
     seed: int,
-    inputs: dict[str, str],
+    inputs: Mapping[str, str],
     outputs: Sequence[str],
     started: float,
 ) -> str:
+    """Write ``run_manifest.json``; ``inputs`` maps each input path to its sha256."""
     doc = {
         "format_version": 1,
         "command": command,
         "config": config,
         "seed": seed,
-        "inputs": {path: file_sha256(path) for path in sorted(inputs.values())},
+        "inputs": dict(inputs),
         "outputs": {path: file_sha256(path) for path in sorted(outputs)},
         "started": started,
         "finished": time.time(),
@@ -202,8 +203,7 @@ def cmd_generate(args) -> int:
             "validation and test take 2 storms of each class, so the training split would be empty"
         )
     os.makedirs(args.out, exist_ok=True)
-    generate_dataset(cfg, args.out)
-    outputs = [os.path.join(args.out, "manifest.json"), os.path.join(args.out, "events.jsonl")]
+    outputs = list(generate_dataset(cfg, args.out).files)
     write_run_manifest(args.out, "generate", cfg.to_dict(), cfg.seed, {}, outputs, started)
     print(f"generated dataset at {args.out} ({cfg.storms_per_class * 3} storms)")
     return 0
@@ -281,8 +281,9 @@ def cmd_train(args) -> int:
         "trials": args.trials,
         "scale": args.scale,
     }
-    inputs = {"dataset": os.path.join(args.dataset, "manifest.json")}
-    write_run_manifest(args.out, "train", config_doc, train_cfg.seed, inputs, all_outputs, started)
+    write_run_manifest(
+        args.out, "train", config_doc, train_cfg.seed, dataset.files, all_outputs, started
+    )
     return 0
 
 
@@ -295,14 +296,13 @@ def _load_for_inference(
     params, state, _ = load_checkpoint(args.checkpoint, expect_fingerprint=fingerprint)
     if state is None:
         raise CliError(f"checkpoint {args.checkpoint} carries no transform state")
+    if params.schema != dataset.schema:
+        raise CliError(f"{args.checkpoint}: trained on another feature schema than the dataset")
     events = dataset.split_tables()[args.split]
     if not len(events):
         raise CliError(f"split {args.split!r} is empty")
     encoded = encode_events(events, state, dataset.schema)
-    inputs = {
-        "dataset": os.path.join(args.dataset, "manifest.json"),
-        "checkpoint": args.checkpoint,
-    }
+    inputs = {**dataset.files, args.checkpoint: file_sha256(args.checkpoint)}
     return dataset, params, state, encoded, inputs
 
 
@@ -539,11 +539,11 @@ def build_parser() -> _Parser:
     ex = sub.add_parser("explain", help="Shapley attributions per revision index")
     common(ex, checkpoint=True)
     ex.add_argument("--split", default="test", choices=("train", "validation", "test"))
-    ex.add_argument("--revisions", type=int, default=5)
-    ex.add_argument("--events", type=int, default=10, help="samples per revision index")
-    ex.add_argument("--background", type=int, default=64)
-    ex.add_argument("--permutations", type=int, default=200)
-    ex.add_argument("--topk", type=int, default=5)
+    ex.add_argument("--revisions", type=positive_int, default=5)
+    ex.add_argument("--events", type=positive_int, default=10, help="samples per revision index")
+    ex.add_argument("--background", type=positive_int, default=64)
+    ex.add_argument("--permutations", type=positive_int, default=200)
+    ex.add_argument("--topk", type=positive_int, default=5)
     ex.set_defaults(func=cmd_explain)
 
     at = sub.add_parser("attention", help="export attention heatmap grids")

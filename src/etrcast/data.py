@@ -11,13 +11,15 @@ event as one row of flat arrays (timestamps ``t [R]``, raw category indices
 ``offsets[i]:offsets[i + 1]``, and per-event arrays hold ids, storm ids and
 targets. ``fit_transforms`` and ``encode_table`` are a few numpy operations
 over all rows at once, and an :class:`EncodedTable` keeps the same layout with
-dense indices, Z-scores and time deltas. The generator and the loader both
-build their table with :func:`build_table`, from
-``(event_id, storm_id, target, t, cat, cont)`` records. :class:`EventSeries`
-and :class:`Revision` remain an object view of one event for callers that
-build or read events by hand; a function here that takes such objects
-converts them to a table once, at the top. Fitted statistics live in an
-immutable :class:`TransformState`.
+dense indices, Z-scores and time deltas. The generator and the JSON loader
+both build their table with :func:`build_table`, from
+``(event_id, storm_id, target, t, cat, cont)`` records; a table read whole
+from a dataset's ``events.bin`` sidecar (see ``etrcast.dataio``) skips the
+records but passes the same all-row checks, :func:`check_table`.
+:class:`EventSeries` and :class:`Revision` remain an object view of one
+event for callers that build or read events by hand; a function here that
+takes such objects converts them to a table once, at the top. Fitted
+statistics live in an immutable :class:`TransformState`.
 
 Missing values are represented as ``MISSING_CAT`` (-1) for categorical
 indices and NaN for continuous values. Encoding removes both.
@@ -29,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -273,8 +275,13 @@ class EventTable(_Events):
 class _Columns:
     """Events added one at a time, each converted to compact arrays on arrival."""
 
-    def __init__(self, schema: FeatureSchema, vocabularies: Sequence[Mapping] | None):
-        self.schema, self.vocabularies = schema, vocabularies
+    def __init__(
+        self,
+        schema: FeatureSchema,
+        vocabularies: Sequence[Mapping] | None,
+        storms: Collection[str] | None,
+    ):
+        self.schema, self.vocabularies, self.storms = schema, vocabularies, storms
         self.event_ids: list = []
         self.storm_ids: list = []
         self.targets: list[float] = []
@@ -286,6 +293,8 @@ class _Columns:
     def add(self, event_id, storm_id, target, t: Sequence, cat: Sequence, cont: Sequence) -> None:
         """Append one event; ``t``, ``cat`` and ``cont`` hold one item per revision."""
         p, q = self.schema.p, self.schema.q
+        if not isinstance(event_id, str) or not isinstance(storm_id, str):
+            raise ValueError("event_id and storm_id must be strings")
         if set(map(len, cat)) - {p} or set(map(len, cont)) - {q}:
             j = next(j for j, (c, x) in enumerate(zip(cat, cont)) if (len(c), len(x)) != (p, q))
             raise ValueError(f"event {event_id} revision {j}: value lengths do not match schema")
@@ -305,42 +314,63 @@ class _Columns:
         self.cont.append(values)
 
     def table(self) -> EventTable:
-        """The events added so far, after the checks that need all their rows.
+        """The events added so far, after :func:`check_table`."""
+        schema = self.schema
+        table = EventTable(
+            tuple(self.event_ids),
+            tuple(self.storm_ids),
+            np.array(self.targets, dtype=np.float64),
+            _offsets(self.lengths),
+            np.concatenate([np.empty(0), *self.t]),
+            np.array(self.cat, dtype=np.int64).reshape(-1, schema.p),
+            np.concatenate([np.empty((0, schema.q)), *self.cont]),
+        )
+        check_table(table, schema, self.storms)
+        return table
 
-        Raises :class:`EventError` naming the first event that fails one.
-        """
-        schema, ids, n = self.schema, self.event_ids, len(self.event_ids)
-        offsets = _offsets(self.lengths)
-        row_event = np.repeat(np.arange(n), self.lengths)
-        targets = np.array(self.targets, dtype=np.float64)
-        t = np.concatenate([np.empty(0), *self.t])
-        cont = np.concatenate([np.empty((0, schema.q)), *self.cont])
-        cat = np.array(self.cat, dtype=np.int64).reshape(-1, schema.p)
-        ok = np.isfinite(t)
-        ok[1:] &= (row_event[1:] != row_event[:-1]) | (np.diff(t) > 0.0)
-        problems = []  # (event, message) of the first failure of each check
-        for bad, why in (
-            (np.asarray(self.lengths) == 0, "needs at least one revision"),
-            (np.bincount(row_event, ~ok, n) > 0, "timestamps must be finite and strictly increase"),
-            (~(targets >= 0.0) | ~np.isfinite(targets), "bad target_duration"),
-        ):
-            if bad.any():
-                e = int(np.argmax(bad))
-                problems.append((e, f"event {ids[e]}: {why}"))
-        cards = np.array([schema.cardinalities[name] for name in schema.categorical])
-        out_of_range = (cat != MISSING_CAT) & ((cat < 0) | (cat >= cards))
-        if out_of_range.any():
-            r, c = np.argwhere(out_of_range)[0]
-            e = int(row_event[r])
-            why = f"index {cat[r, c]} out of range for feature {schema.categorical[c]!r}"
-            problems.append((e, f"event {ids[e]} revision {r - offsets[e]}: {why}"))
-        if problems:
-            raise EventError(*min(problems))
-        return EventTable(tuple(ids), tuple(self.storm_ids), targets, offsets, t, cat, cont)
+
+def check_table(table: EventTable, schema: FeatureSchema, storms: Collection[str] | None) -> None:
+    """The checks that need every row of a table, over all rows at once.
+
+    Each event needs at least one revision, finite and strictly increasing
+    timestamps, a finite non-negative target, category indices in range and,
+    when ``storms`` is given, a storm id among them. Raises
+    :class:`EventError` naming the first event that fails one.
+    """
+    ids, n, lengths = table.event_ids, len(table), table.lengths
+    row_event = np.repeat(np.arange(n), lengths)
+    targets, cat = table.targets, table.cat
+    ok = np.isfinite(table.t)
+    ok[1:] &= (row_event[1:] != row_event[:-1]) | (np.diff(table.t) > 0.0)
+    checks = [
+        (lengths == 0, "needs at least one revision"),
+        (np.bincount(row_event, ~ok, n) > 0, "timestamps must be finite and strictly increase"),
+        (~(targets >= 0.0) | ~np.isfinite(targets), "bad target_duration"),
+    ]
+    if storms is not None:
+        unknown = np.array([s not in storms for s in table.storm_ids], dtype=bool)
+        checks.append((unknown, "storm_id is not a storm of the manifest"))
+    problems = []  # (event, message) of the first failure of each check
+    for bad, why in checks:
+        if bad.any():
+            e = int(np.argmax(bad))
+            problems.append((e, f"event {ids[e]}: {why}"))
+    cards = np.array([schema.cardinalities[name] for name in schema.categorical])
+    out_of_range = (cat != MISSING_CAT) & ((cat < 0) | (cat >= cards))
+    if out_of_range.any():
+        r, c = np.argwhere(out_of_range)[0]
+        e = int(row_event[r])
+        why = f"index {cat[r, c]} out of range for feature {schema.categorical[c]!r}"
+        problems.append((e, f"event {ids[e]} revision {r - table.offsets[e]}: {why}"))
+    if problems:
+        raise EventError(*min(problems))
 
 
 def build_table(
-    records: Iterable[tuple], schema: FeatureSchema, vocabularies: Sequence[Mapping] | None = None
+    records: Iterable[tuple],
+    schema: FeatureSchema,
+    vocabularies: Sequence[Mapping] | None = None,
+    storms: Collection[str] | None = None,
 ) -> EventTable:
     """One EventTable from ``(event_id, storm_id, target, t, cat, cont)`` records.
 
@@ -348,11 +378,11 @@ def build_table(
     raw indices, or vocabulary values when ``vocabularies`` maps each
     categorical feature's values (``None`` for missing) to raw indices. Each
     record becomes compact arrays as it arrives; the checks that need every
-    row (timestamps, targets, empty events, index ranges) run over all rows
+    row (:func:`check_table`, with ``storms`` when given) run over all rows
     at the end. The :class:`EventError` raised names the first bad record,
     also when reading the records fails.
     """
-    columns = _Columns(schema, vocabularies)
+    columns = _Columns(schema, vocabularies, storms)
     failure = None
     try:
         for record in records:

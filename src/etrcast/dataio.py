@@ -1,4 +1,4 @@
-"""Dataset persistence: a manifest document plus one JSON-lines record file.
+"""Dataset persistence: a manifest document, one JSON-lines record file and its sidecar.
 
 Layout of a dataset directory:
 
@@ -7,23 +7,40 @@ Layout of a dataset directory:
 - ``events.jsonl`` — one event per line: event_id, storm_id, target_duration,
   and a revision table (timestamp, categorical strings, continuous values,
   ``null`` for missing). Field order follows the manifest's feature list.
+  It is the interchange format and the source of truth.
+- ``events.bin`` — a columnar sidecar that ``save_dataset`` writes next to
+  ``events.jsonl``: the ``EventTable`` columns (``t``, ``cat``, ``cont``,
+  ``targets``, ``offsets``) as raw little-endian arrays in the container
+  layout checkpoints use. Its header records the sha256 of ``events.jsonl``
+  (hashed from the lines as they were written), the ``dataset_fingerprint``
+  under whose vocabularies the raw category indices hold, the event and
+  storm ids, each column's name, dtype and shape, and a sha256 of the ids,
+  column specs and column bytes.
 
 Serialization is canonical (sorted keys, no whitespace) so identical inputs
 produce identical bytes; ``dataset_fingerprint`` hashes the schema portion for
-checkpoint compatibility checks. ``load_dataset`` reads ``events.jsonl`` in
-one pass into an ``EventTable`` (see ``etrcast.data``), and a bad event ends
-the load with ``<path>:<line>`` of the first bad event in the file.
+checkpoint compatibility checks. ``load_dataset`` hashes ``events.jsonl`` and
+reads the sidecar only when its recorded hash and fingerprint match the files
+on disk; it then runs the same all-row checks as the JSON path
+(``data.check_table``). A damaged current sidecar (truncated, trailing bytes,
+a wrong dtype or shape, a bad magic, header or content digest, or a failed
+check) ends the load with ``<dir>/events.bin: ...``. Without a sidecar, or
+with a stale one (``events.jsonl`` or the vocabularies edited since it was
+written), the load reads ``events.jsonl`` in one pass into an ``EventTable``
+(see ``etrcast.data``), and a bad event ends it with ``<path>:<line>`` of
+the first bad event in the file.
 """
-
 from __future__ import annotations
 
 import hashlib
+import math
 import json
 import operator
 import os
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterator, Mapping, Sequence
+from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,20 +54,86 @@ from .data import (
     FeatureSchema,
     StormRecord,
     build_table,
+    check_table,
 )
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 EVENTS_NAME = "events.jsonl"
+SIDECAR_NAME = "events.bin"
+SIDECAR_MAGIC = b"ETRCEVT1"
+SIDECAR_VERSION = 1
 
 
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+# -- container -----------------------------------------------------------------
+#
+# Checkpoints and the events.bin sidecar share one layout: magic, the header's
+# byte length as a little-endian uint64, a canonical-JSON header, then raw
+# little-endian arrays in C order. It embeds no timestamp, so equal inputs give
+# equal bytes. Readers bound every length by the bytes left in the file.
+
+
+def write_container(path: str, magic: bytes, header: Any, arrays: Iterable[np.ndarray]) -> str:
+    """Write a container file; returns the sha256 of the bytes written."""
+    blob = canonical_json(header).encode("utf-8")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in (magic, struct.pack("<Q", len(blob)), blob):
+            fh.write(chunk)
+            digest.update(chunk)
+        for array in arrays:
+            data = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<")).tobytes()
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def _bytes_left(fh: IO[bytes]) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
+def read_header(fh: IO[bytes], path: str, magic: bytes, kind: str) -> Any:
+    """The header of an open container file, after its magic."""
+    if fh.read(len(magic)) != magic:
+        raise ValueError(f"{path}: not a {kind} file")
+    raw_len = fh.read(8)
+    if len(raw_len) != 8:
+        raise ValueError(f"{path}: truncated header")
+    (length,) = struct.unpack("<Q", raw_len)
+    if length > _bytes_left(fh):
+        raise ValueError(f"{path}: truncated header")
+    try:
+        return json.loads(fh.read(length).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or nested too deep
+        raise ValueError(f"{path}: malformed {kind} header ({exc})") from exc
+
+
+def read_array(fh: IO[bytes], path: str, dtype: str, shape: Sequence[int], what: str) -> np.ndarray:
+    """The next array of a container file: little-endian ``dtype`` of ``shape``."""
+    if np.dtype(dtype).itemsize * math.prod(shape) > _bytes_left(fh):
+        raise ValueError(f"{path}: truncated {what}")
+    array = np.empty(shape, dtype=dtype)
+    fh.readinto(array.reshape(-1).view(np.uint8))
+    return array
+
+
+def check_end(fh: IO[bytes], path: str, what: str) -> None:
+    if fh.read(1):
+        raise ValueError(f"{path}: trailing bytes after the last {what}")
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """A fully loaded dataset: schema, vocabularies, storms, split, events."""
+    """A fully loaded dataset: schema, vocabularies, storms, split, events.
+
+    ``files`` maps the path of each file the dataset was saved to, or loaded
+    from (``manifest.json`` and ``events.jsonl``), to its sha256; it is empty
+    for a dataset built in memory.
+    """
 
     schema: FeatureSchema
     categories: Mapping[str, tuple[str, ...]]  # feature -> raw index order
@@ -59,6 +142,7 @@ class Dataset:
     table: EventTable
     generator_config: Mapping[str, Any] | None
     seed: int
+    files: Mapping[str, str] = field(default_factory=dict)
 
     @cached_property
     def events(self) -> tuple[EventSeries, ...]:
@@ -121,8 +205,50 @@ def _event_lines(dataset: Dataset) -> Iterator[str]:
         yield canonical_json(record)
 
 
+def _column_specs(n_events: int, n_rows: int, schema: FeatureSchema) -> list[dict]:
+    """Name, dtype and shape of each sidecar column, in file order."""
+    return [
+        {"name": "t", "dtype": "<f8", "shape": [n_rows]},
+        {"name": "cat", "dtype": "<i8", "shape": [n_rows, schema.p]},
+        {"name": "cont", "dtype": "<f8", "shape": [n_rows, schema.q]},
+        {"name": "targets", "dtype": "<f8", "shape": [n_events]},
+        {"name": "offsets", "dtype": "<i8", "shape": [n_events + 1]},
+    ]
+
+
+def _content_sha256(content_json: str, columns: Iterable[np.ndarray]) -> str:
+    """sha256 of a sidecar's ids and column specs as canonical JSON, then its column bytes."""
+    digest = hashlib.sha256(content_json.encode("utf-8"))
+    for column in columns:
+        digest.update(column)
+    return digest.hexdigest()
+
+
+def _write_sidecar(path: str, dataset: Dataset, events_sha256: str) -> str:
+    """Write the table's columns to ``path``; returns the file's sha256."""
+    table, schema = dataset.table, dataset.schema
+    specs = _column_specs(len(table), len(table.t), schema)
+    columns = [np.ascontiguousarray(getattr(table, s["name"]), dtype=s["dtype"]) for s in specs]
+    content = {
+        "event_ids": list(table.event_ids),
+        "storm_ids": list(table.storm_ids),
+        "columns": specs,
+    }
+    header = {
+        "format_version": SIDECAR_VERSION,
+        "events_sha256": events_sha256,
+        "dataset_fingerprint": dataset_fingerprint(schema, dataset.categories),
+        **content,
+        "content_sha256": _content_sha256(canonical_json(content), columns),
+    }
+    return write_container(path, SIDECAR_MAGIC, header, columns)
+
+
 def save_dataset(dataset: Dataset, out_dir: str) -> dict[str, str]:
-    """Write manifest.json and events.jsonl; returns {name: path}."""
+    """Write manifest.json, events.jsonl and its events.bin sidecar.
+
+    Returns the sha256 of each file written, by path.
+    """
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -147,19 +273,26 @@ def save_dataset(dataset: Dataset, out_dir: str) -> dict[str, str]:
         else None,
         "seed": dataset.seed,
     }
-    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    events_path = os.path.join(out_dir, EVENTS_NAME)
+    manifest_path, events_path, sidecar_path = (
+        os.path.join(out_dir, name) for name in (MANIFEST_NAME, EVENTS_NAME, SIDECAR_NAME)
+    )
+    files = {}
     try:
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(manifest))
-            fh.write("\n")
-        with open(events_path, "w", encoding="utf-8") as fh:
+        manifest_bytes = (canonical_json(manifest) + "\n").encode("utf-8")
+        with open(manifest_path, "wb") as fh:
+            fh.write(manifest_bytes)
+        files[manifest_path] = hashlib.sha256(manifest_bytes).hexdigest()
+        digest = hashlib.sha256()
+        with open(events_path, "wb") as fh:
             for line in _event_lines(dataset):
-                fh.write(line)
-                fh.write("\n")
+                data = (line + "\n").encode("utf-8")
+                fh.write(data)
+                digest.update(data)
+        files[events_path] = digest.hexdigest()
+        files[sidecar_path] = _write_sidecar(sidecar_path, dataset, files[events_path])
     except OSError as exc:
         raise OSError(f"failed writing dataset under {out_dir}: {exc}") from exc
-    return {"manifest": manifest_path, "events": events_path}
+    return files
 
 
 def _parse_schema(doc: dict) -> tuple[FeatureSchema, dict[str, tuple[str, ...]]]:
@@ -176,11 +309,13 @@ def _parse_schema(doc: dict) -> tuple[FeatureSchema, dict[str, tuple[str, ...]]]
 _REVISION_FIELDS = operator.itemgetter("t", "cat", "cont")
 
 
-def _parse_line(line: str) -> tuple:
+def _parse_line(line: bytes) -> tuple:
     """One events.jsonl line as (event_id, storm_id, target, t, cat, cont)."""
     try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
+        rec = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 ({exc})") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed JSON ({exc})") from None
     if not isinstance(rec, dict):
         raise ValueError("malformed JSON (expected an object)")
@@ -194,14 +329,14 @@ def _parse_line(line: str) -> tuple:
 
 def _records(path: str, lines: list[int]) -> Iterator[tuple]:
     """The parsed non-blank lines of an events.jsonl file; notes each one's number."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 lines.append(line_no)
                 yield _parse_line(line)
 
 
-def _read_events(path: str, schema: FeatureSchema, categories) -> EventTable:
+def _read_events(path: str, schema: FeatureSchema, categories, storms) -> EventTable:
     """Every event of an events.jsonl file, in one pass.
 
     A bad event raises ValueError naming ``<path>:<line>`` of the first bad
@@ -213,27 +348,83 @@ def _read_events(path: str, schema: FeatureSchema, categories) -> EventTable:
     ]
     lines: list[int] = []
     try:
-        return build_table(_records(path, lines), schema, vocabularies)
+        return build_table(_records(path, lines), schema, vocabularies, storms)
     except EventError as exc:
         raise ValueError(f"{path}:{lines[exc.event]}: {exc}") from exc
     except OSError as exc:
         raise OSError(f"failed reading {path}: {exc}") from exc
 
 
-def load_dataset(path: str) -> Dataset:
-    """Load a dataset directory (or a manifest path) and validate every event."""
-    if os.path.isdir(path):
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        events_path = os.path.join(path, EVENTS_NAME)
-    else:
-        manifest_path = path
-        events_path = os.path.join(os.path.dirname(path), EVENTS_NAME)
+def _read_sidecar(
+    path: str, schema: FeatureSchema, keys: dict[str, Any], storms
+) -> EventTable | None:
+    """The table in an events.bin sidecar; None when there is none or it is stale.
+
+    The sidecar is stale when its recorded ``keys`` (format version, sha256 of
+    events.jsonl, dataset fingerprint) differ from ``keys``. A current one is
+    read in full and checked as the JSON path checks its events; any damage
+    raises ValueError naming ``path``.
+    """
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    with fh:
+        header = read_header(fh, path, SIDECAR_MAGIC, "sidecar")
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: malformed sidecar header (expected an object)")
+        if any(header.get(key) != value for key, value in keys.items()):
+            return None
+        try:
+            content = {name: header[name] for name in ("event_ids", "storm_ids", "columns")}
+            content_json = canonical_json(content)
+            event_ids, storm_ids = tuple(content["event_ids"]), tuple(content["storm_ids"])
+            n_rows = content["columns"][0]["shape"][0]
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed sidecar header ({exc!r})") from exc
+        if len(storm_ids) != len(event_ids) or set(map(type, event_ids + storm_ids)) - {str}:
+            raise ValueError(f"{path}: malformed sidecar header (event or storm ids)")
+        if type(n_rows) is not int or n_rows < 0:
+            raise ValueError(f"{path}: malformed sidecar header (row count {n_rows!r})")
+        specs = _column_specs(len(event_ids), n_rows, schema)
+        if content["columns"] != specs:
+            raise ValueError(f"{path}: columns {content['columns']} do not match {specs}")
+        columns = {
+            s["name"]: read_array(fh, path, s["dtype"], s["shape"], f"column {s['name']}")
+            for s in specs
+        }
+        check_end(fh, path, "column")
+    if _content_sha256(content_json, columns.values()) != header.get("content_sha256"):
+        raise ValueError(f"{path}: content does not match its recorded content_sha256")
+    offsets = columns.pop("offsets")
+    if offsets[0] != 0 or offsets[-1] != n_rows or np.any(np.diff(offsets) < 0):
+        raise ValueError(f"{path}: offsets do not run from 0 to the row count")
+    table = EventTable(event_ids, storm_ids, offsets=offsets, **columns)
+    try:
+        check_table(table, schema, storms)
+    except EventError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return table
+
+
+def load_dataset(path: str) -> Dataset:
+    """Load a dataset directory (or a manifest path) and validate every event.
+
+    The events come from the events.bin sidecar when it is current (see
+    ``_read_sidecar``), otherwise from events.jsonl.
+    """
+    if os.path.isdir(path):
+        path = os.path.join(path, MANIFEST_NAME)
+    manifest_path, directory = path, os.path.dirname(path)
+    events_path = os.path.join(directory, EVENTS_NAME)
+    try:
+        with open(manifest_path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise OSError(f"failed reading {manifest_path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8 or not JSON
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or nested too deep
         raise ValueError(f"{manifest_path}: malformed manifest ({exc})") from exc
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
@@ -250,6 +441,7 @@ def load_dataset(path: str) -> Dataset:
             )
             for s in manifest["storms"]
         )
+        storm_ids = {s.storm_id for s in storms}
         split = DatasetSplit(
             tuple(manifest["split"]["train"]),
             tuple(manifest["split"]["validation"]),
@@ -258,14 +450,27 @@ def load_dataset(path: str) -> Dataset:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
 
+    try:
+        events_sha256 = file_sha256(events_path)
+    except OSError as exc:
+        raise OSError(f"failed reading {events_path}: {exc}") from exc
+    keys = {
+        "format_version": SIDECAR_VERSION,
+        "events_sha256": events_sha256,
+        "dataset_fingerprint": dataset_fingerprint(schema, categories),
+    }
+    table = _read_sidecar(os.path.join(directory, SIDECAR_NAME), schema, keys, storm_ids)
+    if table is None:
+        table = _read_events(events_path, schema, categories, storm_ids)
     return Dataset(
         schema=schema,
         categories=categories,
         storms=storms,
         split=split,
-        table=_read_events(events_path, schema, categories),
+        table=table,
         generator_config=manifest.get("generator_config"),
         seed=manifest.get("seed", 0),
+        files={manifest_path: hashlib.sha256(raw).hexdigest(), events_path: events_sha256},
     )
 
 

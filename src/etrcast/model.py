@@ -15,9 +15,7 @@ attention by the mask, so their contents can never influence a prediction
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,7 +23,7 @@ import numpy as np
 from . import kernels
 from .autodiff import Tape, Tensor
 from .data import FeatureSchema, TransformState
-from .dataio import canonical_json
+from .dataio import check_end, read_array, read_header, write_container
 from .losses import LossConfig
 
 CHECKPOINT_MAGIC = b"ETRCKPT1"
@@ -339,11 +337,11 @@ def predict(params: ModelParams, batch: SequenceBatch, capture: list | None = No
 
 # -- checkpoint container ----------------------------------------------------
 #
-# Layout: magic, uint64 little-endian header length, canonical-JSON header,
-# then each tensor's raw little-endian float64 bytes in sorted name order.
-# (A zip-based container would embed timestamps; this one is byte-reproducible.)
-# Format version 2 adds the "loss" block; a version-1 file reads as trained
-# with the default LossConfig.
+# The container layout of ``dataio.write_container``: magic, header length,
+# canonical-JSON header, then each tensor's raw little-endian float64 bytes in
+# sorted name order. (A zip-based container would embed timestamps; this one is
+# byte-reproducible.) Format version 2 adds the "loss" block; a version-1 file
+# reads as trained with the default LossConfig.
 
 CHECKPOINT_VERSION = 2
 
@@ -362,10 +360,16 @@ def _transform_state_doc(state: TransformState | None) -> dict | None:
     }
 
 
-def _transform_state_from_doc(doc: dict | None) -> TransformState | None:
+def _transform_state_from_doc(doc: dict | None, schema: FeatureSchema) -> TransformState | None:
+    """The stored transform state; ValueError unless it fits ``schema``.
+
+    It must hold statistics for exactly the schema's features, finite means
+    and positive finite deviations, and category maps whose dense indices
+    (and the UNKNOWN index after them) fit the embedding tables.
+    """
     if doc is None:
         return None
-    return TransformState(
+    state = TransformState(
         cont_mean={k: float(v) for k, v in doc["cont_mean"].items()},
         cont_std={k: float(v) for k, v in doc["cont_std"].items()},
         cat_maps={
@@ -374,6 +378,23 @@ def _transform_state_from_doc(doc: dict | None) -> TransformState | None:
         },
         cat_modes={k: int(v) for k, v in doc["cat_modes"].items()},
     )
+    continuous, categorical = set(schema.continuous), set(schema.categorical)
+    if not set(state.cont_mean) == set(state.cont_std) == continuous:
+        raise ValueError("transform_state does not match the continuous features")
+    if not set(state.cat_maps) == set(state.cat_modes) == categorical:
+        raise ValueError("transform_state does not match the categorical features")
+    stats = [*state.cont_mean.values(), *state.cont_std.values()]
+    if not all(map(math.isfinite, stats)) or min(state.cont_std.values(), default=1.0) <= 0.0:
+        raise ValueError("transform_state needs finite means and positive deviations")
+    for name, mapping in state.cat_maps.items():
+        card = schema.cardinalities[name]
+        if (
+            sorted(mapping.values()) != list(range(len(mapping)))
+            or not all(0 <= raw < card for raw in mapping)
+            or not 0 <= state.cat_modes[name] < len(mapping)
+        ):
+            raise ValueError(f"transform_state has a bad category map for {name!r}")
+    return state
 
 
 def save_checkpoint(
@@ -395,13 +416,8 @@ def save_checkpoint(
         "transform_state": _transform_state_doc(transform_state),
         "tensors": [{"name": n, "shape": list(params.tensors[n].shape)} for n in names],
     }
-    blob = canonical_json(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for name in names:
-            fh.write(np.ascontiguousarray(params.tensors[name], dtype="<f8").tobytes())
+    tensors = (np.asarray(params.tensors[name], dtype="<f8") for name in names)
+    write_container(path, CHECKPOINT_MAGIC, header, tensors)
 
 
 def load_checkpoint(
@@ -414,17 +430,7 @@ def load_checkpoint(
     right after the last tensor.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        raw_len = fh.read(8)
-        if len(raw_len) != 8:
-            raise ValueError(f"{path}: truncated header")
-        (hlen,) = struct.unpack("<Q", raw_len)
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise ValueError(f"{path}: malformed checkpoint header ({exc})") from exc
+        header = read_header(fh, path, CHECKPOINT_MAGIC, "checkpoint")
         version = header.get("format_version") if isinstance(header, dict) else None
         if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"{path}: unsupported checkpoint version")
@@ -435,7 +441,7 @@ def load_checkpoint(
                 tuple((n, k) for n, k in header["schema"]["features"]),
                 {k: int(v) for k, v in header["schema"]["cardinalities"].items()},
             )
-            state = _transform_state_from_doc(header.get("transform_state"))
+            state = _transform_state_from_doc(header.get("transform_state"), schema)
             loss = LossConfig(**header["loss"]) if version > 1 else LossConfig()
             entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
             expected = init_params(config, schema).tensors
@@ -461,10 +467,6 @@ def load_checkpoint(
                     f"{path}: tensor {name} has shape {shape}, "
                     f"the model config needs {expected[name].shape}"
                 )
-            raw = fh.read(expected[name].nbytes)
-            if len(raw) != expected[name].nbytes:
-                raise ValueError(f"{path}: truncated tensor {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last tensor")
+            tensors[name] = read_array(fh, path, "<f8", shape, f"tensor {name}")
+        check_end(fh, path, "tensor")
     return ModelParams(config, schema, tensors, loss), state, fingerprint

@@ -23,7 +23,7 @@ generation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -329,7 +329,11 @@ def generate_storm(
 
 
 def generate_dataset(cfg: GeneratorConfig, out_dir: str | None = None) -> Dataset:
-    """Generate all storms, split them, and optionally write the dataset."""
+    """Generate all storms, split them, and optionally write the dataset.
+
+    When ``out_dir`` is given, the returned dataset's ``files`` names the
+    files written there.
+    """
     schema, categories = build_schema(cfg)
     storms: list[StormRecord] = []
     records: list[tuple] = []
@@ -349,5 +353,5 @@ def generate_dataset(cfg: GeneratorConfig, out_dir: str | None = None) -> Datase
         seed=cfg.seed,
     )
     if out_dir is not None:
-        save_dataset(dataset, out_dir)
+        dataset = replace(dataset, files=save_dataset(dataset, out_dir))
     return dataset

@@ -3,21 +3,23 @@ import io
 import json
 import os
 import shlex
+import shutil
 import string
 import struct
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etrcast import cli
+from etrcast import cli, dataio
 from etrcast.cli import SCALES, build_parser, load_config_file, run
 from etrcast.data import Revision
+from etrcast.dataio import load_dataset
 from etrcast.losses import LossConfig
 from etrcast.model import ModelConfig, load_checkpoint, save_checkpoint
 from etrcast.synth import GeneratorConfig
@@ -58,6 +60,7 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert manifest["seed"] == 3
         assert set(manifest["outputs"]) == {
+            os.path.join(out, "events.bin"),
             os.path.join(out, "events.jsonl"),
             os.path.join(out, "manifest.json"),
         }
@@ -83,7 +86,7 @@ class TestGenerate:
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         run(["generate", "--out", a, "--seed", "5", *GEN_ARGS])
         run(["generate", "--out", b, "--seed", "5", *GEN_ARGS])
-        for name in ("manifest.json", "events.jsonl"):
+        for name in ("manifest.json", "events.jsonl", "events.bin"):
             assert (
                 open(os.path.join(a, name), "rb").read()
                 == open(os.path.join(b, name), "rb").read()
@@ -289,6 +292,38 @@ class TestCommandsStayColumnar:
             Revision(0.0, (0,), (0.0,))
 
 
+class TestRunManifestInputs:
+    @pytest.mark.parametrize("command", ["train", "eval", "explain", "attention"])
+    def test_inputs_hold_the_events_digest_hashed_once(
+        self, pipeline, tmp_path, monkeypatch, command
+    ):
+        hashed = []
+        real = dataio.file_sha256
+
+        def spy(path):
+            hashed.append(path)
+            return real(path)
+
+        monkeypatch.setattr(dataio, "file_sha256", spy)
+        monkeypatch.setattr(cli, "file_sha256", spy)
+        data, out = pipeline["data"], str(tmp_path / "out")
+        checkpoint = os.path.join(pipeline["run"], "checkpoint.bin")
+        argv = {
+            "train": ["--epochs", "1"],
+            "eval": ["--checkpoint", checkpoint],
+            "explain": ["--checkpoint", checkpoint, "--revisions", "1", "--events", "1",
+                        "--permutations", "4"],
+            "attention": ["--checkpoint", checkpoint],
+        }[command]  # fmt: skip
+        assert run([command, "--dataset", data, "--out", out, *argv]) == 0
+        inputs = json.load(open(os.path.join(out, "run_manifest.json")))["inputs"]
+        events, manifest = os.path.join(data, "events.jsonl"), os.path.join(data, "manifest.json")
+        expected = {events, manifest} | ({checkpoint} if command != "train" else set())
+        assert set(inputs) == expected
+        assert all(inputs[path] == real(path) for path in expected)
+        assert hashed.count(events) == 1
+
+
 class TestExplainAndAttention:
     def test_explain_writes_reports(self, pipeline, tmp_path):
         out = str(tmp_path / "ex")
@@ -360,6 +395,17 @@ class TestErrorHandling:
         rec["revisions"][0]["cont"].pop()
         return json.dumps(rec)
 
+    @staticmethod
+    def _copy_dataset(src, data, stale_sidecar: bool) -> None:
+        """The manifest of ``src`` in ``data``, and its events.bin when ``stale_sidecar``.
+
+        The caller writes a damaged events.jsonl, so a copied sidecar is stale.
+        """
+        data.mkdir()
+        names = ["manifest.json", "events.bin"] if stale_sidecar else ["manifest.json"]
+        for name in names:
+            (data / name).write_bytes(open(os.path.join(src, name), "rb").read())
+
     @pytest.mark.parametrize(
         "damage, message",
         [
@@ -374,37 +420,91 @@ class TestErrorHandling:
             (_short_revision, "event {event} revision 0: value lengths do not match schema"),
             (lambda rec: json.dumps({**rec, "revisions": []}),
              "event {event}: needs at least one revision"),
+            (lambda rec: "[" * 100_000, "malformed JSON"),
         ],
         ids=["malformed_json", "missing_field", "unknown_category", "wrong_type",
-             "repeated_timestamp", "negative_target", "wrong_value_count", "no_revisions"],
+             "repeated_timestamp", "negative_target", "wrong_value_count", "no_revisions",
+             "nested_too_deep"],
     )  # fmt: skip
     def test_bad_events_line_names_file_and_line(self, pipeline, tmp_path, capsys, damage, message):
-        data = tmp_path / "data"
-        data.mkdir()
-        src = pipeline["data"]
-        (data / "manifest.json").write_bytes(open(os.path.join(src, "manifest.json"), "rb").read())
-        lines = open(os.path.join(src, "events.jsonl"), encoding="utf-8").read().splitlines()
-        event = json.loads(lines[1])["event_id"]
-        lines[1] = damage(json.loads(lines[1]))
-        (data / "events.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert run(["train", "--dataset", str(data), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert f"{data / 'events.jsonl'}:2: {message.format(event=event)}" in err
-        assert "Traceback" not in err
+        for stale_sidecar in (False, True):
+            data = tmp_path / f"data{int(stale_sidecar)}"
+            src = pipeline["data"]
+            self._copy_dataset(src, data, stale_sidecar)
+            lines = open(os.path.join(src, "events.jsonl"), encoding="utf-8").read().splitlines()
+            event = json.loads(lines[1])["event_id"]
+            lines[1] = damage(json.loads(lines[1]))
+            (data / "events.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert run(["train", "--dataset", str(data), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert f"{data / 'events.jsonl'}:2: {message.format(event=event)}" in err
+            assert "Traceback" not in err
 
     def test_first_bad_event_is_reported(self, pipeline, tmp_path, capsys):
+        for stale_sidecar in (False, True):
+            data = tmp_path / f"data{int(stale_sidecar)}"
+            src = pipeline["data"]
+            self._copy_dataset(src, data, stale_sidecar)
+            lines = open(os.path.join(src, "events.jsonl"), encoding="utf-8").read().splitlines()
+            # a later line fails an earlier check, an earlier line a later one
+            lines[2] = self._unknown_category(json.loads(lines[2]))
+            lines[3] = lines[3][:-5]
+            lines[1] = json.dumps({**json.loads(lines[1]), "target_duration": None})
+            (data / "events.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert run(["train", "--dataset", str(data), "--out", str(tmp_path / "o")]) == 1
+            assert f"{data / 'events.jsonl'}:2: event " in capsys.readouterr().err
+
+    @staticmethod
+    def _sidecar_header(edit):
+        """Damage that rewrites the sidecar header with ``edit`` and a matching length."""
+
+        def damage(blob, dataset):
+            (length,) = struct.unpack("<Q", blob[8:16])
+            header = json.loads(blob[16 : 16 + length])
+            edit(header)
+            new = json.dumps(header).encode()
+            return blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + length :]
+
+        return damage
+
+    @staticmethod
+    def _negative_target(blob, dataset):
+        """A sidecar with matching keys and content digest whose event 1 fails a check."""
+        events = next(path for path in dataset.files if path.endswith("events.jsonl"))
+        targets = dataset.table.targets.copy()
+        targets[1] = -1.0
+        bad = replace(dataset, table=replace(dataset.table, targets=targets))
+        path = os.path.join(os.path.dirname(events), "events.bin")
+        dataio._write_sidecar(path, bad, dataset.files[events])
+        return open(path, "rb").read()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda blob, ds: blob[:-3], "truncated column offsets"),
+            (lambda blob, ds: blob + b"\0", "trailing bytes after the last column"),
+            (lambda blob, ds: b"NOTASIDE" + blob[8:], "not a sidecar file"),
+            (_sidecar_header(lambda h: h["columns"][2]["shape"].reverse()), "do not match"),
+            (_sidecar_header(lambda h: h["columns"][0].update(dtype="<f4")), "do not match"),
+            (lambda blob, ds: blob[:-9] + bytes([blob[-9] ^ 1]) + blob[-8:],
+             "content does not match its recorded content_sha256"),
+            (_negative_target, "bad target_duration"),
+        ],
+        ids=["truncated", "trailing_bytes", "bad_magic", "wrong_shape", "wrong_dtype",
+             "flipped_bit", "failed_check"],
+    )  # fmt: skip
+    def test_damaged_current_sidecar_exits_one_naming_it(
+        self, pipeline, tmp_path, capsys, damage, message
+    ):
         data = tmp_path / "data"
-        data.mkdir()
-        src = pipeline["data"]
-        (data / "manifest.json").write_bytes(open(os.path.join(src, "manifest.json"), "rb").read())
-        lines = open(os.path.join(src, "events.jsonl"), encoding="utf-8").read().splitlines()
-        # a later line fails an earlier check, an earlier line a later one
-        lines[2] = self._unknown_category(json.loads(lines[2]))
-        lines[3] = lines[3][:-5]
-        lines[1] = json.dumps({**json.loads(lines[1]), "target_duration": None})
-        (data / "events.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert run(["train", "--dataset", str(data), "--out", str(tmp_path / "o")]) == 1
-        assert f"{data / 'events.jsonl'}:2: event " in capsys.readouterr().err
+        shutil.copytree(pipeline["data"], data)
+        sidecar = data / "events.bin"
+        sidecar.write_bytes(damage(sidecar.read_bytes(), load_dataset(str(data))))
+        argv = ["eval", "--dataset", str(data), "--out", str(tmp_path / "ev")]
+        checkpoint = os.path.join(pipeline["run"], "checkpoint.bin")
+        assert run([*argv, "--checkpoint", checkpoint]) == 1
+        err = capsys.readouterr().err
+        assert f"{sidecar}: " in err and message in err and "Traceback" not in err
 
     def test_bad_config_value_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -425,12 +525,18 @@ class TestErrorHandling:
             (["train", "--dataset", "d", "--out", "o", "--trials", "0"], "--trials"),
             (["attention", "--dataset", "d", "--checkpoint", "c", "--out", "o", "--heads", "0"],
              "--heads"),
+            *(
+                (["explain", "--dataset", "d", "--checkpoint", "c", "--out", "o", flag, value],
+                 flag)
+                for flag in ("--events", "--background", "--revisions", "--topk", "--permutations")
+                for value in ("0", "-1")
+            ),
         ],
     )  # fmt: skip
     def test_count_flag_below_one_exits_one(self, tmp_path, capsys, argv, flag):
         assert run(argv) == 1
         err = capsys.readouterr().err
-        assert f"argument {flag}: must be >= 1, got 0" in err and "Traceback" not in err
+        assert f"argument {flag}: must be >= 1, got {argv[-1]}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["eval", "explain", "attention"])
     def test_config_only_on_generate_and_train(self, tmp_path, capsys, command):
@@ -467,6 +573,19 @@ class TestErrorHandling:
         header["model_config"]["n_heads"] = 0
         return TestErrorHandling._with_header(json.dumps(header).encode())(blob)
 
+    @staticmethod
+    def _renamed_feature(blob):
+        """A header whose schema and transform state both rename a continuous feature."""
+        (length,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + length])
+        name = next(n for n, kind in header["schema"]["features"] if kind == "continuous")
+        header["schema"]["features"] = [
+            ["renamed" if n == name else n, kind] for n, kind in header["schema"]["features"]
+        ]
+        for stats in ("cont_mean", "cont_std"):
+            header["transform_state"][stats]["renamed"] = header["transform_state"][stats].pop(name)
+        return TestErrorHandling._with_header(json.dumps(header).encode())(blob)
+
     @pytest.mark.parametrize(
         "manifest_damage, checkpoint_damage, message",
         [
@@ -474,12 +593,16 @@ class TestErrorHandling:
             (lambda m: m.pop("split"), None, "malformed manifest"),
             (_drop_storm_magnitude, None, "malformed manifest"),
             ("{not json", None, "malformed manifest"),
+            ("[" * 100_000, None, "malformed manifest"),
             (None, _with_header(b"\xff\xfe{}"), "malformed checkpoint header"),
             (None, _with_header(b"{not json"), "malformed checkpoint header"),
+            (None, _with_header(b"[" * 100_000), "malformed checkpoint header"),
             (None, _zero_heads, "malformed checkpoint header (ValueError('n_heads must be >= 1"),
+            (None, _renamed_feature, "trained on another feature schema than the dataset"),
         ],
-        ids=["no_schema", "no_split", "no_magnitude", "manifest_not_json",
-             "header_not_utf8", "header_not_json", "header_zero_heads"],
+        ids=["no_schema", "no_split", "no_magnitude", "manifest_not_json", "manifest_too_deep",
+             "header_not_utf8", "header_not_json", "header_too_deep", "header_zero_heads",
+             "header_other_schema"],
     )  # fmt: skip
     def test_malformed_input_names_the_file(
         self, pipeline, tmp_path, capsys, manifest_damage, checkpoint_damage, message
@@ -713,6 +836,96 @@ def test_any_config_file_ends_in_an_exit_code(text):
         assert "Traceback" not in err.getvalue()
 
 
+def _artifacts(out_dir: str) -> dict[str, bytes]:
+    """Every output file of a command except its run manifest, by name."""
+    names = sorted(set(os.listdir(out_dir)) - {"run_manifest.json"})
+    return {name: open(os.path.join(out_dir, name), "rb").read() for name in names}
+
+
+@pytest.fixture(scope="module")
+def clean_eval(pipeline):
+    out = os.path.join(pipeline["root"], "clean_eval")
+    checkpoint = os.path.join(pipeline["run"], "checkpoint.bin")
+    argv = ["eval", "--dataset", pipeline["data"], "--checkpoint", checkpoint, "--out", out]
+    assert run(argv) == 0
+    return _artifacts(out)
+
+
+def _sidecar_key_bytes(blob: bytes) -> set[int]:
+    """Positions in an events.bin file of its recorded keys, names and values."""
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = blob[16 : 16 + length]
+    positions = set()
+    for key in (b"format_version", b"events_sha256", b"dataset_fingerprint"):
+        start = header.index(b'"%s":' % key)
+        positions.update(range(16 + start, 16 + header.index(b",", start)))
+    return positions
+
+
+def _damage_region(target: str, blob: bytes, draw) -> tuple[list[int], tuple[str, ...]]:
+    """Byte positions ``target`` may damage, and the damage kinds it may take."""
+    if target == "manifest.json":
+        return list(range(len(blob))), ("overwrite", "truncate")
+    if target == "events.jsonl":  # one line, cut short or with one byte changed
+        starts = [0] + [i + 1 for i, byte in enumerate(blob) if byte == ord("\n")][:-1]
+        line = draw(st.integers(0, len(starts) - 1))
+        return list(range(starts[line], blob.index(b"\n", starts[line]))), ("overwrite", "cut")
+    if target.startswith("events.bin"):
+        keys = _sidecar_key_bytes(blob)
+        if target == "events.bin keys":
+            return sorted(keys), ("overwrite",)
+        return sorted(set(range(len(blob))) - keys), ("overwrite", "truncate", "append")
+    (length,) = struct.unpack("<Q", blob[8:16])
+    if target == "checkpoint header":
+        return list(range(16 + length)), ("overwrite",)
+    return list(range(16 + length, len(blob))), ("overwrite", "truncate", "append")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    target=st.sampled_from(["manifest.json", "events.jsonl", "events.bin", "events.bin keys",
+                            "checkpoint header", "checkpoint tensors"]),
+    data=st.data(),
+)  # fmt: skip
+def test_any_damaged_data_file_ends_in_an_exit_code(pipeline, clean_eval, target, data):
+    """One damaged input file ends ``eval`` in a documented exit code, never a traceback.
+
+    Damage to a file that still holds valid input may exit 0. A sidecar whose
+    recorded keys still match is never read silently: it exits 1 naming the
+    file. One whose keys were damaged is stale, and the command then gives
+    the outputs of the undamaged files, or exits 1 if the header is unreadable.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset = os.path.join(tmp, "data")
+        shutil.copytree(pipeline["data"], dataset)
+        checkpoint = shutil.copy(os.path.join(pipeline["run"], "checkpoint.bin"), tmp)
+        name = target.split()[0]
+        path = checkpoint if name == "checkpoint" else os.path.join(dataset, name)
+        blob = bytearray(open(path, "rb").read())
+        positions, kinds = _damage_region(target, bytes(blob), data.draw)
+        at = data.draw(st.sampled_from(positions))
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "overwrite":
+            blob[at] = (blob[at] + data.draw(st.integers(1, 255))) % 256
+        elif kind == "cut":
+            del blob[at : blob.index(b"\n", at)]
+        elif kind == "truncate":
+            del blob[at:]
+        else:
+            blob += b"\0"
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        out = os.path.join(tmp, "ev")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["eval", "--dataset", dataset, "--checkpoint", checkpoint, "--out", out])
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+        if target == "events.bin":
+            assert code == 1 and f"{path}: " in err.getvalue()
+        elif target == "events.bin keys":
+            assert code == 1 or _artifacts(out) == clean_eval
+
+
 class TestSelfcheck:
     def test_passes(self, capsys):
         assert run(["selfcheck", "--seed", "0"]) == 0
@@ -733,7 +946,7 @@ class TestSelfcheck:
         assert "selfcheck passed (5 checks)" in proc.stdout
 
     def test_failed_check_exits_one_and_names_it(self, monkeypatch, capsys):
-        from etrcast import cli
+        from etrcast import cli, dataio
 
         monkeypatch.setattr(cli, "opr8", lambda preds, actuals: 1.0)
         assert run(["selfcheck", "--seed", "0"]) == 1

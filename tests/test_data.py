@@ -1,4 +1,6 @@
+import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_data as reference
+from etrcast import dataio
 from etrcast.dataio import load_dataset
 from etrcast.synth import GeneratorConfig, generate_dataset
 from etrcast.data import (
@@ -216,6 +219,114 @@ class TestColumnarMatchesReference:
         if n_fit is not None:  # categories unseen in the fitted events map to UNKNOWN
             unknown = [state.unknown_index(name) for name in schema.categorical]
             assert (encoded.cat_idx == unknown).any()
+
+
+TABLE_COLUMNS = ("t", "cat", "cont", "targets", "offsets")
+
+
+def _same_tables(a: EventTable, b: EventTable) -> bool:
+    """Equal ids and bit-identical columns (NaN-aware, same dtype and bytes)."""
+    return (a.event_ids, a.storm_ids) == (b.event_ids, b.storm_ids) and all(
+        x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True) and x.tobytes() == y.tobytes()
+        for x, y in ((getattr(a, c), getattr(b, c)) for c in TABLE_COLUMNS)
+    )
+
+
+def _json_only(src, dst):
+    """A copy of dataset ``src`` at ``dst`` without its events.bin sidecar."""
+    dst.mkdir()
+    for name in ("manifest.json", "events.jsonl"):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return str(dst)
+
+
+class TestSidecar:
+    """A load through events.bin equals the JSON path's; a stale sidecar is ignored."""
+
+    CONFIGS = {
+        "default": GeneratorConfig(seed=5),
+        "revisions_12_20": GeneratorConfig(
+            seed=6, storms_per_class=5, events_per_storm=(5, 8), revisions_per_event=(12, 20),
+            missing_rate=0.2,
+        ),
+    }  # fmt: skip
+
+    @pytest.fixture(scope="class", params=sorted(CONFIGS))
+    def saved(self, request, tmp_path_factory):
+        out = tmp_path_factory.mktemp(request.param) / "data"
+        generate_dataset(self.CONFIGS[request.param], str(out))
+        return out
+
+    @staticmethod
+    def _no_json(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("parsed events.jsonl although the sidecar is current")
+
+        monkeypatch.setattr(dataio, "_read_events", refuse)
+
+    def test_sidecar_load_matches_json_path_and_reference(self, saved, tmp_path, monkeypatch):
+        from_json = load_dataset(_json_only(saved, tmp_path / "json"))
+        self._no_json(monkeypatch)
+        ds = load_dataset(str(saved))
+        table, schema = ds.table, ds.schema
+        assert (table.cat == MISSING_CAT).any() and np.isnan(table.cont).any()
+        assert _same_tables(table, from_json.table)
+        expected = reference.load_events(str(saved), schema, ds.categories)
+        revisions = [r for e in expected for r in e.revisions]
+        want = EventTable(
+            tuple(e.event_id for e in expected),
+            tuple(e.storm_id for e in expected),
+            np.array([e.target_duration for e in expected]),
+            np.cumsum([0] + [len(e.revisions) for e in expected]),
+            np.array([r.timestamp for r in revisions]),
+            np.array([r.categorical_values for r in revisions]),
+            np.array([r.continuous_values for r in revisions]),
+        )
+        assert _same_tables(table, want)
+        # transforms fitted on a few events leave categories unseen, on both paths alike
+        state = fit_transforms(table.select(np.arange(3)), schema)
+        encoded, json_encoded = (encode_table(t, state, schema) for t in (table, from_json.table))
+        assert (encoded.cat_idx == [state.unknown_index(n) for n in schema.categorical]).any()
+        for column in ("cat_idx", "cont", "deltas"):
+            assert getattr(encoded, column).tobytes() == getattr(json_encoded, column).tobytes()
+
+    def test_edited_line_with_old_sidecar_loads_the_edit(self, saved, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(saved, data)
+        lines = (data / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[3])
+        record["target_duration"] += 1.0
+        lines[3] = json.dumps(record)
+        (data / "events.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        edited = load_dataset(str(data)).table
+        assert _same_tables(edited, load_dataset(_json_only(data, tmp_path / "json")).table)
+        assert edited.targets[3] == load_dataset(str(saved)).table.targets[3] + 1.0
+
+    def test_changed_vocabulary_with_old_sidecar_is_not_used(self, saved, tmp_path):
+        original = load_dataset(str(saved))
+        feature = original.schema.categorical[0]
+        for change in ("reorder", "drop"):
+            data = tmp_path / change
+            shutil.copytree(saved, data)
+            manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+            vocabulary = manifest["schema"]["categories"][feature]
+            manifest["schema"]["categories"][feature] = (
+                vocabulary[::-1] if change == "reorder" else vocabulary[1:]
+            )
+            (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+            json_only = _json_only(data, tmp_path / f"{change}_json")
+            if change == "reorder":
+                table = load_dataset(str(data)).table
+                assert _same_tables(table, load_dataset(json_only).table)
+                assert not np.array_equal(table.cat, original.table.cat)
+            else:  # the dropped value is still used
+                with pytest.raises(ValueError) as from_json:
+                    load_dataset(json_only)
+                with pytest.raises(ValueError, match="unknown category value") as with_sidecar:
+                    load_dataset(str(data))
+                assert str(with_sidecar.value) == str(from_json.value).replace(
+                    json_only, str(data)
+                )
 
 
 class TestStratifiedSplit:
