@@ -12,9 +12,7 @@ attributions.
 from .autodiff import NumericsError, Tape, fd_check
 from .data import (
     DatasetSplit,
-    EventSeries,
     FeatureSchema,
-    Revision,
     StormRecord,
     TransformState,
     classify_storm,
@@ -56,9 +54,7 @@ __all__ = [
     "Tape",
     "fd_check",
     "DatasetSplit",
-    "EventSeries",
     "FeatureSchema",
-    "Revision",
     "StormRecord",
     "TransformState",
     "classify_storm",

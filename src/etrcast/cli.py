@@ -59,10 +59,7 @@ SCALES = {
         "model": {"d_model": 32, "n_layers": 2, "n_heads": 4},
         "train": {"learning_rate": 3e-3, "batch_size": 128, "max_epochs": 30},
     },
-    "full": {
-        "model": {"d_model": 128, "n_layers": 6, "n_heads": 16},
-        "train": {"learning_rate": 1e-4, "batch_size": 1024, "max_epochs": 100},
-    },
+    "full": {"model": {}, "train": {"max_epochs": 100}},  # the config defaults, trained longer
 }
 
 
@@ -311,8 +308,10 @@ def cmd_eval(args) -> int:
     dataset, params, _, encoded, inputs = _load_for_inference(args)
     samples = build_samples(encoded, params.config)
     model_fn = lambda batch: predict(params, batch)
-    # score with the loss the model was trained with
-    report, per_revision = evaluate(model_fn, samples, dataset.magnitude_of(), params.loss)
+    try:  # score with the loss the model was trained with
+        report, per_revision = evaluate(model_fn, samples, dataset.magnitude_of(), params.loss)
+    except ValueError as exc:
+        raise CliError(f"{args.checkpoint}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     outputs = _report_paths(args.out, f"eval_{args.split}", report, per_revision)
     write_run_manifest(

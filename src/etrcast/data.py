@@ -15,11 +15,12 @@ dense indices, Z-scores and time deltas. The generator and the JSON loader
 both build their table with :func:`build_table`, from
 ``(event_id, storm_id, target, t, cat, cont)`` records; a table read whole
 from a dataset's ``events.bin`` sidecar (see ``etrcast.dataio``) skips the
-records but passes the same all-row checks, :func:`check_table`.
-:class:`EventSeries` and :class:`Revision` remain an object view of one
-event for callers that build or read events by hand; a function here that
-takes such objects converts them to a table once, at the top. Fitted
-statistics live in an immutable :class:`TransformState`.
+records but passes the same all-row checks, :func:`check_table`. The
+table is the only data model: no object holds one revision. An
+:class:`EventRef` names one event of a table for the benchmark harness's
+set-up, which still reads events one at a time; ``fit_transforms`` and
+``training.encode_events`` turn a list of them into ``table.select`` once.
+Fitted statistics live in an immutable :class:`TransformState`.
 
 Missing values are represented as ``MISSING_CAT`` (-1) for categorical
 indices and NaN for continuous values. Encoding removes both.
@@ -80,45 +81,6 @@ class FeatureSchema:
     @cached_property
     def q(self) -> int:
         return len(self.continuous)
-
-
-# The object view (Revision, EventSeries, EventTable.from_events/to_events and
-# as_event_table) is on no command's path, but code outside the package still
-# reads it: perfbench's set-up passes EventSeries lists from
-# Dataset.split_events() to fit_transforms and training.encode_events, and the
-# acceptance tests build time-shifted EventSeries from Dataset.events. It can
-# go once those read Dataset.split_tables() instead.
-@dataclass(frozen=True)
-class Revision:
-    """One timestamped snapshot of an event's features.
-
-    ``categorical_values`` hold raw category indices (or ``MISSING_CAT``);
-    ``continuous_values`` hold reals (or NaN). Timestamps are hours since a
-    fixed epoch.
-    """
-
-    timestamp: float
-    categorical_values: tuple[int, ...]
-    continuous_values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class EventSeries:
-    """One outage event: ordered revisions plus the true restoration duration."""
-
-    event_id: str
-    storm_id: str
-    revisions: tuple[Revision, ...]
-    target_duration: float
-
-    def __post_init__(self):
-        if not self.revisions:
-            raise ValueError(f"event {self.event_id}: needs at least one revision")
-        ts = [r.timestamp for r in self.revisions]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError(f"event {self.event_id}: timestamps must strictly increase")
-        if not (self.target_duration >= 0.0 and math.isfinite(self.target_duration)):
-            raise ValueError(f"event {self.event_id}: bad target_duration")
 
 
 @dataclass(frozen=True)
@@ -242,34 +204,6 @@ class EventTable(_Events):
     cont: np.ndarray  # [R, q] float64
 
     ROW_COLUMNS: ClassVar[tuple[str, ...]] = ("t", "cat", "cont")
-
-    @classmethod
-    def from_events(cls, events: Sequence[EventSeries], schema: FeatureSchema) -> "EventTable":
-        """The columns of EventSeries objects, checked as ``build_table`` checks records."""
-        records = (
-            (
-                e.event_id,
-                e.storm_id,
-                e.target_duration,
-                [r.timestamp for r in e.revisions],
-                [r.categorical_values for r in e.revisions],
-                [r.continuous_values for r in e.revisions],
-            )
-            for e in events
-        )
-        return build_table(records, schema)
-
-    def to_events(self) -> tuple[EventSeries, ...]:
-        """One EventSeries per event, holding plain Python values."""
-        cats, conts = map(tuple, self.cat.tolist()), map(tuple, self.cont.tolist())
-        revisions = list(map(Revision, self.t.tolist(), cats, conts))
-        bounds = self.offsets.tolist()
-        return tuple(
-            EventSeries(event_id, storm_id, tuple(revisions[lo:hi]), target)
-            for event_id, storm_id, lo, hi, target in zip(
-                self.event_ids, self.storm_ids, bounds, bounds[1:], self.targets.tolist()
-            )
-        )
 
 
 class _Columns:
@@ -397,11 +331,34 @@ def build_table(
     return table
 
 
-def as_event_table(events: EventTable | Sequence[EventSeries], schema: FeatureSchema) -> EventTable:
-    """``events`` as a table: a table as it is, EventSeries objects converted once."""
+# Kept only for perfbench/workloads.py, which reads Dataset.split_events(); it
+# goes once a benchmark change moves that file to Dataset.split_tables().
+@dataclass(frozen=True)
+class EventRef:
+    """Event ``index`` of ``table``, read-only: its revision rows and its target."""
+
+    table: EventTable
+    index: int
+
+    @property
+    def revisions(self) -> np.ndarray:
+        """[M] the event's timestamps, one per revision."""
+        lo, hi = self.table.offsets[self.index : self.index + 2]
+        return self.table.t[lo:hi]
+
+    @property
+    def target_duration(self) -> float:
+        return float(self.table.targets[self.index])
+
+
+def as_event_table(events: EventTable | Sequence[EventRef]) -> EventTable:
+    """``events`` as a table: a table as it is, references as a selection of theirs."""
     if isinstance(events, EventTable):
         return events
-    return EventTable.from_events(events, schema)
+    tables = {id(e.table): e.table for e in events}
+    if len(tables) != 1:
+        raise ValueError("as_event_table: needs references into exactly one table")
+    return tables.popitem()[1].select([e.index for e in events])
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,7 +391,7 @@ def classify_storm(
 
 
 def fit_transforms(
-    train_events: EventTable | Sequence[EventSeries], schema: FeatureSchema
+    train_events: EventTable | Sequence[EventRef], schema: FeatureSchema
 ) -> TransformState:
     """Fit Z-normalization and label/mode maps on training revisions only.
 
@@ -442,9 +399,9 @@ def fit_transforms(
     std = 1. A feature with no observed value in any training revision is an
     error naming that feature.
     """
-    table = as_event_table(train_events, schema)
-    if not len(table):
+    if not len(train_events):
         raise ValueError("fit_transforms: empty training set")
+    table = as_event_table(train_events)
 
     cont_mean: dict[str, float] = {}
     cont_std: dict[str, float] = {}

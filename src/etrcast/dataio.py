@@ -29,6 +29,11 @@ with a stale one (``events.jsonl`` or the vocabularies edited since it was
 written), the load reads ``events.jsonl`` in one pass into an ``EventTable``
 (see ``etrcast.data``), and a bad event ends it with ``<path>:<line>`` of
 the first bad event in the file.
+
+In memory a ``Dataset`` holds its events only as that table; commands read
+each split with ``Dataset.split_tables``. ``Dataset.split_events`` gives the
+same splits as ``data.EventRef`` references into the table, for the
+benchmark harness's set-up, which has not moved to tables yet.
 """
 from __future__ import annotations
 
@@ -38,8 +43,7 @@ import json
 import operator
 import os
 import struct
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import asdict, dataclass, field
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -49,7 +53,7 @@ from .data import (
     MISSING_CAT,
     DatasetSplit,
     EventError,
-    EventSeries,
+    EventRef,
     EventTable,
     FeatureSchema,
     StormRecord,
@@ -144,11 +148,6 @@ class Dataset:
     seed: int
     files: Mapping[str, str] = field(default_factory=dict)
 
-    @cached_property
-    def events(self) -> tuple[EventSeries, ...]:
-        """The events as objects, built from the table on first use."""
-        return self.table.to_events()
-
     def _split_positions(self) -> dict[str, list[int]]:
         """Positions of each split's events, in dataset order."""
         out = {}
@@ -160,9 +159,10 @@ class Dataset:
     def split_tables(self) -> dict[str, EventTable]:
         return {name: self.table.select(idx) for name, idx in self._split_positions().items()}
 
-    def split_events(self) -> dict[str, list[EventSeries]]:
-        events = self.events
-        return {name: [events[i] for i in idx] for name, idx in self._split_positions().items()}
+    def split_events(self) -> dict[str, list[EventRef]]:
+        """Each split's events as references into ``table`` (see ``data.EventRef``)."""
+        positions = self._split_positions()
+        return {name: [EventRef(self.table, i) for i in idx] for name, idx in positions.items()}
 
     def magnitude_of(self) -> dict[str, str]:
         """event_id -> storm magnitude, for stratified evaluation."""
@@ -253,21 +253,8 @@ def save_dataset(dataset: Dataset, out_dir: str) -> dict[str, str]:
     manifest = {
         "format_version": FORMAT_VERSION,
         "schema": schema_document(dataset.schema, dataset.categories),
-        "storms": [
-            {
-                "storm_id": s.storm_id,
-                "customers_affected": s.customers_affected,
-                "customers_served": s.customers_served,
-                "magnitude": s.magnitude,
-                "event_ids": list(s.event_ids),
-            }
-            for s in dataset.storms
-        ],
-        "split": {
-            "train": list(dataset.split.train),
-            "validation": list(dataset.split.validation),
-            "test": list(dataset.split.test),
-        },
+        "storms": [asdict(s) for s in dataset.storms],  # tuples serialize as lists
+        "split": asdict(dataset.split),
         "generator_config": dict(dataset.generator_config)
         if dataset.generator_config is not None
         else None,

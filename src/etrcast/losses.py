@@ -8,9 +8,11 @@ For the signed error eps = prediction - actual (hours):
 
 The function is continuous at 0 and jumps by (beta - 1) * tau at tau. At the
 kinks the subgradient takes the right-branch value: +1 at eps = 0, +beta at
-eps = tau. An optional continuous variant replaces the third branch with
-beta * (eps - tau) + tau for training-stability experiments; it is off by
-default and never used for evaluation.
+eps = tau. An optional continuous variant (``LossConfig.continuous_over``)
+replaces the third branch with beta * (eps - tau) + tau; it is off by
+default. A checkpoint stores the loss it was trained with, and ``eval``
+scores WAE and CSI with that loss, so a model trained with the continuous
+variant is also evaluated with it.
 """
 
 from __future__ import annotations
@@ -91,5 +93,8 @@ def mse_loss(preds: np.ndarray, actuals: np.ndarray) -> tuple[float, np.ndarray]
 
 
 def math_fsum(values) -> float:
-    """Compensated sum; exact combination contract for metric reductions."""
-    return math.fsum(float(v) for v in values)
+    """Compensated sum; exact combination contract for metric reductions. inf on overflow."""
+    try:
+        return math.fsum(float(v) for v in values)
+    except OverflowError:  # finite terms whose sum exceeds the float64 range
+        return math.inf

@@ -12,7 +12,7 @@ evaluation can combine partial results exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -71,7 +71,8 @@ def wae(preds, actuals, cfg: LossConfig = LossConfig()) -> float:
     actuals = np.asarray(actuals, dtype=np.float64)
     if preds.size == 0:
         raise ValueError("wae: empty input")
-    return math_fsum(piecewise_loss_vec(preds - actuals, cfg)) / preds.size
+    with np.errstate(over="ignore"):
+        return _finite(math_fsum(piecewise_loss_vec(preds - actuals, cfg)) / preds.size, "wae")
 
 
 def csi(upr_value: float, opr8_value: float, cfg: LossConfig = LossConfig()) -> float:
@@ -87,8 +88,15 @@ def rmse(preds, actuals) -> float:
     actuals = np.asarray(actuals, dtype=np.float64)
     if preds.size == 0:
         raise ValueError("rmse: empty input")
-    eps = preds - actuals
-    return math.sqrt(math_fsum(eps * eps) / preds.size)
+    with np.errstate(over="ignore"):
+        eps = preds - actuals
+        return _finite(math.sqrt(math_fsum(eps * eps) / preds.size), "rmse")
+
+
+def _finite(value: float, metric: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{metric} is not finite: the predictions are too far from the actuals")
+    return value
 
 
 @dataclass(frozen=True)
@@ -101,14 +109,7 @@ class MetricRow:
     count: int
 
     def to_dict(self) -> dict:
-        return {
-            "upr": self.upr,
-            "opr8": self.opr8,
-            "wae": self.wae,
-            "csi": self.csi,
-            "rmse": self.rmse,
-            "count": self.count,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

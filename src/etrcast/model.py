@@ -426,8 +426,8 @@ def load_checkpoint(
     """Read a checkpoint; any mismatch with its own config raises ValueError.
 
     The tensor list must name exactly the tensors ``init_params`` builds for
-    the stored config and schema, with the same shapes, and the file must end
-    right after the last tensor.
+    the stored config and schema, with the same shapes and finite values, and
+    the file must end right after the last tensor.
     """
     with open(path, "rb") as fh:
         header = read_header(fh, path, CHECKPOINT_MAGIC, "checkpoint")
@@ -468,5 +468,7 @@ def load_checkpoint(
                     f"the model config needs {expected[name].shape}"
                 )
             tensors[name] = read_array(fh, path, "<f8", shape, f"tensor {name}")
+            if not np.isfinite(tensors[name]).all():
+                raise ValueError(f"{path}: tensor {name} holds NaN or Inf")
         check_end(fh, path, "tensor")
     return ModelParams(config, schema, tensors, loss), state, fingerprint

@@ -44,7 +44,7 @@ import numpy as np
 from .autodiff import NumericsError, Tape
 from .data import (
     EncodedTable,
-    EventSeries,
+    EventRef,
     EventTable,
     FeatureSchema,
     TransformState,
@@ -168,10 +168,10 @@ def build_final_samples(events: EncodedTable, config: ModelConfig) -> SampleSet:
 
 
 def encode_events(
-    events: EventTable | Sequence[EventSeries], state: TransformState, schema: FeatureSchema
+    events: EventTable | Sequence[EventRef], state: TransformState, schema: FeatureSchema
 ) -> EncodedTable:
-    """Encode a table of events (EventSeries objects are converted once)."""
-    return encode_table(as_event_table(events, schema), state, schema)
+    """Encode a table of events (a list of ``EventRef`` is selected from its table once)."""
+    return encode_table(as_event_table(events), state, schema)
 
 
 # -- optimizer and scheduler ---------------------------------------------------

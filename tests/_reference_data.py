@@ -3,7 +3,10 @@
 These are the loops the columnar code in ``etrcast.data`` and
 ``etrcast.dataio`` replaced: one ``Revision`` object per revision, one
 Python operation per feature value. Tests assert that the columnar path
-gives bit-identical events, fitted statistics and encodings.
+gives bit-identical events, fitted statistics and encodings. The package
+holds events only as an ``EventTable``; ``events_of`` and ``table_of``
+convert between a table and the plain per-event types here, for tests that
+build or read events by hand.
 """
 
 from __future__ import annotations
@@ -11,17 +14,66 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from etrcast.data import (
     MISSING_CAT,
-    EventSeries,
+    EventTable,
     FeatureSchema,
-    Revision,
     TransformState,
+    build_table,
 )
+
+
+@dataclass(frozen=True)
+class Revision:
+    """One timestamped snapshot: raw category indices (or MISSING_CAT), reals (or NaN)."""
+
+    timestamp: float
+    categorical_values: tuple[int, ...]
+    continuous_values: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class EventSeries:
+    """One outage event: ordered revisions plus the true restoration duration."""
+
+    event_id: str
+    storm_id: str
+    revisions: tuple[Revision, ...]
+    target_duration: float
+
+
+def events_of(table: EventTable) -> tuple[EventSeries, ...]:
+    """One EventSeries per event of ``table``, holding plain Python values."""
+    cats, conts = map(tuple, table.cat.tolist()), map(tuple, table.cont.tolist())
+    revisions = list(map(Revision, table.t.tolist(), cats, conts))
+    bounds = table.offsets.tolist()
+    return tuple(
+        EventSeries(event_id, storm_id, tuple(revisions[lo:hi]), target)
+        for event_id, storm_id, lo, hi, target in zip(
+            table.event_ids, table.storm_ids, bounds, bounds[1:], table.targets.tolist()
+        )
+    )
+
+
+def table_of(events: Sequence[EventSeries], schema: FeatureSchema) -> EventTable:
+    """The events as one table, built and checked by ``build_table`` from records."""
+    records = (
+        (
+            e.event_id,
+            e.storm_id,
+            e.target_duration,
+            [r.timestamp for r in e.revisions],
+            [r.categorical_values for r in e.revisions],
+            [r.continuous_values for r in e.revisions],
+        )
+        for e in events
+    )
+    return build_table(records, schema)
 
 
 class EncodedEvent(NamedTuple):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shlex
 import shutil
@@ -9,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,7 +20,6 @@ from hypothesis import strategies as st
 
 from etrcast import cli, dataio
 from etrcast.cli import SCALES, build_parser, load_config_file, run
-from etrcast.data import Revision
 from etrcast.dataio import load_dataset
 from etrcast.losses import LossConfig
 from etrcast.model import ModelConfig, load_checkpoint, save_checkpoint
@@ -138,9 +139,12 @@ class TestTrain:
 
     def test_scale_presets(self):
         assert SCALES["desk"]["model"]["d_model"] == 32
-        assert SCALES["full"]["model"]["d_model"] == 128
-        assert SCALES["full"]["train"]["learning_rate"] == 1e-4
-        assert SCALES["full"]["train"]["batch_size"] == 1024
+        argv = ["train", "--dataset", "d", "--out", "o", "--scale", "full"]
+        model_cfg, train_cfg, _ = cli._configs_from_args(build_parser().parse_args(argv))
+        assert (model_cfg.d_model, model_cfg.n_layers, model_cfg.n_heads) == (128, 6, 16)
+        assert (train_cfg.learning_rate, train_cfg.batch_size, train_cfg.max_epochs) == (
+            1e-4, 1024, 100
+        )  # fmt: skip
 
     def test_trials_write_per_trial_dirs(self, pipeline, tmp_path):
         out = str(tmp_path / "multi")
@@ -232,6 +236,32 @@ class TestEval:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (1e155, "rmse is not finite"),
+            (1e200, "rmse is not finite"),
+            (math.nan, "tensor head/2/W holds NaN or Inf"),
+            (-math.inf, "tensor head/2/W holds NaN or Inf"),
+        ],
+        ids=["huge_1e155", "huge_1e200", "nan", "inf"],
+    )
+    def test_checkpoint_that_cannot_score_names_itself(
+        self, pipeline, tmp_path, capsys, value, message
+    ):
+        good = os.path.join(pipeline["run"], "checkpoint.bin")
+        params, state, fingerprint = load_checkpoint(good)
+        params.tensors["head/2/W"][:] = value
+        bad = str(tmp_path / "bad.bin")
+        save_checkpoint(bad, params, state, fingerprint)
+        args = ["eval", "--dataset", pipeline["data"], "--checkpoint", bad]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([*args, "--out", str(tmp_path / "ev")]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: {message}" in err
+        assert "Traceback" not in err and "Warning" not in err and caught == []
+
 
 class TestCheckpointLoss:
     def test_eval_scores_with_the_loss_the_model_was_trained_with(self, pipeline, tmp_path):
@@ -271,25 +301,6 @@ class TestCheckpointLoss:
         assert all(np.array_equal(params.tensors[k], v) for k, v in reference.tensors.items())
         args = ["eval", "--dataset", pipeline["data"], "--checkpoint", path]
         assert run([*args, "--out", str(tmp_path / "ev")]) == 0
-
-
-class TestCommandsStayColumnar:
-    def test_commands_build_no_revision_objects(self, pipeline, tmp_path, monkeypatch):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("a command built a Revision object")
-
-        monkeypatch.setattr(Revision, "__init__", refuse)
-        assert run(["generate", "--out", str(tmp_path / "gen"), "--seed", "0", *GEN_ARGS]) == 0
-        out = str(tmp_path / "run")
-        args = ["--dataset", pipeline["data"], "--seed", "0"]
-        assert run(["train", *args, "--out", out, "--epochs", "1"]) == 0
-        checkpoint = ["--checkpoint", os.path.join(out, "checkpoint.bin")]
-        assert run(["eval", *args, *checkpoint, "--out", str(tmp_path / "ev")]) == 0
-        explain = ["--revisions", "2", "--events", "1", "--permutations", "4"]
-        assert run(["explain", *args, *checkpoint, *explain, "--out", str(tmp_path / "ex")]) == 0
-        assert run(["attention", *args, *checkpoint, "--out", str(tmp_path / "at")]) == 0
-        with pytest.raises(AssertionError):
-            Revision(0.0, (0,), (0.0,))
 
 
 class TestRunManifestInputs:
@@ -816,6 +827,13 @@ _key = st.sampled_from(
 _config_text = st.lists(st.builds("{} = {}".format, _key, _value), max_size=6).map("\n".join)
 
 
+def _finite_tensors(blob: bytes) -> bool:
+    """Whether a checkpoint file's tensor bytes, read as float64, are all finite."""
+    (length,) = struct.unpack("<Q", blob[8:16])
+    data = bytes(blob[16 + length :])
+    return np.isfinite(np.frombuffer(data[: len(data) // 8 * 8], "<f8")).all()
+
+
 @settings(max_examples=60, deadline=None)
 @given(text=_config_text)
 def test_any_config_file_ends_in_an_exit_code(text):
@@ -881,6 +899,13 @@ def _damage_region(target: str, blob: bytes, draw) -> tuple[list[int], tuple[str
     return list(range(16 + length, len(blob))), ("overwrite", "truncate", "append")
 
 
+def _finite_tensors(blob: bytes) -> bool:
+    """Whether a checkpoint file's tensor bytes, read as float64, are all finite."""
+    (length,) = struct.unpack("<Q", blob[8:16])
+    data = bytes(blob[16 + length :])
+    return np.isfinite(np.frombuffer(data[: len(data) // 8 * 8], "<f8")).all()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     target=st.sampled_from(["manifest.json", "events.jsonl", "events.bin", "events.bin keys",
@@ -920,7 +945,9 @@ def test_any_damaged_data_file_ends_in_an_exit_code(pipeline, clean_eval, target
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = run(["eval", "--dataset", dataset, "--checkpoint", checkpoint, "--out", out])
         assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
-        if target == "events.bin":
+        if target == "checkpoint tensors" and not _finite_tensors(blob):
+            assert code == 1 and f"{path}: tensor " in err.getvalue()
+        elif target == "events.bin":
             assert code == 1 and f"{path}: " in err.getvalue()
         elif target == "events.bin keys":
             assert code == 1 or _artifacts(out) == clean_eval

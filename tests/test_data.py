@@ -4,21 +4,20 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _reference_data as reference
 from etrcast import dataio
 from etrcast.dataio import load_dataset
 from etrcast.synth import GeneratorConfig, generate_dataset
+from etrcast.training import encode_events
 from etrcast.data import (
     MISSING_CAT,
     DatasetSplit,
     EventError,
-    EventSeries,
     EventTable,
     FeatureSchema,
-    Revision,
     StormRecord,
     classify_storm,
     encode_table,
@@ -34,15 +33,20 @@ SCHEMA = FeatureSchema(
 
 def ev(event_id, stamps, cats, conts, storm="s1", target=5.0):
     revs = tuple(
-        Revision(t, (c,), (x,)) for t, c, x in zip(stamps, cats, conts)
+        reference.Revision(t, (c,), (x,)) for t, c, x in zip(stamps, cats, conts)
     )
-    return EventSeries(event_id, storm, revs, target)
+    return reference.EventSeries(event_id, storm, revs, target)
+
+
+def as_table(events):
+    """``events`` as one table, checked as ``build_table`` checks records."""
+    return reference.table_of(events, SCHEMA)
 
 
 def encode(events, state=None):
     """``events`` encoded as one table, with ``state`` or transforms fitted on them."""
-    table = EventTable.from_events(events, SCHEMA)
-    return encode_table(table, fit_transforms(table, SCHEMA) if state is None else state, SCHEMA)
+    joined = as_table(events)
+    return encode_table(joined, fit_transforms(joined, SCHEMA) if state is None else state, SCHEMA)
 
 
 def storm(sid, affected, served, magnitude, n_events=0):
@@ -68,7 +72,7 @@ class TestTimeDeltas:
 
     def test_strictly_increasing_enforced(self):
         with pytest.raises(ValueError):
-            ev("a", [5.0, 5.0], [0, 0], [1.0, 1.0])
+            as_table([ev("a", [5.0, 5.0], [0, 0], [1.0, 1.0])])
 
 
 class TestClassify:
@@ -96,32 +100,32 @@ class TestFitTransforms:
         events = [
             ev("a", [0.0, 1.0], [0, 1], [2.0, 4.0]),
         ]
-        state = fit_transforms(events, SCHEMA)
+        state = fit_transforms(as_table(events), SCHEMA)
         assert state.cont_mean["load"] == 3.0
         assert state.cont_std["load"] == 1.0  # population std of [2, 4]
 
     def test_degenerate_std_becomes_one(self):
         events = [ev("a", [0.0, 1.0, 2.0], [0, 0, 0], [5.0, 5.0, 5.0])]
-        state = fit_transforms(events, SCHEMA)
+        state = fit_transforms(as_table(events), SCHEMA)
         assert state.cont_std["load"] == 1.0
         enc = encode(events[:1], state)
         np.testing.assert_array_equal(enc.cont[:, 0], 0.0)
 
     def test_missing_excluded_from_stats(self):
         events = [ev("a", [0.0, 1.0, 2.0], [0, 0, 1], [2.0, math.nan, 4.0])]
-        state = fit_transforms(events, SCHEMA)
+        state = fit_transforms(as_table(events), SCHEMA)
         assert state.cont_mean["load"] == 3.0
 
     def test_all_missing_feature_named_in_error(self):
         events = [ev("a", [0.0, 1.0], [MISSING_CAT, MISSING_CAT], [1.0, 2.0])]
         with pytest.raises(ValueError, match="color"):
-            fit_transforms(events, SCHEMA)
+            fit_transforms(as_table(events), SCHEMA)
 
     def test_mode_most_frequent_tie_to_smallest(self):
         events = [
             ev("a", [0.0, 1.0, 2.0, 3.0], [2, 2, 1, 1], [0.0, 0.0, 0.0, 0.0]),
         ]
-        state = fit_transforms(events, SCHEMA)
+        state = fit_transforms(as_table(events), SCHEMA)
         dense_mode = state.cat_modes["color"]
         # raw 1 and raw 2 tie at two observations each; smallest raw wins
         assert state.cat_maps["color"][1] == dense_mode
@@ -137,7 +141,7 @@ class TestApplyTransforms:
             ev("a", [0.0, 1.0], [0, 1], [2.0, 4.0]),
             ev("b", [0.0, 2.0], [1, 1], [6.0, 8.0]),
         ]
-        self.state = fit_transforms(self.events, SCHEMA)
+        self.state = fit_transforms(as_table(self.events), SCHEMA)
 
     def test_zscore(self):
         enc = encode(self.events[:1], self.state)
@@ -183,8 +187,9 @@ class TestColumnarMatchesReference:
         ds = load_dataset(saved)
         expected = reference.load_events(saved, ds.schema, ds.categories)
         assert (ds.table.cat == MISSING_CAT).any() and np.isnan(ds.table.cont).any()
-        assert len(ds.events) == len(expected)
-        for got, want in zip(ds.events, expected):
+        events = reference.events_of(ds.table)
+        assert len(events) == len(expected)
+        for got, want in zip(events, expected):
             assert (got.event_id, got.storm_id) == (want.event_id, want.storm_id)
             assert got.target_duration == want.target_duration
             for a, b in zip(got.revisions, want.revisions, strict=True):
@@ -219,6 +224,58 @@ class TestColumnarMatchesReference:
         if n_fit is not None:  # categories unseen in the fitted events map to UNKNOWN
             unknown = [state.unknown_index(name) for name in schema.categorical]
             assert (encoded.cat_idx == unknown).any()
+
+
+class TestEventRefView:
+    """``Dataset.split_events()`` references give what ``split_tables()`` gives.
+
+    The references serve the benchmark harness's set-up only; the commands read
+    tables.
+    """
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        ds = generate_dataset(
+            GeneratorConfig(seed=5, storms_per_class=5, events_per_storm=(5, 8), missing_rate=0.2)
+        )
+        assert (ds.table.cat == MISSING_CAT).any() and np.isnan(ds.table.cont).any()
+        return ds
+
+    def test_fit_transforms_matches_the_table(self, ds):
+        state = fit_transforms(ds.split_events()["train"], ds.schema)
+        want = fit_transforms(ds.split_tables()["train"], ds.schema)
+        assert state == want
+        for name in ds.schema.continuous:
+            assert state.cont_mean[name].hex() == want.cont_mean[name].hex()
+            assert state.cont_std[name].hex() == want.cont_std[name].hex()
+
+    def test_revision_counts_and_targets_match_the_table(self, ds):
+        tables = ds.split_tables()
+        for name, refs in ds.split_events().items():
+            assert [len(e.revisions) for e in refs] == tables[name].lengths.tolist()
+            assert [e.target_duration for e in refs] == tables[name].targets.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        split=st.sampled_from(["train", "validation", "test"]),
+        start=st.integers(0, 40),
+        stop=st.integers(1, 80),
+        step=st.integers(1, 4),
+    )
+    def test_encoding_a_slice_matches_the_table_rows(self, ds, split, start, stop, step):
+        refs, table = ds.split_events()[split], ds.split_tables()[split]
+        positions = np.arange(len(table))[start:stop:step]
+        assume(positions.size)
+        state = fit_transforms(ds.split_tables()["train"], ds.schema)
+        got = encode_events(refs[start:stop:step], state, ds.schema)
+        want = encode_events(table.select(positions), state, ds.schema)
+        assert (got.event_ids, got.storm_ids) == (want.event_ids, want.storm_ids)
+        for column in ("targets", "offsets", "cat_idx", "cont", "deltas"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
+
+    def test_empty_list_is_an_empty_training_set(self, ds):
+        with pytest.raises(ValueError, match="empty training set"):
+            fit_transforms([], ds.schema)
 
 
 TABLE_COLUMNS = ("t", "cat", "cont", "targets", "offsets")
@@ -412,7 +469,7 @@ class TestValidation:
     def test_validate_event_catches_out_of_range(self):
         e = ev("a", [0.0], [7], [1.0])
         with pytest.raises(EventError, match="index 7 out of range"):
-            EventTable.from_events([e], SCHEMA)
+            as_table([e])
 
     def test_storm_record_bounds(self):
         with pytest.raises(ValueError):

@@ -304,7 +304,7 @@ class TestEndToEndExplain:
         # columns carry exactly zero, so the ranking oracle is exact
         schema = small_dataset.schema
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
-        splits = small_dataset.split_events()
+        splits = small_dataset.split_tables()
         state = fit_transforms(splits["train"], schema)
         enc = encode_events(splits["train"], state, schema)
         samples = build_samples(enc, cfg)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ class TestLossBranches:
         cfg = LossConfig(continuous_over=True)
         assert abs(piecewise_loss(8.0 + 1e-9, cfg) - 8.0) < 1e-6
         assert piecewise_loss(12.0, cfg) == 2.0 * 4.0 + 8.0
+
+    def test_continuous_vector_matches_scalar(self):
+        cfg = LossConfig(continuous_over=True)
+        eps = np.array([-3.0, -0.5, 0.0, 2.0, 8.0, 8.5, 9.0, 20.0, 1e6])
+        vec = piecewise_loss_vec(eps, cfg)
+        for e, v in zip(eps, vec, strict=True):
+            assert v == piecewise_loss(float(e), cfg)
+
+    def test_continuous_loss_value_is_its_wae(self):
+        cfg = LossConfig(continuous_over=True)
+        rng = np.random.default_rng(4)
+        actuals = rng.uniform(0.0, 40.0, size=200)
+        preds = actuals + rng.uniform(-20.0, 30.0, size=200)  # every branch, mostly late
+        value, _ = asymmetric_loss(preds, actuals, cfg)
+        assert value == wae(preds, actuals, cfg)
+        assert value < wae(preds, actuals)  # the late branch lost its jump
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -127,6 +144,15 @@ class TestMetrics:
 
     def test_rmse(self):
         assert rmse(np.array([1.0, 2.0]), np.array([4.0, 6.0])) == math.sqrt(12.5)
+
+    @pytest.mark.parametrize("scale", [5e307, 1e308], ids=["sum_overflows", "term_overflows"])
+    def test_metric_that_overflows_names_itself(self, scale):
+        preds, actuals = np.full(4, scale), np.zeros(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the test
+            for metric in (wae, rmse):
+                with pytest.raises(ValueError, match=f"^{metric.__name__} is not finite"):
+                    metric(preds, actuals)
 
     def test_oracle_equivalence_seeded(self):
         rng = np.random.default_rng(42)

@@ -238,7 +238,8 @@ class TestForward:
     def test_timestamp_translation_bit_identical(self, micro_params, micro_config, micro_schema):
         # deltas are differences; translating the underlying clock by 1e6
         # hours leaves them untouched because stamps sit on a dyadic grid
-        from etrcast.data import EventSeries, Revision, fit_transforms
+        from _reference_data import EventSeries, Revision, table_of
+        from etrcast.data import fit_transforms
         from etrcast.training import encode_events
 
         stamps = [100.0, 102.25, 107.5]
@@ -247,7 +248,7 @@ class TestForward:
         mk = lambda ts: EventSeries(
             "e", "s", tuple(Revision(t, (0,), (0.5,)) for t in ts), 4.0
         )
-        events = [mk(stamps), mk(shifted), mk(down)]
+        events = table_of([mk(stamps), mk(shifted), mk(down)], micro_schema)
         enc = encode_events(events, fit_transforms(events, micro_schema), micro_schema)
         d0, d_up, d_dn = (enc.deltas[lo:lo + 3].tolist() for lo in enc.offsets[:-1])
         assert d0 == d_up == d_dn

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from etrcast.data import MAGNITUDES, EventTable
+from _reference_data import events_of, table_of
+from etrcast.data import MAGNITUDES
 from etrcast.dataio import load_dataset, save_dataset
 from etrcast.synth import (
     GRID,
@@ -33,7 +34,7 @@ def test_twelve_storms_at_four_per_class():
 
 def test_events_validate_against_schema():
     ds = generate_dataset(SMALL)
-    EventTable.from_events(ds.events, ds.schema)
+    table_of(events_of(ds.table), ds.schema)
 
 
 def test_ratio_bands_respected():
@@ -75,7 +76,7 @@ def test_noise_perturbs_targets():
     )
     diffs = [
         abs(a.target_duration - b.target_duration)
-        for a, b in zip(quiet.events, noisy.events)
+        for a, b in zip(events_of(quiet.table), events_of(noisy.table))
     ]
     assert max(diffs) > 0.0
 
@@ -90,7 +91,7 @@ def test_rolling_average_exact_recompute():
     for storm_id in {s.storm_id for s in ds.storms}:
         # event ids embed generation order within the storm
         events = sorted(
-            (e for e in ds.events if e.storm_id == storm_id),
+            (e for e in events_of(ds.table) if e.storm_id == storm_id),
             key=lambda e: e.event_id,
         )
         for i, e in enumerate(events):
@@ -112,7 +113,7 @@ def test_concurrent_count_recompute():
     col = ds.schema.continuous.index("concurrent_event_count")
     for storm_id in {s.storm_id for s in ds.storms}:
         events = sorted(
-            (e for e in ds.events if e.storm_id == storm_id),
+            (e for e in events_of(ds.table) if e.storm_id == storm_id),
             key=lambda e: e.event_id,
         )
         for i, e in enumerate(events):
@@ -130,7 +131,7 @@ def test_missing_only_on_filler_features():
     signal_cols = [ds.schema.continuous.index(n) for n in SIGNAL_CONTINUOUS]
     pri_col = ds.schema.categorical.index("priority")
     saw_missing = False
-    for e in ds.events:
+    for e in events_of(ds.table):
         for rev in e.revisions:
             assert rev.categorical_values[pri_col] >= 0
             for c in signal_cols:
@@ -144,7 +145,7 @@ def test_missing_only_on_filler_features():
 def test_single_revision_range_degenerates():
     cfg = GeneratorConfig(seed=1, storms_per_class=4, events_per_storm=(4, 6), revisions_per_event=(1, 1))
     ds = generate_dataset(cfg)
-    assert all(len(e.revisions) == 1 for e in ds.events)
+    assert all(len(e.revisions) == 1 for e in events_of(ds.table))
 
 
 def test_storm_generation_independent_of_other_classes():
@@ -158,7 +159,7 @@ def test_storm_generation_independent_of_other_classes():
 
 def test_timestamps_on_grid():
     ds = generate_dataset(SMALL)
-    for e in ds.events:
+    for e in events_of(ds.table):
         for rev in e.revisions:
             scaled = rev.timestamp * GRID
             assert abs(scaled - round(scaled)) < 1e-9
@@ -196,8 +197,8 @@ def test_roundtrip_through_disk(tmp_path):
     back = load_dataset(str(tmp_path / "d"))
     assert back.schema == ds.schema
     assert back.split == ds.split
-    assert len(back.events) == len(ds.events)
-    assert back.events[0] == ds.events[0]
+    assert len(events_of(back.table)) == len(events_of(ds.table))
+    assert events_of(back.table)[0] == events_of(ds.table)[0]
     assert back.generator_config == ds.generator_config
 
 

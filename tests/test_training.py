@@ -32,7 +32,7 @@ from etrcast.training import (
 class TestBuildSamples:
     def test_one_sample_per_prefix(self, small_dataset):
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
-        splits = small_dataset.split_events()
+        splits = small_dataset.split_tables()
         state = fit_transforms(splits["train"], small_dataset.schema)
         enc = encode_events(splits["train"], state, small_dataset.schema)
         samples = build_samples(enc, cfg)
@@ -46,7 +46,7 @@ class TestBuildSamples:
 
     def test_window_keeps_most_recent(self, small_dataset):
         cfg = ModelConfig(max_seq_len=3, d_model=8, n_layers=1, n_heads=2)
-        splits = small_dataset.split_events()
+        splits = small_dataset.split_tables()
         state = fit_transforms(splits["train"], small_dataset.schema)
         enc = encode_events(splits["train"], state, small_dataset.schema)
         event = enc.select([np.flatnonzero(enc.lengths >= 5)[0]])
@@ -66,7 +66,7 @@ class TestBuildSamples:
 
     def test_window_of_revision_j_holds_its_latest_revisions(self, small_dataset):
         cfg = ModelConfig(max_seq_len=3, d_model=8, n_layers=1, n_heads=2)
-        splits = small_dataset.split_events()
+        splits = small_dataset.split_tables()
         state = fit_transforms(splits["train"], small_dataset.schema)
         enc = encode_events(splits["train"], state, small_dataset.schema)
         event = enc.select([np.flatnonzero(enc.lengths >= 5)[0]])
@@ -91,7 +91,7 @@ class TestBuildSamples:
 
     def test_masks_are_prefixes(self, small_dataset):
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
-        splits = small_dataset.split_events()
+        splits = small_dataset.split_tables()
         state = fit_transforms(splits["train"], small_dataset.schema)
         enc = encode_events(splits["train"], state, small_dataset.schema)
         samples = build_samples(enc.select(np.arange(10)), cfg)
@@ -333,7 +333,7 @@ class TestLinearBaseline:
     def test_predicts_on_final_revision(self):
         ds = self.make_dataset()
         baseline = fit_linear_baseline(ds)
-        splits = ds.split_events()
+        splits = ds.split_tables()
         enc = encode_events(splits["test"], baseline.state, ds.schema)
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
         samples = build_final_samples(enc, cfg)
@@ -345,7 +345,7 @@ class TestLinearBaseline:
     def test_train_residuals_beat_constant(self):
         ds = self.make_dataset()
         baseline = fit_linear_baseline(ds)
-        splits = ds.split_events()
+        splits = ds.split_tables()
         enc = encode_events(splits["train"], baseline.state, ds.schema)
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
         samples = build_final_samples(enc, cfg)
@@ -359,7 +359,7 @@ class TestLinearBaseline:
 
 class TestEvaluate:
     def test_one_prediction_per_event(self, small_dataset):
-        splits = small_dataset.split_events()
+        splits = small_dataset.split_tables()
         state = fit_transforms(splits["train"], small_dataset.schema)
         enc = encode_events(splits["test"], state, small_dataset.schema)
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
@@ -371,7 +371,7 @@ class TestEvaluate:
         assert sum(r.count for r in report.strata.values()) == len(enc)
 
     def test_per_revision_buckets(self, small_dataset):
-        splits = small_dataset.split_events()
+        splits = small_dataset.split_tables()
         state = fit_transforms(splits["train"], small_dataset.schema)
         enc = encode_events(splits["test"], state, small_dataset.schema)
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
@@ -423,6 +423,22 @@ class TestEvaluate:
             expected[j] = {"wae": wae(preds[rows], samples.targets[rows]), "count": int(rows.sum())}
         assert per_revision == expected
 
+    def test_continuous_over_scores_with_the_continuous_variant(self, small_dataset):
+        enc, cfg, model_fn = self._scored_test_split(small_dataset)
+        continuous = LossConfig(continuous_over=True)
+        late = lambda b: model_fn(b) + 100.0  # errors past tau, where the variants differ
+        samples = build_samples(enc, cfg)
+        report, per_revision = evaluate(late, samples, small_dataset.magnitude_of(), continuous)
+        final = build_final_samples(enc, cfg)
+        final_preds = predict_in_chunks(late, final)
+        want = wae(final_preds, final.targets, continuous)
+        assert math.isclose(report.overall.wae, want, rel_tol=1e-12)
+        assert report.overall.wae < wae(final_preds, final.targets)
+        preds = predict_in_chunks(late, samples)
+        for j, row in per_revision.items():
+            rows = samples.prefix_len == j
+            assert row["wae"] == wae(preds[rows], samples.targets[rows], continuous)
+
     def test_report_matches_final_revision_predictions(self, small_dataset):
         enc, cfg, model_fn = self._scored_test_split(small_dataset)
         magnitudes = small_dataset.magnitude_of()
@@ -440,9 +456,9 @@ class TestEvaluate:
                 assert math.isclose(getattr(got, metric), getattr(want, metric), rel_tol=1e-12)
 
     def test_chunked_prediction_matches_single_pass(self, small_dataset):
-        splits = small_dataset.split_events()
+        splits = small_dataset.split_tables()
         state = fit_transforms(splits["train"], small_dataset.schema)
-        enc = encode_events(splits["train"][:12], state, small_dataset.schema)
+        enc = encode_events(splits["train"].select(np.arange(12)), state, small_dataset.schema)
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
         params = init_params(cfg, small_dataset.schema, seed=0)
         samples = build_samples(enc, cfg)
@@ -455,9 +471,9 @@ class TestEvaluate:
         np.testing.assert_allclose(whole, a, rtol=0, atol=1e-12)
 
     def test_chunked_prediction_keeps_input_order(self, small_dataset):
-        splits = small_dataset.split_events()
+        splits = small_dataset.split_tables()
         state = fit_transforms(splits["train"], small_dataset.schema)
-        enc = encode_events(splits["train"][:12], state, small_dataset.schema)
+        enc = encode_events(splits["train"].select(np.arange(12)), state, small_dataset.schema)
         cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
         params = init_params(cfg, small_dataset.schema, seed=0)
         samples = build_samples(enc, cfg)
