@@ -9,7 +9,7 @@ stratified evaluation, attention export, and permutation Shapley
 attributions.
 """
 
-from .autodiff import NumericsError, Tape, fd_check
+from .autodiff import NumericsError, Tape
 from .data import (
     DatasetSplit,
     FeatureSchema,
@@ -52,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "NumericsError",
     "Tape",
-    "fd_check",
     "DatasetSplit",
     "FeatureSchema",
     "StormRecord",

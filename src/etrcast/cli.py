@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -25,24 +26,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import explain as explain_mod
-from .autodiff import Tape, fd_check
 from .data import EncodedTable, TransformState
 from .dataio import Dataset, canonical_json, dataset_fingerprint, file_sha256, load_dataset
-from .losses import LossConfig, asymmetric_loss, piecewise_loss
-from .metrics import EvalReport, csi, format_report, opr8, rmse, upr, wae
-from .model import (
-    ModelConfig,
-    ModelParams,
-    SequenceBatch,
-    forward,
-    init_params,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-)
+from .losses import LossConfig
+from .metrics import EvalReport, format_report
+from .model import ModelConfig, ModelParams, load_checkpoint, predict, save_checkpoint
 from .synth import GeneratorConfig, generate_dataset
 from .training import (
-    PlateauState,
     TrainConfig,
     TrainError,
     TrainResult,
@@ -50,7 +40,6 @@ from .training import (
     build_samples,
     encode_events,
     evaluate,
-    plateau_scheduler,
     train_model,
 )
 
@@ -284,6 +273,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _scoring(checkpoint: str):
+    """A ``ValueError`` while the checkpoint scores (an overflow) is a ``CliError`` naming it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(f"{checkpoint}: {exc}") from exc
+
+
 def _load_for_inference(
     args,
 ) -> tuple[Dataset, ModelParams, TransformState, EncodedTable, dict[str, str]]:
@@ -308,10 +306,8 @@ def cmd_eval(args) -> int:
     dataset, params, _, encoded, inputs = _load_for_inference(args)
     samples = build_samples(encoded, params.config)
     model_fn = lambda batch: predict(params, batch)
-    try:  # score with the loss the model was trained with
+    with _scoring(args.checkpoint):  # score with the loss the model was trained with
         report, per_revision = evaluate(model_fn, samples, dataset.magnitude_of(), params.loss)
-    except ValueError as exc:
-        raise CliError(f"{args.checkpoint}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     outputs = _report_paths(args.out, f"eval_{args.split}", report, per_revision)
     write_run_manifest(
@@ -344,8 +340,8 @@ def cmd_explain(args) -> int:
         bg_cat, bg_cont = explain_mod.final_revision_features(train_samples.batch(bg_pick))
         for row in sorted(picked.tolist()):
             sample = target_samples.batch(np.asarray([row]))
-            sets.append(
-                explain_mod.shapley_attributions(
+            with _scoring(args.checkpoint):
+                attributions = explain_mod.shapley_attributions(
                     model_fn,
                     sample,
                     bg_cat,
@@ -354,7 +350,7 @@ def cmd_explain(args) -> int:
                     seed=int(args.seed * 100_000 + row),
                     feature_names=names,
                 )
-            )
+            sets.append(attributions)
     if not sets:
         raise CliError("no samples available for attribution")
     report = explain_mod.aggregate_topk(sets, revision_range=args.revisions, k=args.topk)
@@ -385,103 +381,15 @@ def cmd_attention(args) -> int:
         raise CliError(f"event {args.event!r} not found in split {args.split!r}")
     event = encoded.select([encoded.event_ids.index(event_id)])
     batch = build_final_samples(event, params.config).batch(slice(0, 1))
-    stack = explain_mod.extract_attention(
-        params, batch, n_random_heads=args.heads, seed=args.seed
-    )
+    with _scoring(args.checkpoint):
+        stack = explain_mod.extract_attention(
+            params, batch, n_random_heads=args.heads, seed=args.seed
+        )
     os.makedirs(args.out, exist_ok=True)
     paths = explain_mod.export_heatmap(stack, args.out)
     config_doc = {"event": event_id, "heads": args.heads, "split": args.split}
     write_run_manifest(args.out, "attention", config_doc, args.seed, inputs, paths, started)
     print(f"wrote {len(paths)} heatmap grids to {args.out}")
-    return 0
-
-
-def cmd_selfcheck(args) -> int:
-    """Quick internal property suites: gradients, metrics, masking, scheduler."""
-    from .data import FeatureSchema
-
-    checks = 0
-
-    def ok(name: str) -> None:
-        nonlocal checks
-        checks += 1
-        print(f"ok: {name}")
-
-    def require(condition, what: str) -> None:
-        # not assert: the checks must also run under python -O
-        if not condition:
-            raise CliError(f"selfcheck failed: {what}")
-
-    # loss branches
-    cfg = LossConfig()
-    require(piecewise_loss(-2.0, cfg) == 10.0, "piecewise_loss(-2) == 10")
-    require(piecewise_loss(4.0, cfg) == 4.0, "piecewise_loss(4) == 4")
-    require(piecewise_loss(10.0, cfg) == 20.0, "piecewise_loss(10) == 20")
-    ok("loss branch values")
-
-    # metric equivalence on a small random draw
-    rng = np.random.default_rng(args.seed)
-    preds = rng.uniform(0, 40, size=200)
-    actuals = rng.uniform(0, 40, size=200)
-    loop_upr = sum(1 for a, b in zip(preds, actuals) if a < b) / 200
-    require(abs(upr(preds, actuals) - loop_upr) < 1e-15, "upr matches the loop oracle")
-    loop_wae = sum(piecewise_loss(float(e), cfg) for e in preds - actuals) / 200
-    require(abs(wae(preds, actuals, cfg) - loop_wae) < 1e-12, "wae matches the loop oracle")
-    loop_rmse = np.sqrt(np.mean((preds - actuals) ** 2))
-    require(abs(rmse(preds, actuals) - loop_rmse) < 1e-12, "rmse matches the oracle")
-    require(csi(0.0, 0.0, cfg) == 1.0, "csi(0, 0) == 1")
-    require(opr8(np.array([16.0]), np.array([8.0])) == 0.0, "opr8 of an 8 h overshoot == 0")
-    ok("metric oracle equivalence")
-
-    # scheduler trace
-    tc = TrainConfig(plateau_patience=3)
-    st = PlateauState(lr=1.0)
-    st = plateau_scheduler(5.0, st, tc)
-    for _ in range(2 * tc.plateau_patience):
-        st = plateau_scheduler(5.0, st, tc)
-    require(st.lr == tc.plateau_factor * tc.plateau_factor, "lr reduced twice on a plateau")
-    ok("plateau scheduler trace")
-
-    # micro model: gradient check and masking invariance
-    schema = FeatureSchema(
-        (("kind", "categorical"), ("level", "continuous")), {"kind": 3}
-    )
-    mcfg = ModelConfig(max_seq_len=5, d_model=8, n_layers=2, n_heads=2)
-    params = init_params(mcfg, schema, seed=args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    batch = SequenceBatch(
-        cat_idx=rng.integers(0, 3, size=(3, 5, 1)),
-        cont=rng.normal(size=(3, 5, 1)),
-        deltas=np.sort(rng.uniform(0, 9, size=(3, 5)), axis=1),
-        mask=np.asarray([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=bool),
-    )
-    batch = SequenceBatch(
-        batch.cat_idx, batch.cont, batch.deltas - batch.deltas[:, :1], batch.mask
-    )
-    targets = rng.uniform(5, 30, size=3)
-
-    def objective(tensors):
-        work = ModelParams(mcfg, schema, dict(tensors))
-        tape = Tape()
-        preds = forward(tape, work, batch, as_params=True)
-        loss = tape.scalar_op(preds, lambda p: asymmetric_loss(p, targets, cfg))
-        return float(loss.data), tape.gradients(loss)
-
-    err = fd_check(objective, params.tensors, h=1e-5, max_coords=60, seed=args.seed)
-    require(err < 1e-4, f"gradient check (max rel err {err:.2e} >= 1e-4)")
-    ok(f"end-to-end gradient check (max rel err {err:.2e})")
-
-    base = predict(params, batch)
-    garbage = SequenceBatch(
-        cat_idx=np.where(batch.mask[:, :, None], batch.cat_idx, 99_999),
-        cont=np.where(batch.mask[:, :, None], batch.cont, 1e300),
-        deltas=np.where(batch.mask, batch.deltas, -1e300),
-        mask=batch.mask,
-    )
-    require(np.array_equal(predict(params, garbage), base), "padding garbage invariance")
-    ok("padding garbage invariance (bit identical)")
-
-    print(f"selfcheck passed ({checks} checks)")
     return 0
 
 
@@ -551,10 +459,6 @@ def build_parser() -> _Parser:
     at.add_argument("--event", help="event id (default: first event of the split)")
     at.add_argument("--heads", type=positive_int, help="random heads per layer (default: all)")
     at.set_defaults(func=cmd_attention)
-
-    sc = sub.add_parser("selfcheck", help="run quick internal property checks")
-    sc.add_argument("--seed", type=int, default=0)
-    sc.set_defaults(func=cmd_selfcheck)
 
     return parser
 

@@ -150,6 +150,7 @@ def final_revision_features(batch: SequenceBatch) -> tuple[np.ndarray, np.ndarra
     return batch.cat_idx[rows, last], batch.cont[rows, last]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, not warned about
 def shapley_attributions(
     predict_fn: PredictFn,
     sample: SequenceBatch,
@@ -163,7 +164,9 @@ def shapley_attributions(
 
     The prefix context (all earlier revisions, deltas, mask) is held fixed;
     only the d = p + q feature slots of the last valid revision switch between
-    the sample's values and a background draw's values.
+    the sample's values and a background draw's values. Raises ``ValueError``
+    when an attribution, a standard error, the prediction or the background
+    mean is not finite.
     """
     if sample.size != 1:
         raise ValueError("shapley_attributions expects a single-sample batch")
@@ -231,13 +234,22 @@ def shapley_attributions(
     values = sums / n_permutations
     var = np.maximum(sumsq / n_permutations - values * values, 0.0)
     std_errors = np.sqrt(var / n_permutations)
+    background_mean = bg_pred_sum / n_permutations
+    for what, value in (
+        ("attributions", values),
+        ("standard errors", std_errors),
+        ("prediction", prediction),
+        ("background mean", background_mean),
+    ):
+        if not np.isfinite(value).all():
+            raise ValueError(f"shapley_attributions: non-finite {what}; predictions too large")
     return AttributionSet(
         feature_names=names,
         values=values,
         std_errors=std_errors,
         n_permutations=n_permutations,
         prediction=prediction,
-        background_mean=bg_pred_sum / n_permutations,
+        background_mean=background_mean,
         revision_index=last + 1,
     )
 

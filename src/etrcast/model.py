@@ -332,7 +332,9 @@ def forward(
 def predict(params: ModelParams, batch: SequenceBatch, capture: list | None = None) -> np.ndarray:
     """Inference entry point: predicted durations as a plain [B] array."""
     tape = Tape()
-    return forward(tape, params, batch, as_params=False, capture=capture).data.copy()
+    # an overflow raises NumericsError from the tape's finite checks, not a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return forward(tape, params, batch, as_params=False, capture=capture).data.copy()
 
 
 # -- checkpoint container ----------------------------------------------------

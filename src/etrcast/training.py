@@ -368,10 +368,11 @@ def train_model(
             slots += batch.mask.size
             targets = train_samples.targets[idx]
             tape = Tape()
-            try:
-                preds = forward(tape, params, batch, as_params=True, dropout_rng=dropout_rng)
-                loss = tape.scalar_op(preds, _loss_fn(train_config.loss, targets, loss_config))
-                grads = tape.gradients(loss)
+            try:  # an overflow raises from the tape's finite checks, without a RuntimeWarning
+                with np.errstate(over="ignore", invalid="ignore"):
+                    preds = forward(tape, params, batch, as_params=True, dropout_rng=dropout_rng)
+                    loss = tape.scalar_op(preds, _loss_fn(train_config.loss, targets, loss_config))
+                    grads = tape.gradients(loss)
             except NumericsError as exc:
                 raise TrainError(f"epoch {epoch} batch {bi}: {exc}") from exc
             loss_sum += float(loss.data) * idx.size

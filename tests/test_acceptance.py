@@ -16,8 +16,9 @@ from math import fsum, isclose
 import numpy as np
 import pytest
 
+from _reference_gradients import fd_check
 from etrcast import explain as explain_mod
-from etrcast.autodiff import Tape, fd_check
+from etrcast.autodiff import Tape
 from etrcast.data import MAGNITUDES, fit_transforms
 from etrcast.losses import LossConfig, asymmetric_loss, piecewise_loss
 from etrcast.metrics import PredictionSet, csi, opr8, rmse, upr, wae

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etrcast.autodiff import FINITE_SCAN_BELOW, NumericsError, Tape, fd_check
+from _reference_gradients import fd_check
+from etrcast.autodiff import FINITE_SCAN_BELOW, NumericsError, Tape
 
 TOL = 1e-4
 H = 1e-5
@@ -163,6 +164,17 @@ def test_finite_check_raises_on_overflow():
     x = tape.param("x", np.array([1e308]))
     with np.errstate(over="ignore"), pytest.raises(NumericsError):
         tape.mul(x, tape.constant(np.array([1e308])))
+
+
+def test_layer_norm_refuses_a_row_whose_variance_overflows():
+    # squaring 1e160 overflows, so rstd = 1/sqrt(inf) = 0 would map the row to the bias
+    tape = Tape()
+    x = tape.param("x", np.array([[1.0, -1.0, 0.5, -0.5], [1e160, -1e160, 1e160, -1e160]]))
+    gain, bias = tape.constant(np.ones(4)), tape.constant(np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="layer_norm: row variance overflows"):
+            tape.layer_norm(x, gain, bias)
 
 
 def test_finite_check_accepts_overflowing_sum():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from etrcast.autodiff import Tape, fd_check
+from etrcast.autodiff import Tape
 from etrcast.data import FeatureSchema, TransformState
 from etrcast import model as model_module
 from etrcast.losses import LossConfig, asymmetric_loss
@@ -23,6 +23,7 @@ from etrcast.model import (
 )
 
 import _reference_model as reference
+from _reference_gradients import fd_check
 from conftest import make_batch
 
 

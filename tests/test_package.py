@@ -35,3 +35,14 @@ def test_only_the_reference_modules_name_the_event_reference():
     assert naming == {"data.py", "dataio.py", "training.py"}
     assert per_revision == []
     assert not {"EventRef", "EventSeries", "Revision"} & set(etrcast.__all__)
+
+
+def test_no_module_uses_assert():
+    # python -O strips assert statements, so a check written as one would vanish
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pathlib.Path(etrcast.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
