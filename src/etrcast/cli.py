@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -94,7 +95,10 @@ def _config_file(args, *classes) -> dict[str, str]:
 
 
 def _resolve(cls, preset: dict, file_cfg: dict[str, str], args):
-    """``cls`` from its defaults < ``preset`` < file < ``args`` attributes named like fields."""
+    """``cls`` from its defaults < ``preset`` < file < ``args`` attributes named like fields.
+
+    A NaN or infinite value, alone or in a tuple, is refused naming its key.
+    """
     defaults = cls()
     resolved = dict(preset)
     for f in fields(cls):
@@ -103,7 +107,14 @@ def _resolve(cls, preset: dict, file_cfg: dict[str, str], args):
         flag = getattr(args, f.name, None)
         if flag is not None:
             resolved[f.name] = tuple(flag) if isinstance(flag, list) else flag
+        value = resolved.get(f.name)
+        if not all(map(_finite, value if isinstance(value, tuple) else (value,))):
+            raise CliError(f"{f.name} must be finite, got {value!r}")
     return cls(**resolved)
+
+
+def _finite(value) -> bool:
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}

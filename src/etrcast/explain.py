@@ -99,8 +99,7 @@ def extract_attention(
                 mean_weights=picked.mean(axis=0),
             )
         )
-    valid_len = int(batch.mask.astype(bool)[0].sum())
-    return AttentionStack(layers=tuple(out), valid_len=valid_len)
+    return AttentionStack(layers=tuple(out), valid_len=int(batch.lengths[0]))
 
 
 def export_heatmap(stack: AttentionStack, out_dir: str, prefix: str = "attention") -> list[str]:
@@ -145,8 +144,7 @@ class AttributionSet:
 
 def final_revision_features(batch: SequenceBatch) -> tuple[np.ndarray, np.ndarray]:
     """Final-revision (cat, cont) feature rows of each sample in a batch."""
-    last = batch.mask.astype(bool).sum(axis=1) - 1
-    rows = np.arange(batch.size)
+    rows, last = np.arange(batch.size), batch.lengths - 1
     return batch.cat_idx[rows, last], batch.cont[rows, last]
 
 
@@ -188,7 +186,7 @@ def shapley_attributions(
         [f"cat_{i}" for i in range(p)] + [f"cont_{i}" for i in range(q)]
     )
 
-    last = int(sample.mask.astype(bool)[0].sum()) - 1
+    last = int(sample.lengths[0]) - 1
     sample_cat = sample.cat_idx[0, last]
     sample_cont = sample.cont[0, last]
     k = background_cat.shape[0]

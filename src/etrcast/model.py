@@ -60,7 +60,7 @@ class ModelConfig:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.activation not in ("relu", "tanh"):
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.embed_dim_cap < 1 or self.pe_base <= 1.0:
+        if self.embed_dim_cap < 1 or not self.pe_base > 1.0:
             raise ValueError("bad embed_dim_cap or pe_base")
 
 
@@ -103,6 +103,10 @@ class SequenceBatch:
     @property
     def seq_len(self) -> int:
         return self.cat_idx.shape[1]
+
+    @property
+    def lengths(self) -> np.ndarray:  # [B] valid revisions; row i reads out at lengths[i] - 1
+        return self.mask.astype(bool).sum(axis=1)
 
 
 def validate_batch(batch: SequenceBatch, config: ModelConfig, schema: FeatureSchema) -> None:
@@ -198,107 +202,92 @@ def _activation(tape: Tape, config: ModelConfig, x: Tensor) -> Tensor:
     return tape.relu(x) if config.activation == "relu" else tape.tanh(x)
 
 
-def _get(tape: Tape, params: ModelParams, name: str, as_params: bool) -> Tensor:
-    arr = params.tensors[name]
-    return tape.param(name, arr) if as_params else tape.constant(arr)
+Weights = dict[str, Tensor]  # every tensor of a ModelParams, bound to one tape
 
 
-def _linear(tape: Tape, params: ModelParams, x: Tensor, name: str, as_params: bool) -> Tensor:
-    """``x @ {name}/W + {name}/b``; W is fetched before b, which fixes the tape order."""
-    w = _get(tape, params, f"{name}/W", as_params)
-    return tape.linear(x, w, _get(tape, params, f"{name}/b", as_params))
+def _bind(tape: Tape, params: ModelParams, train: bool) -> Weights:
+    """Every tensor of ``params`` on ``tape``: parameters when training, else constants."""
+    bind = tape.param if train else lambda _, arr: tape.constant(arr)
+    return {name: bind(name, arr) for name, arr in params.tensors.items()}
 
 
-def embed_revision(
-    tape: Tape, batch: SequenceBatch, params: ModelParams, as_params: bool = False
-) -> Tensor:
-    """Embed + concatenate + project each revision to d_model; returns [B,S,d_model]."""
-    schema = params.schema
-    parts = []
-    for c, feat in enumerate(schema.categorical):
-        table = _get(tape, params, f"embed/{feat}", as_params)
-        parts.append(tape.embedding(table, batch.cat_idx[:, :, c]))
+def _linear(tape: Tape, w: Weights, x: Tensor, name: str) -> Tensor:
+    """``x @ {name}/W + {name}/b``."""
+    return tape.linear(x, w[f"{name}/W"], w[f"{name}/b"])
+
+
+def embed_revision(tape: Tape, batch: SequenceBatch, params: ModelParams, w: Weights) -> Tensor:
+    """Embed + concatenate + project each revision to d_model; returns [B·S,d_model]."""
+    parts = [
+        tape.embedding(w[f"embed/{feat}"], batch.cat_idx[:, :, c])
+        for c, feat in enumerate(params.schema.categorical)
+    ]
     parts.append(tape.constant(batch.cont))
     stacked = tape.concat_last(parts)  # [B,S,d_in]
     b, s, d_in = stacked.shape
-    flat = tape.reshape(stacked, (b * s, d_in))
-    proj = _linear(tape, params, flat, "proj", as_params)
-    return tape.reshape(proj, (b, s, params.config.d_model))
+    return _linear(tape, w, tape.reshape(stacked, (b * s, d_in)), "proj")
 
 
 def encode_sequence(
     tape: Tape,
-    h: Tensor,
+    x: Tensor,
     mask: np.ndarray,
     last_idx: np.ndarray,
     params: ModelParams,
-    as_params: bool = False,
+    w: Weights,
     capture: list | None = None,
-    dropout_rng: np.random.Generator | None = None,
+    train_rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run the encoder stack on h [B,L,d_model]; returns the readout rows [B,d_model].
+    """Run the encoder stack on x [B·L,d_model]; returns the readout rows [B,d_model].
 
     ``last_idx`` [B] names each row's readout position. The last layer takes
     keys and values at all L positions but computes its query, attention
-    output, layer norms and FFN at the readout row only.
-
-    When ``capture`` is a list, each layer's attention weights [B,H,L,L] are
-    appended to it, L being the batch's longest valid prefix; the last layer's
-    full map is built as plain data, so capturing never alters the computation.
-    With ``dropout_rng`` set and config.dropout > 0, inverted dropout is
-    applied to each sublayer output before its residual add (training only).
+    output, layer norms and FFN at the readout row only; its full attention map
+    is captured as plain data, so capturing never alters the computation.
+    ``capture`` and ``train_rng`` are as in ``forward``.
     """
     cfg = params.config
-    b, s, d = h.shape
-    n_heads = cfg.n_heads
+    b, s = mask.shape
+    d, n_heads = cfg.d_model, cfg.n_heads
     dh = d // n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
     if cfg.n_layers == 0:
-        return tape.gather_rows(h, last_idx)
-    x = tape.reshape(h, (b * s, d))
+        return tape.gather_rows(tape.reshape(x, (b, s, d)), last_idx)
 
-    def maybe_dropout(t: Tensor) -> Tensor:
-        if dropout_rng is None or cfg.dropout == 0.0:
-            return t
-        keep = (dropout_rng.random(t.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
-        return tape.mul(t, tape.constant(keep))
+    def add_norm(x: Tensor, y: Tensor, ln: str) -> Tensor:  # post-norm residual, dropout on y
+        if train_rng is not None and cfg.dropout > 0.0:
+            keep = (train_rng.random(y.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+            y = tape.mul(y, tape.constant(keep))
+        return tape.layer_norm(tape.add(x, y), w[f"{ln}/g"], w[f"{ln}/b"])
 
-    def heads(src: Tensor, n: int, prefix: str) -> Tensor:  # [B*n,d] -> [B,H,n,dh]
-        y = _linear(tape, params, src, prefix, as_params)
-        return tape.transpose(tape.reshape(y, (b, n, n_heads, dh)), (0, 2, 1, 3))
+    def heads(src: Tensor, n: int, prefix: str, axes: tuple) -> Tensor:  # [B·n,d] -> 4-D
+        y = _linear(tape, w, src, prefix)
+        return tape.transpose(tape.reshape(y, (b, n, n_heads, dh)), axes)
 
     for layer in range(cfg.n_layers):
         name = f"layer{layer}"
         kv, rows = x, s
         if layer == cfg.n_layers - 1:
             x, rows = tape.gather_rows(tape.reshape(x, (b, s, d)), last_idx), 1
-        q = heads(x, rows, f"{name}/attn/q")
-        k, v = heads(kv, s, f"{name}/attn/k"), heads(kv, s, f"{name}/attn/v")
-        k_t = tape.transpose(k, (0, 1, 3, 2))
+        q = heads(x, rows, f"{name}/attn/q", (0, 2, 1, 3))  # [B,H,rows,dh]
+        k_t = heads(kv, s, f"{name}/attn/k", (0, 2, 3, 1))  # [B,H,dh,S]
+        v = heads(kv, s, f"{name}/attn/v", (0, 2, 1, 3))
         scores = tape.scale(tape.matmul(q, k_t), inv_sqrt_dh)
         weights = tape.masked_softmax(scores, mask)  # [B,H,rows,S]
         if capture is not None and rows < s:  # queries at every row, off the tape
-            q_all = kv.data @ params.tensors[f"{name}/attn/q/W"]
-            q_all += params.tensors[f"{name}/attn/q/b"]
+            q_all = kv.data @ w[f"{name}/attn/q/W"].data
+            q_all += w[f"{name}/attn/q/b"].data
             q_all = np.ascontiguousarray(q_all.reshape(b, s, n_heads, dh).transpose(0, 2, 1, 3))
             capture.append(kernels.masked_softmax((q_all @ k_t.data) * inv_sqrt_dh, mask))
         elif capture is not None:
             capture.append(weights.data.copy())
         ctx = tape.matmul(weights, v)  # [B,H,rows,dh]
         ctx = tape.reshape(tape.transpose(ctx, (0, 2, 1, 3)), (b * rows, d))
-        attn_out = _linear(tape, params, ctx, f"{name}/attn/o", as_params)
-        x = tape.layer_norm(
-            tape.add(x, maybe_dropout(attn_out)),
-            _get(tape, params, f"{name}/ln1/g", as_params),
-            _get(tape, params, f"{name}/ln1/b", as_params),
-        )
-        hidden = _activation(tape, cfg, _linear(tape, params, x, f"{name}/ffn/1", as_params))
-        ffn_out = _linear(tape, params, hidden, f"{name}/ffn/2", as_params)
-        x = tape.layer_norm(
-            tape.add(x, maybe_dropout(ffn_out)),
-            _get(tape, params, f"{name}/ln2/g", as_params),
-            _get(tape, params, f"{name}/ln2/b", as_params),
-        )
+        attn_out = _linear(tape, w, ctx, f"{name}/attn/o")
+        x = add_norm(x, attn_out, f"{name}/ln1")
+        hidden = _activation(tape, cfg, _linear(tape, w, x, f"{name}/ffn/1"))
+        ffn_out = _linear(tape, w, hidden, f"{name}/ffn/2")
+        x = add_norm(x, ffn_out, f"{name}/ln2")
     return x
 
 
@@ -306,27 +295,30 @@ def forward(
     tape: Tape,
     params: ModelParams,
     batch: SequenceBatch,
-    as_params: bool = False,
+    train_rng: np.random.Generator | None = None,
     capture: list | None = None,
-    dropout_rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Full forward pass to predicted durations; returns Tensor [B].
 
-    Columns past the longest valid prefix L are cut first; captured attention
-    is [B,H,L,L]. The last layer computes only the readout row the head reads.
+    With ``train_rng`` the pass trains: the tensors are tape parameters, and
+    when config.dropout > 0 each sublayer output gets inverted dropout drawn
+    from ``train_rng`` before its residual add. Without it the tensors are
+    constants and the tape records nothing. ``capture`` collects each layer's
+    attention weights [B,H,L,L], L being the longest valid prefix: columns
+    past it are cut first.
     """
     validate_batch(batch, params.config, params.schema)
-    used = int(batch.mask.astype(bool).sum(axis=1).max(initial=1))
+    lengths = batch.lengths
+    used = int(lengths.max(initial=1))
     trimmed = (a[:, :used] for a in (batch.cat_idx, batch.cont, batch.deltas, batch.mask))
     batch = sanitize_batch(SequenceBatch(*trimmed))
-    h = embed_revision(tape, batch, params, as_params)
+    w = _bind(tape, params, train_rng is not None)
+    h = embed_revision(tape, batch, params, w)
     pe = positional_encode(batch.deltas, params.config.d_model, params.config.pe_base)
-    h = tape.add(h, tape.constant(pe))
-    last_idx = batch.mask.sum(axis=1) - 1
-    rep = encode_sequence(tape, h, batch.mask, last_idx, params, as_params, capture, dropout_rng)
-    hidden = _activation(tape, params.config, _linear(tape, params, rep, "head/1", as_params))
-    out = _linear(tape, params, hidden, "head/2", as_params)
-    return tape.reshape(out, (batch.size,))
+    h = tape.add(h, tape.constant(pe.reshape(h.shape)))
+    rep = encode_sequence(tape, h, batch.mask, lengths - 1, params, w, capture, train_rng)
+    hidden = _activation(tape, params.config, _linear(tape, w, rep, "head/1"))
+    return tape.reshape(_linear(tape, w, hidden, "head/2"), (batch.size,))
 
 
 def predict(params: ModelParams, batch: SequenceBatch, capture: list | None = None) -> np.ndarray:
@@ -334,7 +326,7 @@ def predict(params: ModelParams, batch: SequenceBatch, capture: list | None = No
     tape = Tape()
     # an overflow raises NumericsError from the tape's finite checks, not a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        return forward(tape, params, batch, as_params=False, capture=capture).data.copy()
+        return forward(tape, params, batch, capture=capture).data.copy()
 
 
 # -- checkpoint container ----------------------------------------------------

@@ -77,8 +77,15 @@ class TrainConfig:
     loss: str = "asymmetric"
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0.0:
+            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if not self.min_delta >= 0.0:
+            raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ValueError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
         if self.plateau_patience < 1:
@@ -198,7 +205,10 @@ def adam_step(
     lr: float,
     cfg: TrainConfig,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """Standard bias-corrected Adam update, in place, one call per step."""
+    """Standard bias-corrected Adam update, in place, one call per step.
+
+    Raises ``NumericsError`` naming the first tensor the update leaves non-finite.
+    """
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     c1 = 1.0 - b1**state.t
@@ -213,6 +223,8 @@ def adam_step(
         v *= b2
         v += (1.0 - b2) * (g * g)
         tensors[name] -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+        if not np.isfinite(tensors[name]).all():
+            raise NumericsError(f"Adam update left {name} non-finite")
     return tensors, state
 
 
@@ -359,7 +371,7 @@ def train_model(
     for epoch in range(train_config.max_epochs):
         t_start = time.perf_counter()
         order_rng = np.random.default_rng((train_config.seed, 1000 + epoch))
-        dropout_rng = np.random.default_rng((train_config.seed, 2000 + epoch))
+        train_rng = np.random.default_rng((train_config.seed, 2000 + epoch))
         loss_sum = 0.0
         slots = 0
         batches = epoch_batches(train_samples, train_config.batch_size, order_rng)
@@ -368,15 +380,15 @@ def train_model(
             slots += batch.mask.size
             targets = train_samples.targets[idx]
             tape = Tape()
-            try:  # an overflow raises from the tape's finite checks, without a RuntimeWarning
+            try:  # an overflow raises from a finite check, without a RuntimeWarning
                 with np.errstate(over="ignore", invalid="ignore"):
-                    preds = forward(tape, params, batch, as_params=True, dropout_rng=dropout_rng)
+                    preds = forward(tape, params, batch, train_rng=train_rng)
                     loss = tape.scalar_op(preds, _loss_fn(train_config.loss, targets, loss_config))
                     grads = tape.gradients(loss)
+                    adam_step(params.tensors, grads, adam, plateau.lr, train_config)
             except NumericsError as exc:
                 raise TrainError(f"epoch {epoch} batch {bi}: {exc}") from exc
             loss_sum += float(loss.data) * idx.size
-            adam_step(params.tensors, grads, adam, plateau.lr, train_config)
         train_loss = loss_sum / n
 
         val_preds = predict_in_chunks(lambda b: predict(params, b), val_samples)
@@ -454,8 +466,7 @@ def fit_linear_baseline(dataset: Dataset) -> LinearBaseline:
 
 def baseline_predict(baseline: LinearBaseline, batch: SequenceBatch) -> np.ndarray:
     """Predict from each row's last valid revision."""
-    last = batch.mask.astype(bool).sum(axis=1) - 1
-    rows = np.arange(batch.size)
+    rows, last = np.arange(batch.size), batch.lengths - 1
     x = _design_matrix(batch.cat_idx[rows, last], batch.cont[rows, last], baseline.cat_widths)
     return x @ baseline.weights
 

@@ -17,8 +17,9 @@ from etrcast.autodiff import Tape, Tensor
 from etrcast.model import (
     ModelParams,
     SequenceBatch,
+    Weights,
     _activation,
-    _get,
+    _bind,
     _linear,
     embed_revision,
     positional_encode,
@@ -29,26 +30,25 @@ from etrcast.model import (
 
 def encode_sequence(
     tape: Tape,
-    h: Tensor,
+    x: Tensor,
     mask: np.ndarray,
     params: ModelParams,
-    as_params: bool = False,
+    w: Weights,
     capture: list | None = None,
 ) -> Tensor:
-    """Encoder stack over every position: [B,L,d_model] -> [B,L,d_model].
+    """Encoder stack over every position: [B·L,d_model] -> [B,L,d_model].
 
     ``capture`` collects each layer's attention weights [B,H,L,L].
     """
     cfg = params.config
-    b, s, d = h.shape
-    n_heads = cfg.n_heads
+    b, s = mask.shape
+    d, n_heads = cfg.d_model, cfg.n_heads
     dh = d // n_heads
-    x = tape.reshape(h, (b * s, d))
     for layer in range(cfg.n_layers):
         name = f"layer{layer}"
 
         def heads(part: str) -> Tensor:
-            y = _linear(tape, params, x, f"{name}/attn/{part}", as_params)
+            y = _linear(tape, w, x, f"{name}/attn/{part}")
             return tape.transpose(tape.reshape(y, (b, s, n_heads, dh)), (0, 2, 1, 3))
 
         q, k, v = heads("q"), heads("k"), heads("v")
@@ -60,19 +60,11 @@ def encode_sequence(
             capture.append(weights.data.copy())
         ctx = tape.matmul(weights, v)
         ctx = tape.reshape(tape.transpose(ctx, (0, 2, 1, 3)), (b * s, d))
-        attn_out = _linear(tape, params, ctx, f"{name}/attn/o", as_params)
-        x = tape.layer_norm(
-            tape.add(x, attn_out),
-            _get(tape, params, f"{name}/ln1/g", as_params),
-            _get(tape, params, f"{name}/ln1/b", as_params),
-        )
-        hidden = _activation(tape, cfg, _linear(tape, params, x, f"{name}/ffn/1", as_params))
-        ffn_out = _linear(tape, params, hidden, f"{name}/ffn/2", as_params)
-        x = tape.layer_norm(
-            tape.add(x, ffn_out),
-            _get(tape, params, f"{name}/ln2/g", as_params),
-            _get(tape, params, f"{name}/ln2/b", as_params),
-        )
+        attn_out = _linear(tape, w, ctx, f"{name}/attn/o")
+        x = tape.layer_norm(tape.add(x, attn_out), w[f"{name}/ln1/g"], w[f"{name}/ln1/b"])
+        hidden = _activation(tape, cfg, _linear(tape, w, x, f"{name}/ffn/1"))
+        ffn_out = _linear(tape, w, hidden, f"{name}/ffn/2")
+        x = tape.layer_norm(tape.add(x, ffn_out), w[f"{name}/ln2/g"], w[f"{name}/ln2/b"])
     return tape.reshape(x, (b, s, d))
 
 
@@ -80,19 +72,20 @@ def forward(
     tape: Tape,
     params: ModelParams,
     batch: SequenceBatch,
-    as_params: bool = False,
+    train_rng: np.random.Generator | None = None,
     capture: list | None = None,
 ) -> Tensor:
     """Predicted durations [B] through the full-layer encoder (no dropout)."""
     validate_batch(batch, params.config, params.schema)
-    used = int(batch.mask.astype(bool).sum(axis=1).max(initial=1))
+    used = int(batch.lengths.max(initial=1))
     trimmed = (a[:, :used] for a in (batch.cat_idx, batch.cont, batch.deltas, batch.mask))
     batch = sanitize_batch(SequenceBatch(*trimmed))
-    h = embed_revision(tape, batch, params, as_params)
+    w = _bind(tape, params, train_rng is not None)
+    h = embed_revision(tape, batch, params, w)
     pe = positional_encode(batch.deltas, params.config.d_model, params.config.pe_base)
-    h = tape.add(h, tape.constant(pe))
-    h = encode_sequence(tape, h, batch.mask, params, as_params, capture)
-    rep = tape.gather_rows(h, batch.mask.sum(axis=1) - 1)
-    hidden = _activation(tape, params.config, _linear(tape, params, rep, "head/1", as_params))
-    out = _linear(tape, params, hidden, "head/2", as_params)
+    h = tape.add(h, tape.constant(pe.reshape(h.shape)))
+    h = encode_sequence(tape, h, batch.mask, params, w, capture)
+    rep = tape.gather_rows(h, batch.lengths - 1)
+    hidden = _activation(tape, params.config, _linear(tape, w, rep, "head/1"))
+    out = _linear(tape, w, hidden, "head/2")
     return tape.reshape(out, (batch.size,))

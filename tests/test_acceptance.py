@@ -284,7 +284,7 @@ def test_04_gradient_checks_primitives_and_full_objective(micro_schema):
     def objective(values):
         work = ModelParams(cfg, micro_schema, dict(values))
         tape = Tape()
-        preds = forward(tape, work, batch, as_params=True)
+        preds = forward(tape, work, batch, train_rng=np.random.default_rng(0))
         loss = tape.scalar_op(preds, lambda p: asymmetric_loss(p, targets, loss_cfg))
         return float(loss.data), tape.gradients(loss)
 

@@ -583,6 +583,50 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert f"{field} must be >= 1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, flags, config, message",
+        [
+            ("train", ["--lr", "nan"], "", "learning_rate must be finite, got nan"),
+            ("train", ["--lr", "inf"], "", "learning_rate must be finite, got inf"),
+            ("train", [], "beta1 = 1.5", "beta1 must lie in [0, 1), got 1.5"),
+            ("train", [], "beta2 = 1.0\nadam_eps = 0", "beta2 must lie in [0, 1), got 1.0"),
+            ("train", [], "adam_eps = 0", "adam_eps must be > 0, got 0.0"),
+            ("train", [], "pe_base = nan", "pe_base must be finite, got nan"),
+            ("train", [], "min_delta = nan", "min_delta must be finite, got nan"),
+            ("train", [], "min_delta = -1", "min_delta must be >= 0, got -1.0"),
+            ("generate", ["--noise-std", "nan"], "", "noise_std must be finite, got nan"),
+            ("generate", [], "split_ratios = 0.7 0.15 nan",
+             "split_ratios must be finite, got (0.7, 0.15, nan)"),
+        ],
+        ids=["lr_nan", "lr_inf", "beta1_above_one", "beta2_one", "adam_eps_zero", "pe_base_nan",
+             "min_delta_nan", "min_delta_negative", "noise_std_nan", "split_ratio_nan"],
+    )  # fmt: skip
+    def test_config_that_cannot_run_exits_one_naming_its_key(
+        self, pipeline, tmp_path, capsys, command, flags, config, message
+    ):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), *flags]
+        if command == "train":
+            argv += ["--dataset", pipeline["data"]]
+        if config:
+            (tmp_path / "c.cfg").write_text(config + "\n")
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_adam_overflow_exits_two_naming_its_step(self, pipeline, tmp_path, capsys):
+        # 1e308 is finite, so it is accepted; the first update overflows
+        argv = ["train", "--dataset", pipeline["data"], "--out", str(tmp_path / "o")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, "--lr", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "runtime failure: epoch 0 batch 0: Adam update left head/1/W non-finite"
+        ]
+
     @staticmethod
     def _drop_storm_magnitude(manifest):
         del manifest["storms"][0]["magnitude"]
@@ -845,13 +889,6 @@ _key = st.sampled_from(
 _config_text = st.lists(st.builds("{} = {}".format, _key, _value), max_size=6).map("\n".join)
 
 
-def _finite_tensors(blob: bytes) -> bool:
-    """Whether a checkpoint file's tensor bytes, read as float64, are all finite."""
-    (length,) = struct.unpack("<Q", blob[8:16])
-    data = bytes(blob[16 + length :])
-    return np.isfinite(np.frombuffer(data[: len(data) // 8 * 8], "<f8")).all()
-
-
 @settings(max_examples=60, deadline=None)
 @given(text=_config_text)
 def test_any_config_file_ends_in_an_exit_code(text):
@@ -878,13 +915,35 @@ def _artifacts(out_dir: str) -> dict[str, bytes]:
     return {name: open(os.path.join(out_dir, name), "rb").read() for name in names}
 
 
+# each inference command as the data-file fuzz test runs it, kept small
+FUZZED = {
+    "eval": [],
+    "explain": ["--revisions", "1", "--events", "1", "--permutations", "4"],
+    "attention": [],
+}
+
+
+def _clean_run(pipeline, command: str) -> dict[str, bytes]:
+    out = os.path.join(pipeline["root"], f"clean_{command}")
+    checkpoint = os.path.join(pipeline["run"], "checkpoint.bin")
+    argv = [command, "--dataset", pipeline["data"], "--checkpoint", checkpoint, "--out", out]
+    assert run([*argv, *FUZZED[command]]) == 0
+    return _artifacts(out)
+
+
 @pytest.fixture(scope="module")
 def clean_eval(pipeline):
-    out = os.path.join(pipeline["root"], "clean_eval")
-    checkpoint = os.path.join(pipeline["run"], "checkpoint.bin")
-    argv = ["eval", "--dataset", pipeline["data"], "--checkpoint", checkpoint, "--out", out]
-    assert run(argv) == 0
-    return _artifacts(out)
+    return _clean_run(pipeline, "eval")
+
+
+@pytest.fixture(scope="module")
+def clean_explain(pipeline):
+    return _clean_run(pipeline, "explain")
+
+
+@pytest.fixture(scope="module")
+def clean_attention(pipeline):
+    return _clean_run(pipeline, "attention")
 
 
 def _sidecar_key_bytes(blob: bytes) -> set[int]:
@@ -926,18 +985,24 @@ def _finite_tensors(blob: bytes) -> bool:
 
 @settings(max_examples=60, deadline=None)
 @given(
+    command=st.sampled_from(sorted(FUZZED)),
     target=st.sampled_from(["manifest.json", "events.jsonl", "events.bin", "events.bin keys",
                             "checkpoint header", "checkpoint tensors"]),
     data=st.data(),
 )  # fmt: skip
-def test_any_damaged_data_file_ends_in_an_exit_code(pipeline, clean_eval, target, data):
-    """One damaged input file ends ``eval`` in a documented exit code, never a traceback.
+def test_any_damaged_data_file_ends_in_an_exit_code(
+    pipeline, clean_eval, clean_explain, clean_attention, command, target, data
+):
+    """One damaged input file ends an inference command in a documented exit code.
 
-    Damage to a file that still holds valid input may exit 0. A sidecar whose
-    recorded keys still match is never read silently: it exits 1 naming the
-    file. One whose keys were damaged is stale, and the command then gives
-    the outputs of the undamaged files, or exits 1 if the header is unreadable.
+    The command is ``eval``, ``explain`` or ``attention``; none ends in a
+    traceback. Damage to a file that still holds valid input may exit 0. A
+    sidecar whose recorded keys still match is never read silently: it exits 1
+    naming the file. One whose keys were damaged is stale, and the command then
+    gives the outputs of the undamaged files, or exits 1 if the header is
+    unreadable.
     """
+    clean = {"eval": clean_eval, "explain": clean_explain, "attention": clean_attention}[command]
     with tempfile.TemporaryDirectory() as tmp:
         dataset = os.path.join(tmp, "data")
         shutil.copytree(pipeline["data"], dataset)
@@ -958,14 +1023,15 @@ def test_any_damaged_data_file_ends_in_an_exit_code(pipeline, clean_eval, target
             blob += b"\0"
         with open(path, "wb") as fh:
             fh.write(blob)
-        out = os.path.join(tmp, "ev")
+        out = os.path.join(tmp, "out")
+        argv = [command, "--dataset", dataset, "--checkpoint", checkpoint, "--out", out]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = run(["eval", "--dataset", dataset, "--checkpoint", checkpoint, "--out", out])
+            code = run([*argv, *FUZZED[command]])
         assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
         if target == "checkpoint tensors" and not _finite_tensors(blob):
             assert code == 1 and f"{path}: tensor " in err.getvalue()
         elif target == "events.bin":
             assert code == 1 and f"{path}: " in err.getvalue()
         elif target == "events.bin keys":
-            assert code == 1 or _artifacts(out) == clean_eval
+            assert code == 1 or _artifacts(out) == clean

@@ -1,9 +1,12 @@
+import inspect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from etrcast.autodiff import Tape
+from etrcast.cli import SCALES
 from etrcast.data import FeatureSchema, TransformState
 from etrcast import model as model_module
 from etrcast.losses import LossConfig, asymmetric_loss
@@ -267,7 +270,7 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
         # training path with rng perturbs activations
         tape = Tape()
-        out = forward(tape, params, batch, dropout_rng=np.random.default_rng(0))
+        out = forward(tape, params, batch, train_rng=np.random.default_rng(0))
         assert not np.array_equal(out.data, a)
 
     def test_attention_capture_shapes(self, micro_params, micro_config, micro_schema):
@@ -301,7 +304,7 @@ class TestForward:
 
         def run(batch):
             tape = Tape()
-            preds = forward(tape, micro_params, batch, as_params=True)
+            preds = forward(tape, micro_params, batch, train_rng=np.random.default_rng(0))
             loss = tape.scalar_op(preds, lambda p: asymmetric_loss(p, targets, LossConfig()))
             return preds.data, tape.gradients(loss)
 
@@ -319,10 +322,10 @@ class TestForward:
     ):
         batch = make_batch(micro_schema, micro_config, n=3, seed=13, lengths=[2, 5, 4])
         tape = Tape()
-        out = forward(tape, micro_params, batch, as_params=False)
+        out = forward(tape, micro_params, batch)
         assert tape._nodes == []
         train_tape = Tape()
-        forward(train_tape, micro_params, batch, as_params=True)
+        forward(train_tape, micro_params, batch, train_rng=np.random.default_rng(0))
         assert train_tape._nodes
 
         tapes = []
@@ -348,7 +351,7 @@ class TestReadoutOnlyLastLayer:
     @staticmethod
     def run(fwd, params, batch, targets):
         tape = Tape()
-        preds = fwd(tape, params, batch, as_params=True)
+        preds = fwd(tape, params, batch, train_rng=np.random.default_rng(0))
         loss = tape.scalar_op(preds, lambda p: asymmetric_loss(p, targets, LossConfig()))
         return preds.data, tape.gradients(loss)
 
@@ -401,13 +404,62 @@ class TestReadoutOnlyLastLayer:
                 rows.setdefault(name, []).append(x.shape[0])
                 return super().linear(x, w, b)
 
-        forward(SpyTape(), micro_params, batch, as_params=True)
+        forward(SpyTape(), micro_params, batch, train_rng=np.random.default_rng(0))
         b, s = batch.size, cfg.max_seq_len
         last = cfg.n_layers - 1
         assert rows[f"layer{last}/ffn/1/W"] == [b]
         assert rows[f"layer{last}/attn/q/W"] == [b]
         assert rows[f"layer{last}/attn/k/W"] == rows[f"layer{last}/attn/v/W"] == [b * s]
         assert rows["layer0/ffn/1/W"] == [b * s]
+
+
+class TestEntryPoint:
+    """``forward(tape, params, batch, train_rng=None, capture=None)``: one switch, one graph."""
+
+    # one desk-scale forward plus its loss, by op: a graph change must update this on purpose
+    DESK_NODES = {
+        "linear": 15, "reshape": 11, "transpose": 8, "add": 5, "matmul": 4, "layer_norm": 4,
+        "relu": 3, "masked_softmax": 2, "scale": 2, "embedding": 2, "concat_last": 1,
+        "gather_rows": 1, "scalar_op": 1,
+    }  # fmt: skip
+
+    def test_signature_has_one_switch(self):
+        names = list(inspect.signature(forward).parameters)
+        assert names == ["tape", "params", "batch", "train_rng", "capture"]
+        assert not hasattr(model_module, "_get")
+
+    def test_desk_forward_and_loss_record_59_nodes(self, small_dataset):
+        cfg = ModelConfig(**SCALES["desk"]["model"])
+        params = init_params(cfg, small_dataset.schema, seed=0)
+        batch = make_batch(small_dataset.schema, cfg, n=6, seed=31)
+        ops = []
+
+        class CountingTape(Tape):
+            def _record(self, out, inputs, backward, op):
+                before = len(self._nodes)
+                t = super()._record(out, inputs, backward, op)
+                ops.extend([op] * (len(self._nodes) - before))
+                return t
+
+        tape = CountingTape()
+        preds = forward(tape, params, batch, train_rng=np.random.default_rng(0))
+        targets = np.linspace(2.0, 30.0, batch.size)
+        tape.scalar_op(preds, lambda p: asymmetric_loss(p, targets, LossConfig()))
+        assert dict(Counter(ops)) == self.DESK_NODES
+        assert len(tape._nodes) == sum(self.DESK_NODES.values()) == 59
+
+    def test_without_train_rng_nothing_is_recorded_even_with_dropout(self, micro_schema):
+        cfg = ModelConfig(max_seq_len=5, d_model=8, n_layers=2, n_heads=2, dropout=0.5)
+        params = init_params(cfg, micro_schema, seed=0)
+        batch = make_batch(micro_schema, cfg, n=3, seed=32, lengths=[2, 5, 1])
+        tape = Tape()
+        out = forward(tape, params, batch)
+        assert tape._nodes == [] and tape._params == {}
+        np.testing.assert_array_equal(out.data, predict(params, batch))
+        train_tape = Tape()
+        trained = forward(train_tape, params, batch, train_rng=np.random.default_rng(0))
+        assert set(train_tape._params) == set(params.tensors)
+        assert not np.array_equal(trained.data, out.data)  # dropout drew from train_rng
 
 
 class TestEndToEndGradient:
@@ -421,7 +473,7 @@ class TestEndToEndGradient:
         def f(values):
             work = ModelParams(cfg, micro_schema, dict(values))
             tape = Tape()
-            preds = forward(tape, work, batch, as_params=True)
+            preds = forward(tape, work, batch, train_rng=np.random.default_rng(0))
             loss = tape.scalar_op(
                 preds, lambda p: asymmetric_loss(p, targets, loss_cfg)
             )
