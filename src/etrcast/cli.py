@@ -7,7 +7,9 @@ resolved config, input/output checksums, and timestamps. ``generate`` and
 (and ``train``'s ``--scale`` preset), then an optional ``--config``
 key=value file of dataclass fields, then flags named like the fields.
 With a fixed seed every artifact except the manifest (which carries
-wall-clock timestamps by design) is byte-reproducible on one machine.
+wall-clock timestamps and the environment by design) is byte-reproducible on
+one machine. A CLI process keeps the memory it frees for reuse
+(``keep_freed_memory``); importing etrcast as a library tunes nothing.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
 """
@@ -16,9 +18,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import functools
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -26,6 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import __version__
 from . import explain as explain_mod
 from .data import EncodedTable, TransformState
 from .dataio import Dataset, canonical_json, dataset_fingerprint, file_sha256, load_dataset
@@ -137,6 +143,46 @@ def _parse_like(default, raw: str, key: str):
         raise CliError(f"config key {key!r}: cannot parse {raw!r}") from exc
 
 
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def keep_freed_memory() -> bool:
+    """Make glibc malloc keep freed memory for reuse; True when it took both settings.
+
+    By default glibc maps each block above a dynamic threshold afresh and hands
+    a free heap top back to the OS, so every prediction chunk faults its
+    multi-MB intermediates in again. Blocks up to 32 MiB now come from the heap,
+    and up to 1 GiB of free heap top stays mapped. Both are set because setting
+    either one turns off the dynamic thresholds. Without mallopt (not glibc)
+    nothing changes. ``run`` calls this once per process; a library import does
+    not, since a caller's process is not ours to tune.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no C library, or one without mallopt
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    taken = [mallopt(_M_TRIM_THRESHOLD, 1 << 30), mallopt(_M_MMAP_THRESHOLD, 32 << 20)]
+    return taken == [1, 1]
+
+
+def run_environment() -> dict:
+    """What a run ran on, for ``run_manifest.json``: versions, CPUs and the allocator."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "etrcast": __version__,
+        "cpus": len(affinity(0)) if affinity else os.cpu_count(),
+        "keeps_freed_memory": keep_freed_memory(),
+    }
+
+
 def write_run_manifest(
     out_dir: str,
     command: str,
@@ -154,6 +200,7 @@ def write_run_manifest(
         "seed": seed,
         "inputs": dict(inputs),
         "outputs": {path: file_sha256(path) for path in sorted(outputs)},
+        "environment": run_environment(),
         "started": started,
         "finished": time.time(),
     }
@@ -475,6 +522,7 @@ def build_parser() -> _Parser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    keep_freed_memory()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

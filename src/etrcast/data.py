@@ -372,6 +372,19 @@ class EncodedTable(_Events):
     ROW_COLUMNS: ClassVar[tuple[str, ...]] = ("cat_idx", "cont", "deltas")
 
 
+def check_thresholds(thresholds: tuple[float, float]) -> None:
+    """Storm-magnitude thresholds (small_max, medium_max) need 0 < small_max < medium_max < 1."""
+    small_max, medium_max = thresholds
+    if not 0.0 < small_max < medium_max < 1.0:
+        raise ValueError(f"bad thresholds {thresholds}")
+
+
+def check_split_ratios(ratios: tuple[float, float, float]) -> None:
+    """Train, validation and test ratios need three non-negative values summing to 1."""
+    if len(ratios) != 3 or not (abs(sum(ratios) - 1.0) <= 1e-9 and min(ratios) >= 0):
+        raise ValueError(f"ratios must be three non-negative values summing to 1, got {ratios}")
+
+
 def classify_storm(
     customers_affected: int,
     customers_served: int,
@@ -380,8 +393,7 @@ def classify_storm(
     small_max, medium_max = thresholds
     if customers_served <= 0:
         raise ValueError("customers_served must be positive")
-    if not 0.0 < small_max < medium_max < 1.0:
-        raise ValueError(f"bad thresholds {thresholds}")
+    check_thresholds(thresholds)
     ratio = customers_affected / customers_served
     if ratio <= small_max:
         return "Small"
@@ -465,8 +477,7 @@ def stratified_split(
     the quota stays satisfiable) and the remainder trains. Deterministic for
     a given seed.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9 or any(r < 0 for r in ratios):
-        raise ValueError(f"ratios must be non-negative and sum to 1, got {ratios}")
+    check_split_ratios(ratios)
     rng = np.random.default_rng(seed)
     train: list[str] = []
     val: list[str] = []

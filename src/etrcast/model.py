@@ -16,7 +16,7 @@ attention by the mask, so their contents can never influence a prediction
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -62,6 +62,8 @@ class ModelConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.embed_dim_cap < 1 or not self.pe_base > 1.0:
             raise ValueError("bad embed_dim_cap or pe_base")
+        if not math.isfinite(self.head_bias_init):
+            raise ValueError(f"head_bias_init must be finite, got {self.head_bias_init}")
 
 
 def embed_dim(cardinality: int, cap: int = 16) -> int:
@@ -106,7 +108,7 @@ class SequenceBatch:
 
     @property
     def lengths(self) -> np.ndarray:  # [B] valid revisions; row i reads out at lengths[i] - 1
-        return self.mask.astype(bool).sum(axis=1)
+        return np.asarray(self.mask, dtype=bool).sum(axis=1)
 
 
 def validate_batch(batch: SequenceBatch, config: ModelConfig, schema: FeatureSchema) -> None:
@@ -119,7 +121,7 @@ def validate_batch(batch: SequenceBatch, config: ModelConfig, schema: FeatureSch
         raise ValueError("deltas/mask shape mismatch")
     if s > config.max_seq_len:
         raise ValueError(f"sequence length {s} exceeds max_seq_len {config.max_seq_len}")
-    mask = batch.mask.astype(bool)
+    mask = np.asarray(batch.mask, dtype=bool)
     if not mask[:, 0].all():
         raise ValueError("every row needs at least one valid revision")
     if s > 1 and np.any(mask[:, 1:] & ~mask[:, :-1]):
@@ -130,12 +132,12 @@ def validate_batch(batch: SequenceBatch, config: ModelConfig, schema: FeatureSch
 
 def sanitize_batch(batch: SequenceBatch) -> SequenceBatch:
     """Zero out padded positions so padding contents cannot reach the model."""
-    mask = batch.mask.astype(bool)
+    mask = np.asarray(batch.mask, dtype=bool)
     m3 = mask[:, :, None]
-    return SequenceBatch(
-        cat_idx=np.where(m3, batch.cat_idx, 0).astype(np.int64),
-        cont=np.where(m3, batch.cont, 0.0).astype(np.float64),
-        deltas=np.where(mask, batch.deltas, 0.0).astype(np.float64),
+    return SequenceBatch(  # np.where makes the copy; astype converts only another dtype
+        cat_idx=np.where(m3, batch.cat_idx, 0).astype(np.int64, copy=False),
+        cont=np.where(m3, batch.cont, 0.0).astype(np.float64, copy=False),
+        deltas=np.where(mask, batch.deltas, 0.0).astype(np.float64, copy=False),
         mask=mask,
     )
 
@@ -307,6 +309,7 @@ def forward(
     attention weights [B,H,L,L], L being the longest valid prefix: columns
     past it are cut first.
     """
+    batch = replace(batch, mask=np.asarray(batch.mask, dtype=bool))  # converted once
     validate_batch(batch, params.config, params.schema)
     lengths = batch.lengths
     used = int(lengths.max(initial=1))

@@ -37,6 +37,8 @@ from .data import (
     FeatureSchema,
     StormRecord,
     build_table,
+    check_split_ratios,
+    check_thresholds,
     classify_storm,
     stratified_split,
 )
@@ -105,8 +107,10 @@ class GeneratorConfig:
             raise ValueError("revisions_per_event range inverted")
         if self.events_per_storm[0] < 1 or self.events_per_storm[0] > self.events_per_storm[1]:
             raise ValueError(f"bad events_per_storm range {self.events_per_storm}")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not self.noise_std >= 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        check_thresholds(self.thresholds)
+        check_split_ratios(self.split_ratios)
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValueError("missing_rate must be in [0, 1)")
         if self.storms_per_class < 1:

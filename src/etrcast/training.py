@@ -13,11 +13,14 @@ final-revision report reads the samples at each event's last revision, and
 the per-revision error curve reads all of them.
 
 Every batch holds samples of similar window width, so little of it is
-padding. Prediction visits the samples in width order (``by_width``). A
-training epoch cuts a seeded permutation into pools of ``POOL_BATCHES``
-batches, sorts each pool by width with the same rule and cuts it into
-batches, then visits the batches in a seeded random order
-(``epoch_batches``): the pools keep each batch a random draw of the
+padding. Prediction visits the samples in width order (``by_width``) and
+cuts them into chunks of about ``CHUNK_SLOTS`` token slots (rows x widest
+window, ``predict_in_chunks``), so every chunk's temporaries are about the
+same size: a CLI process keeps freed memory for reuse, and the largest chunk
+sets its resident size. A training epoch cuts a seeded permutation into
+pools of ``POOL_BATCHES`` batches, sorts each pool by width with the same
+rule and cuts it into batches, then visits the batches in a seeded random
+order (``epoch_batches``): the pools keep each batch a random draw of the
 epoch's samples apart from its width, as in length bucketing (Krell et al.
 2021, arXiv 2107.02027). Optimization is Adam with bias correction; the
 learning rate decays by a fixed factor when the validation WAE stops
@@ -308,19 +311,34 @@ def epoch_batches(
     return [batches[k] for k in rng.permutation(len(batches))]
 
 
+CHUNK_SLOTS = 2048  # token slots (rows x widest window) per prediction chunk
+
+
 def predict_in_chunks(
-    predict_fn: Callable[[SequenceBatch], np.ndarray], samples: SampleSet, chunk: int = 512
+    predict_fn: Callable[[SequenceBatch], np.ndarray],
+    samples: SampleSet,
+    slots: int = CHUNK_SLOTS,
 ) -> np.ndarray:
     """Predict every sample, returned in input order.
 
-    Rows go to ``predict_fn`` in chunks of ``chunk``, narrowest window first
-    (``by_width``), so each chunk is trimmed to about its own width.
+    Rows go to ``predict_fn`` narrowest window first (``by_width``), in chunks
+    of as many rows as fit in ``slots`` token slots at the chunk's widest
+    window; a row wider than ``slots`` is a chunk of its own. Each chunk is
+    trimmed to its own width, so its temporaries take about ``slots`` token
+    rows whatever the width: that, not the split's size, sets the memory a
+    process keeps mapped for the next chunk.
     """
     order = by_width(samples, np.arange(samples.size))
+    widths = samples.width[order]
     preds = np.empty(samples.size)
-    for start in range(0, samples.size, chunk):
-        idx = order[start : start + chunk]
+    start = 0
+    while start < samples.size:
+        ahead = widths[start : start + max(1, slots // widths[start])]
+        fits = np.arange(1, ahead.size + 1) * ahead <= slots  # rows x widest, rising
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        idx = order[start:stop]
         preds[idx] = predict_fn(samples.batch(idx))
+        start = stop
     return preds
 
 

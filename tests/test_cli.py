@@ -3,10 +3,14 @@ import io
 import json
 import math
 import os
+import platform
+import resource
 import shlex
 import shutil
 import string
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -16,13 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import etrcast
 from etrcast import cli, dataio
 from etrcast.cli import SCALES, build_parser, load_config_file, run
 from etrcast.dataio import load_dataset
 from etrcast.losses import LossConfig
-from etrcast.model import ModelConfig, load_checkpoint, save_checkpoint
-from etrcast.synth import GeneratorConfig
+from etrcast.model import ModelConfig, init_params, load_checkpoint, predict, save_checkpoint
+from etrcast.synth import GeneratorConfig, build_schema
 from etrcast.training import TrainConfig
+
+from conftest import make_batch
 
 GEN_ARGS = ["--storms-per-class", "6", "--events-per-storm", "5", "8"]
 
@@ -700,6 +707,36 @@ class TestErrorHandling:
         assert run([*argv, "--out", str(tmp_path / "ev")]) == 1
         err = capsys.readouterr().err
         assert f"{bad}: {message}" in err and "Traceback" not in err
+
+
+class TestProcessMemory:
+    def test_importing_the_package_leaves_the_allocator_alone(self):
+        code = "import etrcast.cli as c; print(c.keep_freed_memory.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0 and out.stdout.strip() == "0", out.stderr
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_repeated_predict_reuses_freed_memory(self):
+        assert cli.keep_freed_memory()
+        cfg = ModelConfig(**SCALES["desk"]["model"])
+        schema, _ = build_schema(GeneratorConfig())
+        params = init_params(cfg, schema, seed=0)
+        batch = make_batch(schema, cfg, n=512, lengths=[cfg.max_seq_len] * 512)
+        predict(params, batch)  # the heap grows to one call's peak once
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            predict(params, batch)
+        per_call = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
+        assert per_call < 100  # each call faulted its temporaries in afresh without it
+
+    def test_manifest_records_the_environment(self, pipeline):
+        manifest = json.load(open(os.path.join(pipeline["run"], "run_manifest.json")))
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "blas", "etrcast", "cpus", "keeps_freed_memory"}
+        assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+        assert env["etrcast"] == etrcast.__version__ and env["cpus"] >= 1
+        assert env["keeps_freed_memory"] is cli.keep_freed_memory()
 
 
 class TestReadme:

@@ -434,6 +434,10 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError):
             stratified_split(self.make(), ratios=(0.5, 0.2, 0.2))
 
+    def test_nan_ratio_refused(self):
+        with pytest.raises(ValueError, match="ratios"):
+            stratified_split(self.make(), ratios=(0.7, 0.15, float("nan")))
+
 
 class TestValidation:
     def test_schema_rejects_duplicates(self):

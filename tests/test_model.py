@@ -49,6 +49,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(activation="gelu")
 
+    @pytest.mark.parametrize("bias", [math.nan, math.inf, -math.inf])
+    def test_head_bias_init_must_be_finite(self, bias):
+        with pytest.raises(ValueError, match="head_bias_init"):
+            ModelConfig(head_bias_init=bias)
+
     def test_embed_dim_rule(self):
         assert embed_dim(4) == 2
         assert embed_dim(5) == 3

@@ -222,6 +222,29 @@ def test_config_validation():
         GeneratorConfig(missing_rate=1.5)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("noise_std", NAN),
+        ("thresholds", (NAN, 0.2)),
+        ("thresholds", (0.05, NAN)),
+        ("thresholds", (0.2, 0.05)),
+        ("thresholds", (0.0, 0.2)),
+        ("thresholds", (0.05, 1.0)),
+        ("split_ratios", (0.7, 0.15, NAN)),
+        ("split_ratios", (0.7, 0.3, 0.1)),
+        ("split_ratios", (1.1, -0.05, -0.05)),
+        ("split_ratios", (0.5, 0.5)),
+    ],
+)
+def test_config_refuses_what_cannot_generate(field, value):
+    with pytest.raises(ValueError, match=field.split("_")[-1]):
+        GeneratorConfig(**{field: value})
+
+
 def test_schema_has_expected_features():
     schema, categories = build_schema(GeneratorConfig())
     assert "priority" in schema.categorical

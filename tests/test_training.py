@@ -463,11 +463,11 @@ class TestEvaluate:
         params = init_params(cfg, small_dataset.schema, seed=0)
         samples = build_samples(enc, cfg)
         # same chunking is exactly reproducible
-        a = predict_in_chunks(lambda b: predict(params, b), samples, chunk=7)
-        b = predict_in_chunks(lambda b: predict(params, b), samples, chunk=7)
+        a = predict_in_chunks(lambda b: predict(params, b), samples, slots=28)
+        b = predict_in_chunks(lambda b: predict(params, b), samples, slots=28)
         np.testing.assert_array_equal(a, b)
         # different chunkings agree to roundoff (BLAS blocking may differ)
-        whole = predict_in_chunks(lambda b: predict(params, b), samples, chunk=10**9)
+        whole = predict_in_chunks(lambda b: predict(params, b), samples, slots=10**9)
         np.testing.assert_allclose(whole, a, rtol=0, atol=1e-12)
 
     def test_chunked_prediction_keeps_input_order(self, small_dataset):
@@ -488,9 +488,48 @@ class TestEvaluate:
             seen.append(batch.mask.sum(axis=1))
             return predict(params, batch)
 
-        chunked = predict_in_chunks(predict_fn, shuffled, chunk=16)
+        chunked = predict_in_chunks(predict_fn, shuffled, slots=64)
         # rows were visited shortest prefix first
         visited = np.concatenate(seen)
         assert np.all(np.diff(visited) >= 0) and visited.size == samples.size
         single = np.array([predict(params, shuffled.batch([i]))[0] for i in range(samples.size)])
         np.testing.assert_allclose(chunked, single, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _train_samples(small_dataset):
+        splits = small_dataset.split_tables()
+        state = fit_transforms(splits["train"], small_dataset.schema)
+        enc = encode_events(splits["train"], state, small_dataset.schema)
+        return build_samples(enc, ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2))
+
+    @pytest.mark.parametrize("slots", [5, 28, 2048])
+    def test_chunks_fill_their_slot_budget(self, small_dataset, slots):
+        samples = self._train_samples(small_dataset)
+        chunks = []  # (rows, widest, narrowest) per chunk
+
+        def record(batch):
+            chunks.append((batch.size, batch.mask.shape[1], int(batch.lengths.min())))
+            return np.zeros(batch.size)
+
+        predict_in_chunks(record, samples, slots)
+        rows, widest, narrowest = np.array(chunks).T
+        assert rows.sum() == samples.size
+        alone = widest > slots  # a row wider than the budget is a chunk of its own
+        assert alone.any() == (samples.width.max() > slots)
+        assert np.all(rows[alone] == 1)
+        assert np.all(rows[~alone] * widest[~alone] <= slots)
+        # one more row, the next chunk's narrowest, would not have fit
+        assert np.all((rows[:-1] + 1) * narrowest[1:] > slots)
+
+    @pytest.mark.parametrize("slots", [1, 28, 10**9])
+    def test_predictions_come_back_in_input_order(self, small_dataset, slots):
+        samples = self._train_samples(small_dataset)
+        perm = np.random.default_rng(1).permutation(samples.size)
+        shuffled = replace(samples, event=samples.event[perm], prefix_len=samples.prefix_len[perm])
+
+        def last_row(batch):  # exact per row: no sum runs over the padding
+            rows, last = np.arange(batch.size), batch.lengths - 1
+            return batch.cont[rows, last, 0] + batch.deltas[rows, last] + 1000.0 * batch.lengths
+
+        want = np.array([last_row(shuffled.batch([i]))[0] for i in range(shuffled.size)])
+        np.testing.assert_array_equal(predict_in_chunks(last_row, shuffled, slots), want)
