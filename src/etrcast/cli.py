@@ -7,9 +7,9 @@ resolved config, input/output checksums, and timestamps. ``generate`` and
 (and ``train``'s ``--scale`` preset), then an optional ``--config``
 key=value file of dataclass fields, then flags named like the fields.
 With a fixed seed every artifact except the manifest (which carries
-wall-clock timestamps and the environment by design) is byte-reproducible on
-one machine. A CLI process keeps the memory it frees for reuse
-(``keep_freed_memory``); importing etrcast as a library tunes nothing.
+wall-clock timestamps, per-phase seconds and the environment by design) is
+byte-reproducible on one machine. A CLI process keeps the memory it frees for
+reuse (``keep_freed_memory``); importing etrcast as a library tunes nothing.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
 """
@@ -183,6 +183,23 @@ def run_environment() -> dict:
     }
 
 
+class Phases:
+    """Wall-clock seconds per named phase of a command, summed over its repeats.
+
+    ``with phases("load"): ...`` times one stretch. The figures go to
+    ``run_manifest.json`` only, which is exempt from byte-reproducibility.
+    """
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+
+    @contextlib.contextmanager
+    def __call__(self, name: str):
+        start = time.perf_counter()
+        yield
+        self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
+
+
 def write_run_manifest(
     out_dir: str,
     command: str,
@@ -191,6 +208,7 @@ def write_run_manifest(
     inputs: Mapping[str, str],
     outputs: Sequence[str],
     started: float,
+    phases: Phases | None = None,
 ) -> str:
     """Write ``run_manifest.json``; ``inputs`` maps each input path to its sha256."""
     doc = {
@@ -204,6 +222,8 @@ def write_run_manifest(
         "started": started,
         "finished": time.time(),
     }
+    if phases is not None:
+        doc["phase_seconds"] = dict(phases.seconds)
     path = os.path.join(out_dir, "run_manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(doc))
@@ -269,32 +289,40 @@ def _train_once(
     train_cfg: TrainConfig,
     loss_cfg: LossConfig,
     out_dir: str,
+    phases: Phases,
 ) -> tuple[list[str], TrainResult, EvalReport]:
     """Train, write the checkpoint, history and reports; returns the test report too."""
     os.makedirs(out_dir, exist_ok=True)
-    result = train_model(dataset, model_cfg, train_cfg, loss_cfg)
-    ckpt = os.path.join(out_dir, "checkpoint.bin")
-    save_checkpoint(ckpt, result.params, result.transform_state, result.fingerprint)
-    outputs = [ckpt, _write_json(os.path.join(out_dir, "history.json"), result.history.to_doc())]
-
-    splits = dataset.split_tables()
-    magnitudes = dataset.magnitude_of()
-    model_fn = lambda batch: predict(result.params, batch)
-    encode = lambda name: encode_events(splits[name], result.transform_state, dataset.schema)
-    # validation reports the final revisions only; test also feeds the per-revision curve
-    val_samples = build_final_samples(encode("validation"), model_cfg)
-    val_report, _ = evaluate(model_fn, val_samples, magnitudes, loss_cfg)
-    outputs += _report_paths(out_dir, "eval_validation", val_report)
-    test_samples = build_samples(encode("test"), model_cfg)
-    test_report, per_revision = evaluate(model_fn, test_samples, magnitudes, loss_cfg)
-    outputs += _report_paths(out_dir, "eval_test", test_report, per_revision)
+    with phases("train"):
+        result = train_model(dataset, model_cfg, train_cfg, loss_cfg)
+    with phases("report"):
+        ckpt = os.path.join(out_dir, "checkpoint.bin")
+        save_checkpoint(ckpt, result.params, result.transform_state, result.fingerprint)
+        history = result.history.to_doc()
+        outputs = [ckpt, _write_json(os.path.join(out_dir, "history.json"), history)]
+    with phases("encode"):
+        splits = dataset.split_tables()
+        encode = lambda name: encode_events(splits[name], result.transform_state, dataset.schema)
+        # validation reports the final revisions only; test also feeds the per-revision curve
+        val_samples = build_final_samples(encode("validation"), model_cfg)
+        test_samples = build_samples(encode("test"), model_cfg)
+    with phases("predict"):
+        magnitudes = dataset.magnitude_of()
+        model_fn = lambda batch: predict(result.params, batch)
+        val_report, _ = evaluate(model_fn, val_samples, magnitudes, loss_cfg)
+        test_report, per_revision = evaluate(model_fn, test_samples, magnitudes, loss_cfg)
+    with phases("report"):
+        outputs += _report_paths(out_dir, "eval_validation", val_report)
+        outputs += _report_paths(out_dir, "eval_test", test_report, per_revision)
     return outputs, result, test_report
 
 
 def cmd_train(args) -> int:
     started = time.time()
     model_cfg, train_cfg, loss_cfg = _configs_from_args(args)
-    dataset = load_dataset(args.dataset)
+    phases = Phases()
+    with phases("load"):
+        dataset = load_dataset(args.dataset)
     os.makedirs(args.out, exist_ok=True)
 
     all_outputs: list[str] = []
@@ -303,7 +331,7 @@ def cmd_train(args) -> int:
         trial_cfg = replace(train_cfg, seed=train_cfg.seed + trial)
         trial_dir = args.out if args.trials == 1 else os.path.join(args.out, f"trial{trial}")
         outputs, result, test_report = _train_once(
-            dataset, model_cfg, trial_cfg, loss_cfg, trial_dir
+            dataset, model_cfg, trial_cfg, loss_cfg, trial_dir, phases
         )
         all_outputs.extend(outputs)
         test_waes.append(test_report.overall.wae)
@@ -326,7 +354,7 @@ def cmd_train(args) -> int:
         "scale": args.scale,
     }
     write_run_manifest(
-        args.out, "train", config_doc, train_cfg.seed, dataset.files, all_outputs, started
+        args.out, "train", config_doc, train_cfg.seed, dataset.files, all_outputs, started, phases
     )
     return 0
 
@@ -341,12 +369,14 @@ def _scoring(checkpoint: str):
 
 
 def _load_for_inference(
-    args,
+    args, phases: Phases | None = None
 ) -> tuple[Dataset, ModelParams, TransformState, EncodedTable, dict[str, str]]:
     """The dataset, the checkpoint, the encoded ``--split`` and the manifest inputs."""
-    dataset = load_dataset(args.dataset)
-    fingerprint = dataset_fingerprint(dataset.schema, dataset.categories)
-    params, state, _ = load_checkpoint(args.checkpoint, expect_fingerprint=fingerprint)
+    phases = phases or Phases()
+    with phases("load"):
+        dataset = load_dataset(args.dataset)
+        fingerprint = dataset_fingerprint(dataset.schema, dataset.categories)
+        params, state, _ = load_checkpoint(args.checkpoint, expect_fingerprint=fingerprint)
     if state is None:
         raise CliError(f"checkpoint {args.checkpoint} carries no transform state")
     if params.schema != dataset.schema:
@@ -354,22 +384,27 @@ def _load_for_inference(
     events = dataset.split_tables()[args.split]
     if not len(events):
         raise CliError(f"split {args.split!r} is empty")
-    encoded = encode_events(events, state, dataset.schema)
+    with phases("encode"):
+        encoded = encode_events(events, state, dataset.schema)
     inputs = {**dataset.files, args.checkpoint: file_sha256(args.checkpoint)}
     return dataset, params, state, encoded, inputs
 
 
 def cmd_eval(args) -> int:
     started = time.time()
-    dataset, params, _, encoded, inputs = _load_for_inference(args)
-    samples = build_samples(encoded, params.config)
+    phases = Phases()
+    dataset, params, _, encoded, inputs = _load_for_inference(args, phases)
+    with phases("encode"):
+        samples = build_samples(encoded, params.config)
     model_fn = lambda batch: predict(params, batch)
-    with _scoring(args.checkpoint):  # score with the loss the model was trained with
+    # score with the loss the model was trained with
+    with phases("predict"), _scoring(args.checkpoint):
         report, per_revision = evaluate(model_fn, samples, dataset.magnitude_of(), params.loss)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = _report_paths(args.out, f"eval_{args.split}", report, per_revision)
+    with phases("report"):
+        os.makedirs(args.out, exist_ok=True)
+        outputs = _report_paths(args.out, f"eval_{args.split}", report, per_revision)
     write_run_manifest(
-        args.out, "eval", {"split": args.split}, args.seed, inputs, outputs, started
+        args.out, "eval", {"split": args.split}, args.seed, inputs, outputs, started, phases
     )
     print(format_report(report, title=f"eval {args.split}"), end="")
     return 0

@@ -11,6 +11,16 @@ emits the predicted restoration duration in hours.
 Padded positions are sanitized to neutral values on entry and excluded from
 attention by the mask, so their contents can never influence a prediction
 (exact equality, not just approximately).
+
+The front of the model (embeddings, projection, positional encoding and the
+first layer's query, key and value projections) works row by row, so one
+revision seen from one window start gives the same front rows in every
+sample that holds it. A prediction pass over many prefixes of the same events
+therefore computes the front once per distinct token (``TokenFront``), and
+each batch of the pass gathers its slots from there (``SequenceBatch.tokens``)
+into the same encoder body that a batch's own slots feed. Both routes apply
+the same operations to each row, and the tests require equal bits. Training,
+attention capture and single batches use a batch's own slots.
 """
 
 from __future__ import annotations
@@ -91,12 +101,18 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SequenceBatch:
-    """Right-padded revision sequences: [B,S,p] ints, [B,S,q] floats, deltas, mask."""
+    """Right-padded revision sequences: [B,S,p] ints, [B,S,q] floats, deltas, mask.
+
+    ``tokens``, when set, names each slot's token in a prediction pass's
+    ``TokenFront``: inference gathers the front from there instead of
+    computing it from the batch's own slots.
+    """
 
     cat_idx: np.ndarray
     cont: np.ndarray
     deltas: np.ndarray
     mask: np.ndarray
+    tokens: "TokenSlots | None" = None
 
     @property
     def size(self) -> int:
@@ -230,6 +246,94 @@ def embed_revision(tape: Tape, batch: SequenceBatch, params: ModelParams, w: Wei
     return _linear(tape, w, tape.reshape(stacked, (b * s, d_in)), "proj")
 
 
+def _front(tape: Tape, batch: SequenceBatch, params: ModelParams, w: Weights) -> Tensor:
+    """Layer 0's input [B·S,d_model]: the projected revisions plus their positional encoding."""
+    h = embed_revision(tape, batch, params, w)
+    pe = positional_encode(batch.deltas, params.config.d_model, params.config.pe_base)
+    return tape.add(h, tape.constant(pe.reshape(h.shape)))
+
+
+class TokenFront:
+    """The front of the model at each distinct token of one prediction pass.
+
+    A token is one revision as a window sees it: its features and its time
+    delta since the window's first row, given here as [T,p], [T,q] and [T]
+    arrays. ``states`` computes layer 0's input and its query, key and value
+    projections for all T tokens on first use with a ``params``, and keeps
+    them until ``close`` or until another ``params`` object asks. A pass
+    closes its front when it ends, so no state outlives the pass: a training
+    loop may then update the tensors in place.
+    """
+
+    def __init__(self, cat_idx: np.ndarray, cont: np.ndarray, deltas: np.ndarray):
+        ones = np.ones((deltas.shape[0], 1), dtype=bool)
+        self.batch = SequenceBatch(cat_idx[:, None], cont[:, None], deltas[:, None], ones)
+        self._params: ModelParams | None = None
+        self._states: list[np.ndarray] = []
+
+    @property
+    def size(self) -> int:
+        return self.batch.size
+
+    def states(self, tape: Tape, params: ModelParams, w: Weights) -> list[np.ndarray]:
+        """[x, q, k, v], each [T,d_model]; without layers only [x]."""
+        if self._params is not params:
+            self.close()
+            validate_batch(self.batch, params.config, params.schema)
+            x = _front(tape, self.batch, params, w)
+            self._states = [x.data]
+            if params.config.n_layers:
+                self._states += [_linear(tape, w, x, f"layer0/attn/{p}").data for p in "qkv"]
+            self._params = params
+        return self._states
+
+    def close(self) -> None:
+        self._params, self._states = None, []
+
+
+@dataclass(frozen=True)
+class TokenSlots:
+    """Each slot's token in ``front``, [B,S]; a padded slot may name any token."""
+
+    front: TokenFront
+    ids: np.ndarray
+
+    def trim(self, mask: np.ndarray) -> "TokenSlots":
+        """The slots cut to ``mask``'s width; ValueError unless each names a token of ``front``."""
+        ids = np.asarray(self.ids)[:, : mask.shape[1]]
+        if ids.shape != mask.shape or ids.min() < 0 or ids.max() >= self.front.size:
+            raise ValueError(f"token ids {np.shape(self.ids)} do not fit the batch or its pass")
+        return TokenSlots(self.front, ids)
+
+    def inputs(self, tape: Tape, params: ModelParams, w: Weights) -> Tensor:
+        """Layer 0's input at every slot, [B·S,d_model]."""
+        x = self.front.states(tape, params, w)[0]
+        return tape.constant(np.take(x, self.ids.ravel(), axis=0))
+
+    def heads(
+        self, tape: Tape, params: ModelParams, w: Weights, q_at: np.ndarray
+    ) -> tuple[Tensor, Tensor, Tensor]:
+        """Layer 0's q at ``q_at`` [B,rows], k_t and v, laid out for ``encode_sequence``.
+
+        Those layouts are [B,H,rows,dh], [B,H,dh,S] and [B,H,S,dh]: q and v come
+        from one gather of (token, head) rows, k_t from a gather of token rows
+        and one permuting copy.
+        """
+        _, q, k, v = self.front.states(tape, params, w)
+        b, s = self.ids.shape
+        n_heads = params.config.n_heads
+        dh = k.shape[1] // n_heads
+        head = np.arange(n_heads)[:, None]
+
+        def gather(states: np.ndarray, at: np.ndarray) -> Tensor:  # row t·H + h is (t, h)
+            rows = (at[:, None, :] * n_heads + head).ravel()
+            per_head = np.take(states.reshape(-1, dh), rows, axis=0)
+            return tape.constant(per_head.reshape(b, n_heads, -1, dh))
+
+        k_t = np.take(k, self.ids.ravel(), axis=0).reshape(b, s, n_heads, dh).transpose(0, 2, 3, 1)
+        return gather(q, q_at), tape.constant(np.ascontiguousarray(k_t)), gather(v, self.ids)
+
+
 def encode_sequence(
     tape: Tape,
     x: Tensor,
@@ -239,6 +343,7 @@ def encode_sequence(
     w: Weights,
     capture: list | None = None,
     train_rng: np.random.Generator | None = None,
+    tokens: TokenSlots | None = None,
 ) -> Tensor:
     """Run the encoder stack on x [B·L,d_model]; returns the readout rows [B,d_model].
 
@@ -246,7 +351,10 @@ def encode_sequence(
     keys and values at all L positions but computes its query, attention
     output, layer norms and FFN at the readout row only; its full attention map
     is captured as plain data, so capturing never alters the computation.
-    ``capture`` and ``train_rng`` are as in ``forward``.
+    ``capture`` and ``train_rng`` are as in ``forward``. With ``tokens``, x's
+    slots in a pass's ``TokenFront``, layer 0 gathers its query, key and value
+    from there instead of projecting x. Each sublayer runs in its own call, so
+    at inference its temporaries are freed when it returns.
     """
     cfg = params.config
     b, s = mask.shape
@@ -266,30 +374,37 @@ def encode_sequence(
         y = _linear(tape, w, src, prefix)
         return tape.transpose(tape.reshape(y, (b, n, n_heads, dh)), axes)
 
-    for layer in range(cfg.n_layers):
-        name = f"layer{layer}"
-        kv, rows = x, s
-        if layer == cfg.n_layers - 1:
-            x, rows = tape.gather_rows(tape.reshape(x, (b, s, d)), last_idx), 1
-        q = heads(x, rows, f"{name}/attn/q", (0, 2, 1, 3))  # [B,H,rows,dh]
-        k_t = heads(kv, s, f"{name}/attn/k", (0, 2, 3, 1))  # [B,H,dh,S]
-        v = heads(kv, s, f"{name}/attn/v", (0, 2, 1, 3))
-        scores = tape.scale(tape.matmul(q, k_t), inv_sqrt_dh)
-        weights = tape.masked_softmax(scores, mask)  # [B,H,rows,S]
+    def attention(x: Tensor, kv: Tensor, rows: int, layer: int) -> Tensor:  # before the residual
+        name = f"layer{layer}/attn"
+        if layer == 0 and tokens is not None:
+            q_at = tokens.ids if rows == s else tokens.ids[np.arange(b), last_idx][:, None]
+            q, k_t, v = tokens.heads(tape, params, w, q_at)
+        else:
+            q = heads(x, rows, f"{name}/q", (0, 2, 1, 3))  # [B,H,rows,dh]
+            k_t = heads(kv, s, f"{name}/k", (0, 2, 3, 1))  # [B,H,dh,S]
+            v = heads(kv, s, f"{name}/v", (0, 2, 1, 3))
+        weights = tape.masked_softmax(tape.scale(tape.matmul(q, k_t), inv_sqrt_dh), mask)
         if capture is not None and rows < s:  # queries at every row, off the tape
-            q_all = kv.data @ w[f"{name}/attn/q/W"].data
-            q_all += w[f"{name}/attn/q/b"].data
+            q_all = kv.data @ w[f"{name}/q/W"].data
+            q_all += w[f"{name}/q/b"].data
             q_all = np.ascontiguousarray(q_all.reshape(b, s, n_heads, dh).transpose(0, 2, 1, 3))
             capture.append(kernels.masked_softmax((q_all @ k_t.data) * inv_sqrt_dh, mask))
         elif capture is not None:
             capture.append(weights.data.copy())
-        ctx = tape.matmul(weights, v)  # [B,H,rows,dh]
+        ctx = tape.matmul(weights, v)  # weights [B,H,rows,S], ctx [B,H,rows,dh]
         ctx = tape.reshape(tape.transpose(ctx, (0, 2, 1, 3)), (b * rows, d))
-        attn_out = _linear(tape, w, ctx, f"{name}/attn/o")
-        x = add_norm(x, attn_out, f"{name}/ln1")
-        hidden = _activation(tape, cfg, _linear(tape, w, x, f"{name}/ffn/1"))
-        ffn_out = _linear(tape, w, hidden, f"{name}/ffn/2")
-        x = add_norm(x, ffn_out, f"{name}/ln2")
+        return _linear(tape, w, ctx, f"{name}/o")
+
+    def ffn(x: Tensor, layer: int) -> Tensor:
+        hidden = _activation(tape, cfg, _linear(tape, w, x, f"layer{layer}/ffn/1"))
+        return _linear(tape, w, hidden, f"layer{layer}/ffn/2")
+
+    for layer in range(cfg.n_layers):
+        kv, rows = x, s
+        if layer == cfg.n_layers - 1:
+            x, rows = tape.gather_rows(tape.reshape(x, (b, s, d)), last_idx), 1
+        x = add_norm(x, attention(x, kv, rows, layer), f"layer{layer}/ln1")
+        x = add_norm(x, ffn(x, layer), f"layer{layer}/ln2")
     return x
 
 
@@ -307,19 +422,23 @@ def forward(
     from ``train_rng`` before its residual add. Without it the tensors are
     constants and the tape records nothing. ``capture`` collects each layer's
     attention weights [B,H,L,L], L being the longest valid prefix: columns
-    past it are cut first.
+    past it are cut first. A batch with ``tokens`` takes its front from
+    them, unless the pass trains.
     """
     batch = replace(batch, mask=np.asarray(batch.mask, dtype=bool))  # converted once
     validate_batch(batch, params.config, params.schema)
     lengths = batch.lengths
     used = int(lengths.max(initial=1))
-    trimmed = (a[:, :used] for a in (batch.cat_idx, batch.cont, batch.deltas, batch.mask))
-    batch = sanitize_batch(SequenceBatch(*trimmed))
+    mask = batch.mask[:, :used]
     w = _bind(tape, params, train_rng is not None)
-    h = embed_revision(tape, batch, params, w)
-    pe = positional_encode(batch.deltas, params.config.d_model, params.config.pe_base)
-    h = tape.add(h, tape.constant(pe.reshape(h.shape)))
-    rep = encode_sequence(tape, h, batch.mask, lengths - 1, params, w, capture, train_rng)
+    tokens = None if train_rng is not None else batch.tokens
+    if tokens is None:
+        trimmed = (a[:, :used] for a in (batch.cat_idx, batch.cont, batch.deltas, mask))
+        h = _front(tape, sanitize_batch(SequenceBatch(*trimmed)), params, w)
+    else:
+        tokens = tokens.trim(mask)
+        h = tokens.inputs(tape, params, w)
+    rep = encode_sequence(tape, h, mask, lengths - 1, params, w, capture, train_rng, tokens)
     hidden = _activation(tape, params.config, _linear(tape, w, rep, "head/1"))
     return tape.reshape(_linear(tape, w, hidden, "head/2"), (batch.size,))
 

@@ -730,6 +730,24 @@ class TestProcessMemory:
         per_call = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
         assert per_call < 100  # each call faulted its temporaries in afresh without it
 
+    def test_eval_and_train_manifests_record_phase_seconds(self, pipeline, tmp_path):
+        out = str(tmp_path / "ev")
+        checkpoint = os.path.join(pipeline["run"], "checkpoint.bin")
+        argv = ["eval", "--dataset", pipeline["data"], "--checkpoint", checkpoint, "--out", out]
+        assert run(argv) == 0
+        expected = {
+            "eval": {"load", "encode", "predict", "report"},
+            "train": {"load", "train", "encode", "predict", "report"},
+        }
+        for command, out_dir in (("eval", out), ("train", pipeline["run"])):
+            manifest = json.load(open(os.path.join(out_dir, "run_manifest.json")))
+            phases = manifest["phase_seconds"]
+            assert set(phases) == expected[command], command
+            assert all(isinstance(s, float) and s >= 0.0 for s in phases.values())
+            assert sum(phases.values()) <= manifest["finished"] - manifest["started"] + 1e-3
+        generated = json.load(open(os.path.join(pipeline["data"], "run_manifest.json")))
+        assert "phase_seconds" not in generated
+
     def test_manifest_records_the_environment(self, pipeline):
         manifest = json.load(open(os.path.join(pipeline["run"], "run_manifest.json")))
         env = manifest["environment"]

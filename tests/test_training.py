@@ -533,3 +533,152 @@ class TestEvaluate:
 
         want = np.array([last_row(shuffled.batch([i]))[0] for i in range(shuffled.size)])
         np.testing.assert_array_equal(predict_in_chunks(last_row, shuffled, slots), want)
+
+
+class TestTokenPass:
+    """A prediction pass computes the model's front once per distinct token.
+
+    The oracle is the same chunks predicted from each batch's own slots
+    (``tokens=None``): the two must agree bit for bit.
+    """
+
+    CONFIGS = {
+        "default": ModelConfig(),
+        "windowed": ModelConfig(max_seq_len=4, d_model=8, n_layers=2, n_heads=2),
+        "one_layer": ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2),
+    }
+
+    @staticmethod
+    def _samples(small_dataset, cfg):
+        splits = small_dataset.split_tables()
+        state = fit_transforms(splits["train"], small_dataset.schema)
+        return build_samples(encode_events(splits["test"], state, small_dataset.schema), cfg)
+
+    @staticmethod
+    def _own_slots(params):
+        return lambda batch: predict(params, replace(batch, tokens=None))
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_token_pass_equals_per_batch_predict(self, small_dataset, name):
+        cfg = self.CONFIGS[name]
+        samples = self._samples(small_dataset, cfg)
+        params = init_params(cfg, small_dataset.schema, seed=5)
+        used = []
+
+        def token_fn(batch):
+            used.append(batch.tokens is not None)
+            return predict(params, batch)
+
+        got = predict_in_chunks(token_fn, samples)
+        assert all(used)
+        np.testing.assert_array_equal(got, predict_in_chunks(self._own_slots(params), samples))
+        windowed = samples.prefix_len > cfg.max_seq_len
+        assert windowed.any() == (name == "windowed")
+        # each later window brings max_seq_len tokens of its own; the others share theirs
+        shared = samples.token_index[0].size - cfg.max_seq_len * windowed.sum()
+        assert 0 < shared < samples.width[~windowed].sum()
+
+    @pytest.mark.parametrize("name", ["default", "windowed"])
+    def test_token_index_reproduces_every_slot(self, small_dataset, name):
+        samples = self._samples(small_dataset, self.CONFIGS[name])
+        front = samples.token_front()
+        row, _, _ = samples.token_index
+        assert row.size == front.size < samples.width.sum()
+        tokens = front.batch
+        for idx in np.array_split(np.arange(samples.size), 7):
+            batch = samples.batch(idx, front)
+            ids, mask = batch.tokens.ids, batch.mask
+            assert ids.shape == mask.shape
+            np.testing.assert_array_equal(tokens.cat_idx[ids, 0][mask], batch.cat_idx[mask])
+            np.testing.assert_array_equal(tokens.cont[ids, 0][mask], batch.cont[mask])
+            np.testing.assert_array_equal(tokens.deltas[ids, 0][mask], batch.deltas[mask])
+
+    @pytest.mark.parametrize("name", ["windowed", "one_layer"])
+    def test_padded_slots_may_name_any_token(self, small_dataset, name):
+        cfg = self.CONFIGS[name]
+        samples = self._samples(small_dataset, cfg)
+        params = init_params(cfg, small_dataset.schema, seed=6)
+        rng = np.random.default_rng(7)
+        front = samples.token_front()
+        padded = 0
+        for idx in np.array_split(np.arange(samples.size), 5):
+            batch = samples.batch(idx, front)
+            ids = batch.tokens.ids.copy()
+            pad = ~batch.mask
+            ids[pad] = rng.integers(0, front.size, size=int(pad.sum()))
+            padded += int(pad.sum())
+            scrambled = replace(batch, tokens=replace(batch.tokens, ids=ids))
+            np.testing.assert_array_equal(
+                predict(params, scrambled), predict(params, replace(batch, tokens=None))
+            )
+        assert padded > 0
+
+    def test_token_ids_must_name_tokens_of_the_pass(self, small_dataset):
+        cfg = self.CONFIGS["windowed"]
+        samples = self._samples(small_dataset, cfg)
+        params = init_params(cfg, small_dataset.schema, seed=6)
+        front = samples.token_front()
+        batch = samples.batch(np.arange(10), front)
+        for bad in (batch.tokens.ids + front.size, batch.tokens.ids[:, :1], batch.tokens.ids - 1):
+            with pytest.raises(ValueError, match="token ids"):
+                predict(params, replace(batch, tokens=replace(batch.tokens, ids=bad)))
+
+    def test_no_state_outlives_a_pass(self, small_dataset):
+        cfg = self.CONFIGS["windowed"]
+        samples = self._samples(small_dataset, cfg)
+        params = init_params(cfg, small_dataset.schema, seed=8)
+        magnitudes = small_dataset.magnitude_of()
+        kept = []
+
+        def model_fn(batch):
+            kept.append(batch)
+            return predict(params, batch)
+
+        runs = []
+        for _ in range(2):
+            got = evaluate(model_fn, samples, magnitudes)
+            want = evaluate(self._own_slots(params), samples, magnitudes)
+            assert got[1] == want[1] and got[0].to_dict() == want[0].to_dict()
+            runs.append(got[1])
+            # an optimizer step: the same arrays change in place
+            for name in ("embed/priority", "proj/W", "layer0/attn/q/W", "layer0/attn/v/b"):
+                params.tensors[name] *= 1.5
+        assert runs[0] != runs[1]
+        # a batch kept past its pass holds no states from before the step
+        late = kept[-1]
+        np.testing.assert_array_equal(
+            predict(params, late), predict(params, replace(late, tokens=None))
+        )
+
+    def test_front_runs_once_per_pass_and_records_nothing(self, small_dataset, monkeypatch):
+        from etrcast import model as model_module
+
+        cfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=2, n_heads=2)
+        samples = self._samples(small_dataset, cfg)
+        params = init_params(cfg, small_dataset.schema, seed=9)
+        tapes = []
+        ops = {"embedding": 0, "transpose": 0}
+
+        class SpyTape(model_module.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+            def embedding(self, table, idx):
+                ops["embedding"] += 1
+                return super().embedding(table, idx)
+
+            def transpose(self, a, axes):
+                ops["transpose"] += 1
+                return super().transpose(a, axes)
+
+        monkeypatch.setattr(model_module, "Tape", SpyTape)
+        for fn, per_chunk in ((lambda b: predict(params, b), 5), (self._own_slots(params), 8)):
+            tapes.clear()
+            ops.update(embedding=0, transpose=0)
+            predict_in_chunks(fn, samples, slots=64)
+            assert len(tapes) > 1 and all(tape._nodes == [] for tape in tapes)
+            # layer 0 gathers q, k and v in head layout: 3 transposes fewer per chunk
+            assert ops["transpose"] == per_chunk * len(tapes)
+            p = small_dataset.schema.p
+            assert ops["embedding"] == (p if per_chunk == 5 else p * len(tapes))
