@@ -255,6 +255,15 @@ def _report_paths(
     return paths
 
 
+@contextlib.contextmanager
+def _naming(error: type[Exception], what: str):
+    """A ``ValueError`` inside (an overflow, say) is re-raised as ``error`` naming ``what``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(f"{what}: {exc}") from exc
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -309,8 +318,10 @@ def _train_once(
     with phases("predict"):
         magnitudes = dataset.magnitude_of()
         model_fn = lambda batch: predict(result.params, batch)
-        val_report, _ = evaluate(model_fn, val_samples, magnitudes, loss_cfg)
-        test_report, per_revision = evaluate(model_fn, test_samples, magnitudes, loss_cfg)
+        with _naming(TrainError, "validation report"):
+            val_report, _ = evaluate(model_fn, val_samples, magnitudes, loss_cfg)
+        with _naming(TrainError, "test report"):
+            test_report, per_revision = evaluate(model_fn, test_samples, magnitudes, loss_cfg)
     with phases("report"):
         outputs += _report_paths(out_dir, "eval_validation", val_report)
         outputs += _report_paths(out_dir, "eval_test", test_report, per_revision)
@@ -359,20 +370,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _scoring(checkpoint: str):
-    """A ``ValueError`` while the checkpoint scores (an overflow) is a ``CliError`` naming it."""
-    try:
-        yield
-    except ValueError as exc:
-        raise CliError(f"{checkpoint}: {exc}") from exc
-
-
 def _load_for_inference(
-    args, phases: Phases | None = None
+    args, phases: Phases
 ) -> tuple[Dataset, ModelParams, TransformState, EncodedTable, dict[str, str]]:
     """The dataset, the checkpoint, the encoded ``--split`` and the manifest inputs."""
-    phases = phases or Phases()
     with phases("load"):
         dataset = load_dataset(args.dataset)
         fingerprint = dataset_fingerprint(dataset.schema, dataset.categories)
@@ -398,7 +399,7 @@ def cmd_eval(args) -> int:
         samples = build_samples(encoded, params.config)
     model_fn = lambda batch: predict(params, batch)
     # score with the loss the model was trained with
-    with phases("predict"), _scoring(args.checkpoint):
+    with phases("predict"), _naming(CliError, args.checkpoint):
         report, per_revision = evaluate(model_fn, samples, dataset.magnitude_of(), params.loss)
     with phases("report"):
         os.makedirs(args.out, exist_ok=True)
@@ -412,10 +413,12 @@ def cmd_eval(args) -> int:
 
 def cmd_explain(args) -> int:
     started = time.time()
-    dataset, params, state, target, inputs = _load_for_inference(args)
-    train_encoded = encode_events(dataset.split_tables()["train"], state, dataset.schema)
-    target_samples = build_samples(target, params.config)
-    train_samples = build_samples(train_encoded, params.config)
+    phases = Phases()
+    dataset, params, state, target, inputs = _load_for_inference(args, phases)
+    with phases("encode"):
+        train_encoded = encode_events(dataset.split_tables()["train"], state, dataset.schema)
+        target_samples = build_samples(target, params.config)
+        train_samples = build_samples(train_encoded, params.config)
     schema = dataset.schema
     names = tuple(schema.categorical) + tuple(schema.continuous)
     model_fn = lambda batch: predict(params, batch)
@@ -433,7 +436,7 @@ def cmd_explain(args) -> int:
         bg_cat, bg_cont = explain_mod.final_revision_features(train_samples.batch(bg_pick))
         for row in sorted(picked.tolist()):
             sample = target_samples.batch(np.asarray([row]))
-            with _scoring(args.checkpoint):
+            with phases("predict"), _naming(CliError, args.checkpoint):
                 attributions = explain_mod.shapley_attributions(
                     model_fn,
                     sample,
@@ -446,11 +449,12 @@ def cmd_explain(args) -> int:
             sets.append(attributions)
     if not sets:
         raise CliError("no samples available for attribution")
-    report = explain_mod.aggregate_topk(sets, revision_range=args.revisions, k=args.topk)
-    topk_path = os.path.join(args.out, "topk.txt")
-    explain_mod.write_topk(report, topk_path)
-    attr_path = os.path.join(args.out, "attributions.txt")
-    explain_mod.write_attributions(sets, attr_path)
+    with phases("report"):
+        report = explain_mod.aggregate_topk(sets, revision_range=args.revisions, k=args.topk)
+        topk_path = os.path.join(args.out, "topk.txt")
+        explain_mod.write_topk(report, topk_path)
+        attr_path = os.path.join(args.out, "attributions.txt")
+        explain_mod.write_attributions(sets, attr_path)
     config_doc = {
         "split": args.split,
         "revisions": args.revisions,
@@ -459,29 +463,30 @@ def cmd_explain(args) -> int:
         "permutations": args.permutations,
         "topk": args.topk,
     }
-    write_run_manifest(
-        args.out, "explain", config_doc, args.seed, inputs, [topk_path, attr_path], started
-    )
+    outputs = [topk_path, attr_path]
+    write_run_manifest(args.out, "explain", config_doc, args.seed, inputs, outputs, started, phases)
     print(f"wrote attributions for {len(sets)} samples to {args.out}")
     return 0
 
 
 def cmd_attention(args) -> int:
     started = time.time()
-    _, params, _, encoded, inputs = _load_for_inference(args)
+    phases = Phases()
+    _, params, _, encoded, inputs = _load_for_inference(args, phases)
     event_id = encoded.event_ids[0] if args.event is None else args.event
     if event_id not in encoded.event_ids:
         raise CliError(f"event {args.event!r} not found in split {args.split!r}")
     event = encoded.select([encoded.event_ids.index(event_id)])
     batch = build_final_samples(event, params.config).batch(slice(0, 1))
-    with _scoring(args.checkpoint):
+    with phases("predict"), _naming(CliError, args.checkpoint):
         stack = explain_mod.extract_attention(
             params, batch, n_random_heads=args.heads, seed=args.seed
         )
-    os.makedirs(args.out, exist_ok=True)
-    paths = explain_mod.export_heatmap(stack, args.out)
+    with phases("report"):
+        os.makedirs(args.out, exist_ok=True)
+        paths = explain_mod.export_heatmap(stack, args.out)
     config_doc = {"event": event_id, "heads": args.heads, "split": args.split}
-    write_run_manifest(args.out, "attention", config_doc, args.seed, inputs, paths, started)
+    write_run_manifest(args.out, "attention", config_doc, args.seed, inputs, paths, started, phases)
     print(f"wrote {len(paths)} heatmap grids to {args.out}")
     return 0
 

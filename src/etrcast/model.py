@@ -13,14 +13,14 @@ attention by the mask, so their contents can never influence a prediction
 (exact equality, not just approximately).
 
 The front of the model (embeddings, projection, positional encoding and the
-first layer's query, key and value projections) works row by row, so one
-revision seen from one window start gives the same front rows in every
-sample that holds it. A prediction pass over many prefixes of the same events
-therefore computes the front once per distinct token (``TokenFront``), and
-each batch of the pass gathers its slots from there (``SequenceBatch.tokens``)
-into the same encoder body that a batch's own slots feed. Both routes apply
-the same operations to each row, and the tests require equal bits. Training,
-attention capture and single batches use a batch's own slots.
+first layer's query, key and value projections) works row by row: ``front``
+takes flat revision rows. Training, attention capture and single batches run
+it on a batch's own slots. One revision seen from one window start gives the
+same front rows in every sample that holds it, so a prediction pass over many
+prefixes of the same events runs it once on the pass's distinct tokens
+(``TokenFront``), and layer 0 of each batch gathers its slots from there
+(``SequenceBatch.tokens``). Both routes apply the same operations to each row,
+and the tests require equal bits.
 """
 
 from __future__ import annotations
@@ -117,10 +117,6 @@ class SequenceBatch:
     @property
     def size(self) -> int:
         return self.cat_idx.shape[0]
-
-    @property
-    def seq_len(self) -> int:
-        return self.cat_idx.shape[1]
 
     @property
     def lengths(self) -> np.ndarray:  # [B] valid revisions; row i reads out at lengths[i] - 1
@@ -234,23 +230,30 @@ def _linear(tape: Tape, w: Weights, x: Tensor, name: str) -> Tensor:
     return tape.linear(x, w[f"{name}/W"], w[f"{name}/b"])
 
 
-def embed_revision(tape: Tape, batch: SequenceBatch, params: ModelParams, w: Weights) -> Tensor:
-    """Embed + concatenate + project each revision to d_model; returns [B·S,d_model]."""
+def front(
+    tape: Tape,
+    params: ModelParams,
+    w: Weights,
+    cat_idx: np.ndarray,
+    cont: np.ndarray,
+    deltas: np.ndarray,
+) -> dict[str, Tensor]:
+    """The model's row-wise front at N revision rows: [N,p] ints, [N,q] floats, [N] deltas.
+
+    ``x`` [N,d_model] is layer 0's input: the embedded, concatenated and
+    projected revisions plus their positional encoding. Unless layer 0 is the
+    last layer (or there is none), ``q``, ``k`` and ``v`` are its projections.
+    """
+    cfg = params.config
     parts = [
-        tape.embedding(w[f"embed/{feat}"], batch.cat_idx[:, :, c])
+        tape.embedding(w[f"embed/{feat}"], cat_idx[:, c])
         for c, feat in enumerate(params.schema.categorical)
     ]
-    parts.append(tape.constant(batch.cont))
-    stacked = tape.concat_last(parts)  # [B,S,d_in]
-    b, s, d_in = stacked.shape
-    return _linear(tape, w, tape.reshape(stacked, (b * s, d_in)), "proj")
-
-
-def _front(tape: Tape, batch: SequenceBatch, params: ModelParams, w: Weights) -> Tensor:
-    """Layer 0's input [B·S,d_model]: the projected revisions plus their positional encoding."""
-    h = embed_revision(tape, batch, params, w)
-    pe = positional_encode(batch.deltas, params.config.d_model, params.config.pe_base)
-    return tape.add(h, tape.constant(pe.reshape(h.shape)))
+    parts.append(tape.constant(cont))
+    x = _linear(tape, w, tape.concat_last(parts), "proj")
+    x = tape.add(x, tape.constant(positional_encode(deltas, cfg.d_model, cfg.pe_base)))
+    qkv = "qkv" if cfg.n_layers > 1 else ""  # a last layer projects its own
+    return {"x": x, **{p: _linear(tape, w, x, f"layer0/attn/{p}") for p in qkv}}
 
 
 class TokenFront:
@@ -258,37 +261,31 @@ class TokenFront:
 
     A token is one revision as a window sees it: its features and its time
     delta since the window's first row, given here as [T,p], [T,q] and [T]
-    arrays. ``states`` computes layer 0's input and its query, key and value
-    projections for all T tokens on first use with a ``params``, and keeps
-    them until ``close`` or until another ``params`` object asks. A pass
-    closes its front when it ends, so no state outlives the pass: a training
-    loop may then update the tensors in place.
+    arrays. ``states`` computes the ``front`` of all T tokens on first use
+    with a ``params``, and keeps it until ``close`` or until another
+    ``params`` object asks. A pass closes its front when it ends, so no state
+    outlives the pass: a training loop may then update the tensors in place.
     """
 
     def __init__(self, cat_idx: np.ndarray, cont: np.ndarray, deltas: np.ndarray):
-        ones = np.ones((deltas.shape[0], 1), dtype=bool)
-        self.batch = SequenceBatch(cat_idx[:, None], cont[:, None], deltas[:, None], ones)
+        self.rows = (cat_idx, cont, deltas)
         self._params: ModelParams | None = None
-        self._states: list[np.ndarray] = []
+        self._states: dict[str, np.ndarray] = {}
 
     @property
     def size(self) -> int:
-        return self.batch.size
+        return self.rows[2].shape[0]
 
-    def states(self, tape: Tape, params: ModelParams, w: Weights) -> list[np.ndarray]:
-        """[x, q, k, v], each [T,d_model]; without layers only [x]."""
+    def states(self, tape: Tape, params: ModelParams, w: Weights) -> dict[str, np.ndarray]:
+        """``front`` of every token as plain [T,d_model] arrays."""
         if self._params is not params:
             self.close()
-            validate_batch(self.batch, params.config, params.schema)
-            x = _front(tape, self.batch, params, w)
-            self._states = [x.data]
-            if params.config.n_layers:
-                self._states += [_linear(tape, w, x, f"layer0/attn/{p}").data for p in "qkv"]
+            self._states = {k: t.data for k, t in front(tape, params, w, *self.rows).items()}
             self._params = params
         return self._states
 
     def close(self) -> None:
-        self._params, self._states = None, []
+        self._params, self._states = None, {}
 
 
 @dataclass(frozen=True)
@@ -298,62 +295,28 @@ class TokenSlots:
     front: TokenFront
     ids: np.ndarray
 
-    def trim(self, mask: np.ndarray) -> "TokenSlots":
-        """The slots cut to ``mask``'s width; ValueError unless each names a token of ``front``."""
-        ids = np.asarray(self.ids)[:, : mask.shape[1]]
-        if ids.shape != mask.shape or ids.min() < 0 or ids.max() >= self.front.size:
-            raise ValueError(f"token ids {np.shape(self.ids)} do not fit the batch or its pass")
-        return TokenSlots(self.front, ids)
-
-    def inputs(self, tape: Tape, params: ModelParams, w: Weights) -> Tensor:
-        """Layer 0's input at every slot, [B·S,d_model]."""
-        x = self.front.states(tape, params, w)[0]
-        return tape.constant(np.take(x, self.ids.ravel(), axis=0))
-
-    def heads(
-        self, tape: Tape, params: ModelParams, w: Weights, q_at: np.ndarray
-    ) -> tuple[Tensor, Tensor, Tensor]:
-        """Layer 0's q at ``q_at`` [B,rows], k_t and v, laid out for ``encode_sequence``.
-
-        Those layouts are [B,H,rows,dh], [B,H,dh,S] and [B,H,S,dh]: q and v come
-        from one gather of (token, head) rows, k_t from a gather of token rows
-        and one permuting copy.
-        """
-        _, q, k, v = self.front.states(tape, params, w)
-        b, s = self.ids.shape
-        n_heads = params.config.n_heads
-        dh = k.shape[1] // n_heads
-        head = np.arange(n_heads)[:, None]
-
-        def gather(states: np.ndarray, at: np.ndarray) -> Tensor:  # row t·H + h is (t, h)
-            rows = (at[:, None, :] * n_heads + head).ravel()
-            per_head = np.take(states.reshape(-1, dh), rows, axis=0)
-            return tape.constant(per_head.reshape(b, n_heads, -1, dh))
-
-        k_t = np.take(k, self.ids.ravel(), axis=0).reshape(b, s, n_heads, dh).transpose(0, 2, 3, 1)
-        return gather(q, q_at), tape.constant(np.ascontiguousarray(k_t)), gather(v, self.ids)
-
 
 def encode_sequence(
     tape: Tape,
-    x: Tensor,
+    states: dict,
     mask: np.ndarray,
     last_idx: np.ndarray,
     params: ModelParams,
     w: Weights,
     capture: list | None = None,
     train_rng: np.random.Generator | None = None,
-    tokens: TokenSlots | None = None,
+    ids: np.ndarray | None = None,
 ) -> Tensor:
-    """Run the encoder stack on x [B·L,d_model]; returns the readout rows [B,d_model].
+    """Run the encoder stack from the ``front`` ``states``; returns the readout rows [B,d_model].
 
-    ``last_idx`` [B] names each row's readout position. The last layer takes
-    keys and values at all L positions but computes its query, attention
-    output, layer norms and FFN at the readout row only; its full attention map
-    is captured as plain data, so capturing never alters the computation.
-    ``capture`` and ``train_rng`` are as in ``forward``. With ``tokens``, x's
-    slots in a pass's ``TokenFront``, layer 0 gathers its query, key and value
-    from there instead of projecting x. Each sublayer runs in its own call, so
+    ``states`` holds the front at the batch's own B·L slots or, with ``ids``
+    [B,L], at a pass's tokens (``TokenFront.states``): then layer 0 gathers x
+    at each slot's token, and q and v straight into head layout. ``last_idx``
+    [B] names each row's readout position. The last layer takes keys and
+    values at all L positions but computes its query, attention output, layer
+    norms and FFN at the readout row only; its full attention map is captured
+    as plain data, so capturing never alters the computation. ``capture`` and
+    ``train_rng`` are as in ``forward``. Each sublayer runs in its own call, so
     at inference its temporaries are freed when it returns.
     """
     cfg = params.config
@@ -361,6 +324,7 @@ def encode_sequence(
     d, n_heads = cfg.d_model, cfg.n_heads
     dh = d // n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
+    x = states["x"] if ids is None else tape.constant(np.take(states["x"], ids.ravel(), axis=0))
     if cfg.n_layers == 0:
         return tape.gather_rows(tape.reshape(x, (b, s, d)), last_idx)
 
@@ -370,19 +334,26 @@ def encode_sequence(
             y = tape.mul(y, tape.constant(keep))
         return tape.layer_norm(tape.add(x, y), w[f"{ln}/g"], w[f"{ln}/b"])
 
-    def heads(src: Tensor, n: int, prefix: str, axes: tuple) -> Tensor:  # [B·n,d] -> 4-D
-        y = _linear(tape, w, src, prefix)
+    def heads(y: Tensor, n: int, axes: tuple) -> Tensor:  # [B·n,d] -> 4-D
         return tape.transpose(tape.reshape(y, (b, n, n_heads, dh)), axes)
+
+    def gather_heads(token_states: np.ndarray) -> Tensor:  # [B,H,S,dh]; row t·H + h is (t, h)
+        rows = (ids[:, None, :] * n_heads + np.arange(n_heads)[:, None]).ravel()
+        per_head = np.take(token_states.reshape(-1, dh), rows, axis=0)
+        return tape.constant(per_head.reshape(b, n_heads, s, dh))
 
     def attention(x: Tensor, kv: Tensor, rows: int, layer: int) -> Tensor:  # before the residual
         name = f"layer{layer}/attn"
-        if layer == 0 and tokens is not None:
-            q_at = tokens.ids if rows == s else tokens.ids[np.arange(b), last_idx][:, None]
-            q, k_t, v = tokens.heads(tape, params, w, q_at)
+        from_front = layer == 0 and "q" in states
+        if from_front and ids is not None:
+            k = np.take(states["k"], ids.ravel(), axis=0).reshape(b, s, n_heads, dh)
+            k_t = tape.constant(np.ascontiguousarray(k.transpose(0, 2, 3, 1)))
+            q, v = gather_heads(states["q"]), gather_heads(states["v"])
         else:
-            q = heads(x, rows, f"{name}/q", (0, 2, 1, 3))  # [B,H,rows,dh]
-            k_t = heads(kv, s, f"{name}/k", (0, 2, 3, 1))  # [B,H,dh,S]
-            v = heads(kv, s, f"{name}/v", (0, 2, 1, 3))
+            proj = lambda src, p: states[p] if from_front else _linear(tape, w, src, f"{name}/{p}")
+            q = heads(proj(x, "q"), rows, (0, 2, 1, 3))  # [B,H,rows,dh]
+            k_t = heads(proj(kv, "k"), s, (0, 2, 3, 1))  # [B,H,dh,S]
+            v = heads(proj(kv, "v"), s, (0, 2, 1, 3))
         weights = tape.masked_softmax(tape.scale(tape.matmul(q, k_t), inv_sqrt_dh), mask)
         if capture is not None and rows < s:  # queries at every row, off the tape
             q_all = kv.data @ w[f"{name}/q/W"].data
@@ -423,7 +394,8 @@ def forward(
     constants and the tape records nothing. ``capture`` collects each layer's
     attention weights [B,H,L,L], L being the longest valid prefix: columns
     past it are cut first. A batch with ``tokens`` takes its front from
-    them, unless the pass trains.
+    them, unless the pass trains; ValueError unless each of its slots names a
+    token of the pass.
     """
     batch = replace(batch, mask=np.asarray(batch.mask, dtype=bool))  # converted once
     validate_batch(batch, params.config, params.schema)
@@ -434,11 +406,15 @@ def forward(
     tokens = None if train_rng is not None else batch.tokens
     if tokens is None:
         trimmed = (a[:, :used] for a in (batch.cat_idx, batch.cont, batch.deltas, mask))
-        h = _front(tape, sanitize_batch(SequenceBatch(*trimmed)), params, w)
+        own = sanitize_batch(SequenceBatch(*trimmed))
+        rows = (a.reshape(mask.size, *a.shape[2:]) for a in (own.cat_idx, own.cont, own.deltas))
+        states, ids = front(tape, params, w, *rows), None
     else:
-        tokens = tokens.trim(mask)
-        h = tokens.inputs(tape, params, w)
-    rep = encode_sequence(tape, h, mask, lengths - 1, params, w, capture, train_rng, tokens)
+        ids = np.asarray(tokens.ids)[:, :used]
+        if ids.shape != mask.shape or ids.min() < 0 or ids.max() >= tokens.front.size:
+            raise ValueError(f"token ids {np.shape(tokens.ids)} do not fit the batch or its pass")
+        states = tokens.front.states(tape, params, w)
+    rep = encode_sequence(tape, states, mask, lengths - 1, params, w, capture, train_rng, ids)
     hidden = _activation(tape, params.config, _linear(tape, w, rep, "head/1"))
     return tape.reshape(_linear(tape, w, hidden, "head/2"), (batch.size,))
 

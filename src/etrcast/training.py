@@ -20,20 +20,23 @@ same size: a CLI process keeps freed memory for reuse, and the largest chunk
 sets its resident size. The (event, j) samples of an event share their
 revisions: a token is one revision seen from one window start, and every
 window with j <= max_seq_len starts at the event's first revision. A
-prediction pass computes the model's row-wise front (embedding, projection,
-positional encoding, the first layer's query, key and value) once per
-distinct token (``SampleSet.token_index``, ``model.TokenFront``), and each
-chunk gathers its slots from it, with the same bits as computing them per
-chunk. On 12-20-revision events that is 8,519 tokens for 76,126 slots. A training epoch cuts a seeded permutation into
-pools of ``POOL_BATCHES`` batches, sorts each pool by width with the same
-rule and cuts it into batches, then visits the batches in a seeded random
-order (``epoch_batches``): the pools keep each batch a random draw of the
-epoch's samples apart from its width, as in length bucketing (Krell et al.
-2021, arXiv 2107.02027). Optimization is Adam with bias correction; the
-learning rate decays by a fixed factor when the validation WAE stops
-improving. Everything, dropout included, is seeded, so two runs with the
-same inputs produce bit-identical histories. One progress line per epoch
-goes to stderr; wall-clock figures stay out of the history.
+prediction pass computes the model's row-wise front (``model.front``) once
+per distinct token (``SampleSet.token_start``, ``model.TokenFront``), and
+each chunk gathers its slots from it, with the same bits as computing them
+per chunk. On 12-20-revision events that is 8,519 tokens for 76,126 slots.
+
+A training epoch cuts a seeded permutation into pools of ``POOL_BATCHES``
+batches, sorts each pool by width with the same rule and cuts it into
+batches, then visits the batches in a seeded random order
+(``epoch_batches``): the pools keep each batch a random draw of the epoch's
+samples apart from its width, as in length bucketing (Krell et al. 2021,
+arXiv 2107.02027). Each training step computes the front from its batch's
+own slots. Optimization is Adam with bias correction; the learning rate
+decays by a fixed factor when the validation WAE stops improving. An
+overflow in a step or a validation pass is a ``TrainError`` naming the
+epoch. Everything, dropout included, is seeded, so two runs with the same
+inputs produce bit-identical histories. One progress line per epoch goes to
+stderr; wall-clock figures stay out of the history.
 
 The linear baseline fits ordinary least squares (tiny ridge jitter for rank
 safety) on each event's final revision with one-hot categoricals, and is
@@ -163,35 +166,25 @@ class SampleSet:
         return self.events.offsets[self.event] + self.prefix_len - self.width
 
     @cached_property
-    def token_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The set's distinct tokens and each sample's first one: (row [T], first [T], start [N]).
+    def token_start(self) -> np.ndarray:
+        """[N] each sample's first token in ``token_front``; slot t holds token ``start + t``.
 
-        A token is a (revision row, window first row) pair. Windows that start
-        at their event's first row (j <= max_seq_len) share that event's
-        tokens; each later window, its deltas restarted, has tokens of its
-        own. A sample's tokens are consecutive: slot t of sample i holds
-        token ``start[i] + t``.
+        Tokens 0..R-1 are the table's own rows, whose deltas count from their
+        event's first row, where every window with j <= max_seq_len starts.
+        Each later window, its deltas restarted, appends max_seq_len tokens.
         """
-        table, span = self.events, self.max_seq_len
-        windowed = self.prefix_len > span
-        reach = np.zeros(len(table), dtype=np.int64)  # rows of each event a shared window holds
-        np.maximum.at(reach, self.event[~windowed], self.width[~windowed])
-        row_event = np.repeat(np.arange(len(table)), table.lengths)
-        event_first = table.offsets[row_event]
-        shared = np.arange(row_event.size) - event_first < reach[row_event]
-        start = (np.cumsum(shared) - 1)[self.first_row]
-        n_windowed = int(np.count_nonzero(windowed))
-        start[windowed] = np.count_nonzero(shared) + span * np.arange(n_windowed)
-        own_first = np.repeat(self.first_row[windowed], span)
-        own_row = own_first + np.tile(np.arange(span), n_windowed)
-        row = np.concatenate([np.flatnonzero(shared), own_row])
-        return row, np.concatenate([event_first[shared], own_first]), start
+        windowed, start = self.prefix_len > self.max_seq_len, self.first_row.copy()
+        start[windowed] = self.events.deltas.size + self.max_seq_len * np.arange(windowed.sum())
+        return start
 
     def token_front(self) -> TokenFront:
         """A fresh front over the set's tokens, for one prediction pass."""
-        row, first, _ = self.token_index
-        t = self.events
-        return TokenFront(t.cat_idx[row], t.cont[row], t.deltas[row] - t.deltas[first])
+        t, span = self.events, self.max_seq_len
+        first = self.first_row[self.prefix_len > span]
+        own = (first[:, None] + np.arange(span)).ravel()
+        rows = np.concatenate([np.arange(t.deltas.size), own])
+        deltas = np.concatenate([t.deltas, t.deltas[own] - np.repeat(t.deltas[first], span)])
+        return TokenFront(t.cat_idx[rows], t.cont[rows], deltas)
 
     def batch(self, idx: np.ndarray | slice, front: TokenFront | None = None) -> SequenceBatch:
         """The samples at ``idx``, zero-padded to the longest window among them.
@@ -211,7 +204,7 @@ class SampleSet:
         cat[pad] = 0
         cont[pad] = 0.0
         deltas[pad] = 0.0
-        slots = None if front is None else TokenSlots(front, self.token_index[2][idx][:, None] + offset)
+        slots = None if front is None else TokenSlots(front, offset + self.token_start[idx, None])
         return SequenceBatch(cat_idx=cat, cont=cont, deltas=deltas, mask=mask, tokens=slots)
 
 
@@ -384,11 +377,8 @@ def predict_in_chunks(
     window; a row wider than ``slots`` is a chunk of its own. Each chunk is
     trimmed to its own width, so its temporaries take about ``slots`` token
     rows whatever the width: that, not the split's size, sets the memory a
-    process keeps mapped for the next chunk. The pass opens one
-    ``TokenFront`` over the samples' distinct tokens and every chunk's batch
-    names its slots' tokens there, so ``predict`` computes the model's front
-    once per token for the whole pass; the front is closed when the pass
-    ends.
+    process keeps mapped for the next chunk. Every chunk's batch names its
+    slots in the pass's one ``token_front``, closed when the pass ends.
     """
     order = by_width(samples, np.arange(samples.size))
     widths = samples.width[order]
@@ -472,8 +462,11 @@ def train_model(
             loss_sum += float(loss.data) * idx.size
         train_loss = loss_sum / n
 
-        val_preds = predict_in_chunks(lambda b: predict(params, b), val_samples)
-        val_wae = wae(val_preds, val_samples.targets, loss_config)
+        try:  # an overflow raises NumericsError, a ValueError
+            val_preds = predict_in_chunks(lambda b: predict(params, b), val_samples)
+            val_wae = wae(val_preds, val_samples.targets, loss_config)
+        except ValueError as exc:
+            raise TrainError(f"epoch {epoch} validation: {exc}") from exc
         if val_wae < best_val:
             best_val = val_wae
             best_epoch = epoch

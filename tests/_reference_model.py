@@ -21,8 +21,7 @@ from etrcast.model import (
     _activation,
     _bind,
     _linear,
-    embed_revision,
-    positional_encode,
+    front,
     sanitize_batch,
     validate_batch,
 )
@@ -81,9 +80,9 @@ def forward(
     trimmed = (a[:, :used] for a in (batch.cat_idx, batch.cont, batch.deltas, batch.mask))
     batch = sanitize_batch(SequenceBatch(*trimmed))
     w = _bind(tape, params, train_rng is not None)
-    h = embed_revision(tape, batch, params, w)
-    pe = positional_encode(batch.deltas, params.config.d_model, params.config.pe_base)
-    h = tape.add(h, tape.constant(pe.reshape(h.shape)))
+    n = batch.mask.size
+    rows = (a.reshape(n, *a.shape[2:]) for a in (batch.cat_idx, batch.cont, batch.deltas))
+    h = front(tape, params, w, *rows)["x"]
     h = encode_sequence(tape, h, batch.mask, params, w, capture)
     rep = tape.gather_rows(h, batch.lengths - 1)
     hidden = _activation(tape, params.config, _linear(tape, w, rep, "head/1"))

@@ -634,6 +634,40 @@ class TestErrorHandling:
             "runtime failure: epoch 0 batch 0: Adam update left head/1/W non-finite"
         ]
 
+    @pytest.mark.parametrize(
+        "overflowing, failing",
+        [(("validation", "test"), "epoch 0 validation"), (("test",), "test report")],
+        ids=["validation", "test"],
+    )
+    def test_prediction_overflow_exits_two_naming_its_pass(
+        self, pipeline, tmp_path, capsys, overflowing, failing
+    ):
+        # filler_noise_4 is 1e-150 in one training revision and 0 in the others, so
+        # its Z-score scales 1e20 to about 1e170 and a prediction pass overflows
+        data = tmp_path / "data"
+        self._copy_dataset(pipeline["data"], data, stale_sidecar=False)
+        manifest = json.load(open(data / "manifest.json"))
+        split = {storm: name for name, storms in manifest["split"].items() for storm in storms}
+        continuous = [name for name, kind in manifest["schema"]["features"] if kind == "continuous"]
+        col, tiny = continuous.index("filler_noise_4"), 1e-150
+        lines = []
+        for line in open(os.path.join(pipeline["data"], "events.jsonl"), encoding="utf-8"):
+            rec = json.loads(line)
+            for rev in rec["revisions"]:
+                if split[rec["storm_id"]] == "train":
+                    rev["cont"][col], tiny = tiny, 0.0
+                else:
+                    rev["cont"][col] = 1e20 if split[rec["storm_id"]] in overflowing else 0.0
+            lines.append(json.dumps(rec))
+        (data / "events.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "o"), "--epochs", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        *progress, last = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("epoch ") for line in progress)
+        assert last == f"runtime failure: {failing}: matmul: non-finite values in result"
+
     @staticmethod
     def _drop_storm_magnitude(manifest):
         del manifest["storms"][0]["magnitude"]
@@ -731,15 +765,17 @@ class TestProcessMemory:
         assert per_call < 100  # each call faulted its temporaries in afresh without it
 
     def test_eval_and_train_manifests_record_phase_seconds(self, pipeline, tmp_path):
-        out = str(tmp_path / "ev")
+        # explain and attention record them too
         checkpoint = os.path.join(pipeline["run"], "checkpoint.bin")
-        argv = ["eval", "--dataset", pipeline["data"], "--checkpoint", checkpoint, "--out", out]
-        assert run(argv) == 0
-        expected = {
-            "eval": {"load", "encode", "predict", "report"},
-            "train": {"load", "train", "encode", "predict", "report"},
-        }
-        for command, out_dir in (("eval", out), ("train", pipeline["run"])):
+        flags = {"eval": [], "explain": ["--revisions", "1", "--events", "1"], "attention": []}
+        out_dirs = {"train": pipeline["run"]}
+        for command, extra in flags.items():
+            out_dirs[command] = str(tmp_path / command)
+            argv = [command, "--dataset", pipeline["data"], "--checkpoint", checkpoint]
+            assert run([*argv, "--out", out_dirs[command], *extra]) == 0
+        inference = {"load", "encode", "predict", "report"}
+        expected = {"train": inference | {"train"}, **{command: inference for command in flags}}
+        for command, out_dir in out_dirs.items():
             manifest = json.load(open(os.path.join(out_dir, "run_manifest.json")))
             phases = manifest["phase_seconds"]
             assert set(phases) == expected[command], command

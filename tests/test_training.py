@@ -546,6 +546,7 @@ class TestTokenPass:
         "default": ModelConfig(),
         "windowed": ModelConfig(max_seq_len=4, d_model=8, n_layers=2, n_heads=2),
         "one_layer": ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2),
+        "no_layers": ModelConfig(max_seq_len=20, d_model=8, n_layers=0, n_heads=2),
     }
 
     @staticmethod
@@ -574,24 +575,22 @@ class TestTokenPass:
         np.testing.assert_array_equal(got, predict_in_chunks(self._own_slots(params), samples))
         windowed = samples.prefix_len > cfg.max_seq_len
         assert windowed.any() == (name == "windowed")
-        # each later window brings max_seq_len tokens of its own; the others share theirs
-        shared = samples.token_index[0].size - cfg.max_seq_len * windowed.sum()
-        assert 0 < shared < samples.width[~windowed].sum()
+        # the table's rows are the tokens every earlier window shares; each later
+        # window brings max_seq_len tokens of its own
+        shared = samples.token_front().size - cfg.max_seq_len * windowed.sum()
+        assert shared == samples.events.deltas.size < samples.width[~windowed].sum()
 
     @pytest.mark.parametrize("name", ["default", "windowed"])
-    def test_token_index_reproduces_every_slot(self, small_dataset, name):
+    def test_token_start_reproduces_every_slot(self, small_dataset, name):
         samples = self._samples(small_dataset, self.CONFIGS[name])
         front = samples.token_front()
-        row, _, _ = samples.token_index
-        assert row.size == front.size < samples.width.sum()
-        tokens = front.batch
+        assert front.size < samples.width.sum()
         for idx in np.array_split(np.arange(samples.size), 7):
             batch = samples.batch(idx, front)
             ids, mask = batch.tokens.ids, batch.mask
             assert ids.shape == mask.shape
-            np.testing.assert_array_equal(tokens.cat_idx[ids, 0][mask], batch.cat_idx[mask])
-            np.testing.assert_array_equal(tokens.cont[ids, 0][mask], batch.cont[mask])
-            np.testing.assert_array_equal(tokens.deltas[ids, 0][mask], batch.deltas[mask])
+            for token_col, col in zip(front.rows, (batch.cat_idx, batch.cont, batch.deltas)):
+                np.testing.assert_array_equal(token_col[ids][mask], col[mask])
 
     @pytest.mark.parametrize("name", ["windowed", "one_layer"])
     def test_padded_slots_may_name_any_token(self, small_dataset, name):
