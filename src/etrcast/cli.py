@@ -300,15 +300,13 @@ def _train_once(
     out_dir: str,
     phases: Phases,
 ) -> tuple[list[str], TrainResult, EvalReport]:
-    """Train, write the checkpoint, history and reports; returns the test report too."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Train and predict the reports, then write the checkpoint, history and reports.
+
+    Nothing is written until both reports are predicted, so a run that fails
+    leaves no checkpoint behind. Returns the test report too.
+    """
     with phases("train"):
         result = train_model(dataset, model_cfg, train_cfg, loss_cfg)
-    with phases("report"):
-        ckpt = os.path.join(out_dir, "checkpoint.bin")
-        save_checkpoint(ckpt, result.params, result.transform_state, result.fingerprint)
-        history = result.history.to_doc()
-        outputs = [ckpt, _write_json(os.path.join(out_dir, "history.json"), history)]
     with phases("encode"):
         splits = dataset.split_tables()
         encode = lambda name: encode_events(splits[name], result.transform_state, dataset.schema)
@@ -323,6 +321,11 @@ def _train_once(
         with _naming(TrainError, "test report"):
             test_report, per_revision = evaluate(model_fn, test_samples, magnitudes, loss_cfg)
     with phases("report"):
+        os.makedirs(out_dir, exist_ok=True)
+        ckpt = os.path.join(out_dir, "checkpoint.bin")
+        save_checkpoint(ckpt, result.params, result.transform_state, result.fingerprint)
+        history = result.history.to_doc()
+        outputs = [ckpt, _write_json(os.path.join(out_dir, "history.json"), history)]
         outputs += _report_paths(out_dir, "eval_validation", val_report)
         outputs += _report_paths(out_dir, "eval_test", test_report, per_revision)
     return outputs, result, test_report

@@ -6,31 +6,32 @@ into one matrix per layer, exported as plain numeric grids with queries on
 rows and keys on columns. Capturing reads weights out of the forward pass and
 never changes a prediction.
 
-Attribution side: Monte-Carlo permutation Shapley values over the feature
-slots of a prefix's final revision. Each sampled permutation draws one
-background row and walks the permutation, switching features from background
-to sample values; one predict call scores the d+1 coalition states of K
-permutations at once (K = ROWS_PER_CALL // (d+1)), and marginal contributions
-are averaged per feature. Every permutation keeps its own seed (seed, t) and
-its contributions are summed in permutation order, so results do not depend
-on K.
+Attribution side: Monte-Carlo permutation Shapley values (Strumbelj &
+Kononenko 2014) over the feature slots of a prefix's final revision. Each
+sampled permutation draws one background row and walks the permutation,
+switching features from background to sample values; marginal contributions
+are averaged per feature. An attribution is a prediction pass: a predict call
+scores the d+1 coalition states of as many permutations as fit in
+``CHUNK_SLOTS`` token slots, and names its slots in a ``TokenFront`` of the
+sample's rows plus the chunk's final rows, so the weights are bound once per
+attribution and the context's front computed once per call. Every
+permutation keeps its own seed (seed, t) and its contributions are summed in
+permutation order, so results do not depend on the chunking.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from contextlib import closing
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ModelParams, SequenceBatch, predict
+from .model import ModelParams, SequenceBatch, TokenFront, TokenSlots, predict
+from .training import CHUNK_SLOTS
 
 PredictFn = Callable[[SequenceBatch], np.ndarray]
-
-# Rows per Shapley predict call: enough to amortise per-call overhead; above
-# about 128 rows peak memory grows for little further speed.
-ROWS_PER_CALL = 96
 
 
 # -- attention ----------------------------------------------------------------
@@ -91,14 +92,7 @@ def extract_attention(
         else:
             chosen = tuple(range(cfg.n_heads))
         picked = weights[list(chosen)]
-        out.append(
-            LayerAttention(
-                layer=layer,
-                head_indices=chosen,
-                head_weights=picked,
-                mean_weights=picked.mean(axis=0),
-            )
-        )
+        out.append(LayerAttention(layer, chosen, picked, picked.mean(axis=0)))
     return AttentionStack(layers=tuple(out), valid_len=int(batch.lengths[0]))
 
 
@@ -115,8 +109,7 @@ def export_heatmap(stack: AttentionStack, out_dir: str, prefix: str = "attention
             f"heads={','.join(map(str, layer_attn.head_indices))} "
             f"rows=queries cols=keys n={n}"
         ]
-        for row in grid:
-            lines.append(" ".join(repr(float(v)) for v in row))
+        lines += [" ".join(repr(float(v)) for v in row) for row in grid]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         paths.append(path)
@@ -172,8 +165,7 @@ def shapley_attributions(
         raise ValueError("n_permutations must be >= 1")
     if background_cat.shape[0] == 0 or background_cat.shape[0] != background_cont.shape[0]:
         raise ValueError("background set must be non-empty and consistent")
-    p = sample.cat_idx.shape[2]
-    q = sample.cont.shape[2]
+    p, q = sample.cat_idx.shape[2], sample.cont.shape[2]
     d = p + q
     if background_cat.shape[1] != p or background_cont.shape[1] != q:
         raise ValueError(
@@ -187,47 +179,42 @@ def shapley_attributions(
     )
 
     last = int(sample.lengths[0]) - 1
-    sample_cat = sample.cat_idx[0, last]
-    sample_cont = sample.cont[0, last]
+    sample_cat, sample_cont = sample.cat_idx[0, last], sample.cont[0, last]
     k = background_cat.shape[0]
-    per_call = max(1, ROWS_PER_CALL // (d + 1))
+    # predict_in_chunks's rule: rows x width within CHUNK_SLOTS, in whole permutations
+    per_call = max(1, CHUNK_SLOTS // ((d + 1) * (last + 1)))
+    sums, sumsq, bg_pred_sum = np.zeros(d), np.zeros(d), 0.0
 
-    # K permutations x (d+1) coalition states share the sample's context rows;
-    # only the final revision's slots are rewritten per call
-    rows = per_call * (d + 1)
-    cat = np.repeat(sample.cat_idx, rows, axis=0)
-    cont = np.repeat(sample.cont, rows, axis=0)
-    deltas = np.repeat(sample.deltas, rows, axis=0)
-    mask = np.repeat(sample.mask, rows, axis=0)
-
-    prediction = float(predict_fn(sample)[0])
-    sums = np.zeros(d)
-    sumsq = np.zeros(d)
-    bg_pred_sum = 0.0
-
-    for start in range(0, n_permutations, per_call):
-        draws, perms = [], []
-        for t in range(start, min(start + per_call, n_permutations)):
-            rng = np.random.default_rng((seed, t))
-            draws.append(int(rng.integers(0, k)))
-            perms.append(rng.permutation(d))
-        perms = np.asarray(perms)  # [K, d]
-        n = perms.shape[0] * (d + 1)
-        rank = np.argsort(perms, axis=1)  # the inverse: rank[perm] = arange(d)
-        # state s holds the first s features of the permutation at sample values
-        on = rank[:, None, :] < np.arange(d + 1)[None, :, None]  # [K, d+1, d]
-        bg_cat, bg_cont = background_cat[draws][:, None], background_cont[draws][:, None]
-        cat[:n, last] = np.where(on[..., :p], sample_cat, bg_cat).reshape(n, p)
-        cont[:n, last] = np.where(on[..., p:], sample_cont, bg_cont).reshape(n, q)
-
-        batch = SequenceBatch(cat[:n], cont[:n], deltas[:n], mask[:n])
-        preds = predict_fn(batch).reshape(-1, d + 1)
-        diffs = np.diff(preds, axis=1)
-        # unbuffered and row-major, so every sum below runs in permutation order
-        np.add.at(sums, perms.ravel(), diffs.ravel())
-        np.add.at(sumsq, perms.ravel(), (diffs * diffs).ravel())
-        for value in preds[:, 0]:
-            bg_pred_sum += value
+    # tokens 0..last are the sample's rows; a chunk appends its final rows
+    own = TokenFront(*(a[0, : last + 1] for a in (sample.cat_idx, sample.cont, sample.deltas)))
+    with closing(own):
+        ids = np.minimum(np.arange(sample.mask.shape[1]), last)[None]  # a padded slot: any token
+        prediction = float(predict_fn(replace(sample, tokens=TokenSlots(own, ids)))[0])
+        for start in range(0, n_permutations, per_call):
+            draws, perms = [], []
+            for t in range(start, min(start + per_call, n_permutations)):
+                rng = np.random.default_rng((seed, t))
+                draws.append(int(rng.integers(0, k)))
+                perms.append(rng.permutation(d))
+            perms = np.asarray(perms)  # [K, d]
+            n = perms.shape[0] * (d + 1)
+            rank = np.argsort(perms, axis=1)  # the inverse: rank[perm] = arange(d)
+            # state s holds the first s features of the permutation at sample values
+            on = rank[:, None, :] < np.arange(d + 1)[None, :, None]  # [K, d+1, d]
+            chunk = own.extend(
+                np.where(on[..., :p], sample_cat, background_cat[draws][:, None]).reshape(n, p),
+                np.where(on[..., p:], sample_cont, background_cont[draws][:, None]).reshape(n, q),
+                np.full(n, own.rows[2][last]),
+            )
+            ids = np.hstack([np.tile(np.arange(last), (n, 1)), last + 1 + np.arange(n)[:, None]])
+            slots = (*(a[ids] for a in chunk.rows), np.ones(ids.shape, bool))
+            preds = predict_fn(SequenceBatch(*slots, TokenSlots(chunk, ids))).reshape(-1, d + 1)
+            diffs = np.diff(preds, axis=1)
+            # unbuffered and row-major, so every sum below runs in permutation order
+            np.add.at(sums, perms.ravel(), diffs.ravel())
+            np.add.at(sumsq, perms.ravel(), (diffs * diffs).ravel())
+            for value in preds[:, 0]:
+                bg_pred_sum += value
 
     values = sums / n_permutations
     var = np.maximum(sumsq / n_permutations - values * values, 0.0)
@@ -242,13 +229,7 @@ def shapley_attributions(
         if not np.isfinite(value).all():
             raise ValueError(f"shapley_attributions: non-finite {what}; predictions too large")
     return AttributionSet(
-        feature_names=names,
-        values=values,
-        std_errors=std_errors,
-        n_permutations=n_permutations,
-        prediction=prediction,
-        background_mean=background_mean,
-        revision_index=last + 1,
+        names, values, std_errors, n_permutations, prediction, background_mean, last + 1
     )
 
 
@@ -297,9 +278,7 @@ def write_topk(report: TopkReport, path: str) -> None:
 
 def write_attributions(sets: Sequence[AttributionSet], path: str) -> None:
     """Per-sample attribution table with raw and normalized columns."""
-    lines = [
-        "# columns: revision feature value_hours std_error normalized_share",
-    ]
+    lines = ["# columns: revision feature value_hours std_error normalized_share"]
     for a in sets:
         total = float(np.abs(a.values).sum())
         for name, value, se in zip(a.feature_names, a.values, a.std_errors):

@@ -15,12 +15,12 @@ attention by the mask, so their contents can never influence a prediction
 The front of the model (embeddings, projection, positional encoding and the
 first layer's query, key and value projections) works row by row: ``front``
 takes flat revision rows. Training, attention capture and single batches run
-it on a batch's own slots. One revision seen from one window start gives the
-same front rows in every sample that holds it, so a prediction pass over many
-prefixes of the same events runs it once on the pass's distinct tokens
-(``TokenFront``), and layer 0 of each batch gathers its slots from there
-(``SequenceBatch.tokens``). Both routes apply the same operations to each row,
-and the tests require equal bits.
+it on a batch's own slots. Many samples share a revision seen from one window
+start: an event's prefixes, or a Shapley attribution's coalition rows. So a
+prediction pass binds its weights once, runs the front once on its distinct
+tokens (``TokenFront``), and layer 0 of each batch gathers its slots from
+there (``SequenceBatch.tokens``). Both routes apply the same operations to
+each row, and the tests require equal bits.
 """
 
 from __future__ import annotations
@@ -261,31 +261,42 @@ class TokenFront:
 
     A token is one revision as a window sees it: its features and its time
     delta since the window's first row, given here as [T,p], [T,q] and [T]
-    arrays. ``states`` computes the ``front`` of all T tokens on first use
-    with a ``params``, and keeps it until ``close`` or until another
-    ``params`` object asks. A pass closes its front when it ends, so no state
-    outlives the pass: a training loop may then update the tensors in place.
+    arrays. ``states`` binds every tensor of a ``params`` as a checked
+    constant once per pass and computes the ``front`` of all T tokens on
+    first use; both are kept until ``close`` or until another ``params``
+    object asks. ``extend`` gives a front over more tokens of the same pass,
+    with the same bound weights. A pass closes its front when it ends, so no
+    state outlives the pass: a training loop may then update the tensors in
+    place.
     """
 
-    def __init__(self, cat_idx: np.ndarray, cont: np.ndarray, deltas: np.ndarray):
+    def __init__(self, cat_idx: np.ndarray, cont: np.ndarray, deltas: np.ndarray, root=None):
         self.rows = (cat_idx, cont, deltas)
-        self._params: ModelParams | None = None
-        self._states: dict[str, np.ndarray] = {}
+        self._root: TokenFront | None = root  # the pass's first front, which holds the weights
+        self.close()
 
     @property
     def size(self) -> int:
         return self.rows[2].shape[0]
 
-    def states(self, tape: Tape, params: ModelParams, w: Weights) -> dict[str, np.ndarray]:
-        """``front`` of every token as plain [T,d_model] arrays."""
-        if self._params is not params:
-            self.close()
-            self._states = {k: t.data for k, t in front(tape, params, w, *self.rows).items()}
-            self._params = params
+    def states(self, tape: Tape, params: ModelParams) -> tuple[Weights, dict[str, np.ndarray]]:
+        """The pass's bound weights, and ``front`` of every token as plain [T,d_model] arrays."""
+        root = self._root or self  # an inference tape records nothing, so later tapes can use them
+        if root._bound[0] is not params:
+            root._bound = (params, _bind(tape, params, train=False))
+        w = root._bound[1]
+        if self._states[0] is not w:  # computed with another binding
+            self._states = (w, {k: t.data for k, t in front(tape, params, w, *self.rows).items()})
         return self._states
 
+    def extend(self, cat_idx: np.ndarray, cont: np.ndarray, deltas: np.ndarray) -> "TokenFront":
+        """A front over this front's tokens and then the given ones, closed with this pass."""
+        rows = (np.concatenate(pair) for pair in zip(self.rows, (cat_idx, cont, deltas)))
+        return TokenFront(*rows, root=self._root or self)
+
     def close(self) -> None:
-        self._params, self._states = None, {}
+        self._bound: tuple = (None, {})  # (params, their bound weights)
+        self._states: tuple = (None, {})  # (the weights used, the front's states)
 
 
 @dataclass(frozen=True)
@@ -402,9 +413,9 @@ def forward(
     lengths = batch.lengths
     used = int(lengths.max(initial=1))
     mask = batch.mask[:, :used]
-    w = _bind(tape, params, train_rng is not None)
     tokens = None if train_rng is not None else batch.tokens
     if tokens is None:
+        w = _bind(tape, params, train_rng is not None)
         trimmed = (a[:, :used] for a in (batch.cat_idx, batch.cont, batch.deltas, mask))
         own = sanitize_batch(SequenceBatch(*trimmed))
         rows = (a.reshape(mask.size, *a.shape[2:]) for a in (own.cat_idx, own.cont, own.deltas))
@@ -413,7 +424,7 @@ def forward(
         ids = np.asarray(tokens.ids)[:, :used]
         if ids.shape != mask.shape or ids.min() < 0 or ids.max() >= tokens.front.size:
             raise ValueError(f"token ids {np.shape(tokens.ids)} do not fit the batch or its pass")
-        states = tokens.front.states(tape, params, w)
+        w, states = tokens.front.states(tape, params)
     rep = encode_sequence(tape, states, mask, lengths - 1, params, w, capture, train_rng, ids)
     hidden = _activation(tape, params.config, _linear(tape, w, rep, "head/1"))
     return tape.reshape(_linear(tape, w, hidden, "head/2"), (batch.size,))

@@ -15,15 +15,17 @@ the per-revision error curve reads all of them.
 Every batch holds samples of similar window width, so little of it is
 padding. Prediction visits the samples in width order (``by_width``) and
 cuts them into chunks of about ``CHUNK_SLOTS`` token slots (rows x widest
-window, ``predict_in_chunks``), so every chunk's temporaries are about the
-same size: a CLI process keeps freed memory for reuse, and the largest chunk
-sets its resident size. The (event, j) samples of an event share their
-revisions: a token is one revision seen from one window start, and every
-window with j <= max_seq_len starts at the event's first revision. A
-prediction pass computes the model's row-wise front (``model.front``) once
-per distinct token (``SampleSet.token_start``, ``model.TokenFront``), and
-each chunk gathers its slots from it, with the same bits as computing them
-per chunk. On 12-20-revision events that is 8,519 tokens for 76,126 slots.
+window, ``predict_in_chunks``); Shapley attributions cut their coalition rows
+by the same budget. So every chunk's temporaries are about the same size: a
+CLI process keeps freed memory for reuse, and the largest chunk sets its
+resident size. The (event, j) samples of an event share their revisions: a
+token is one revision seen from one window start, and every window with
+j <= max_seq_len starts at the event's first revision. A prediction pass
+binds the weights once and computes the model's row-wise front
+(``model.front``) once per distinct token (``SampleSet.token_start``,
+``model.TokenFront``); each chunk gathers its slots from it, with the same
+bits as computing them per chunk: 8,519 tokens for 76,126 slots on
+12-20-revision events.
 
 A training epoch cuts a seeded permutation into pools of ``POOL_BATCHES``
 batches, sorts each pool by width with the same rule and cuts it into
@@ -57,6 +59,7 @@ import numpy as np
 
 from .autodiff import NumericsError, Tape
 from .data import (
+    MAGNITUDES,
     EncodedTable,
     EventRef,
     EventTable,
@@ -378,7 +381,8 @@ def predict_in_chunks(
     trimmed to its own width, so its temporaries take about ``slots`` token
     rows whatever the width: that, not the split's size, sets the memory a
     process keeps mapped for the next chunk. Every chunk's batch names its
-    slots in the pass's one ``token_front``, closed when the pass ends.
+    slots in the pass's one ``token_front``, which binds the weights once and
+    is closed when the pass ends.
     """
     order = by_width(samples, np.arange(samples.size))
     widths = samples.width[order]
@@ -393,6 +397,19 @@ def predict_in_chunks(
             preds[idx] = predict_fn(samples.batch(idx, front))
             start = stop
     return preds
+
+
+def _nonempty(dataset: Dataset, caller: str, *names: str) -> list[EventTable]:
+    """The named split tables; ValueError naming the storms per class if one is empty."""
+    splits = dataset.split_tables()
+    counts = ", ".join(f"{sum(s.magnitude == m for s in dataset.storms)} {m}" for m in MAGNITUDES)
+    for name in names:
+        if not len(splits[name]):
+            raise ValueError(
+                f"{caller}: empty {name} split: too few storms per class ({counts}); "
+                "validation and test take at least 2 storms of each class"
+            )
+    return [splits[name] for name in names]
 
 
 def _loss_fn(name: str, targets: np.ndarray, cfg: LossConfig):
@@ -414,10 +431,7 @@ def train_model(
     already sets one), so optimization starts from an unbiased constant
     predictor instead of zero hours.
     """
-    splits = dataset.split_tables()
-    train_events, val_events = splits["train"], splits["validation"]
-    if not len(train_events) or not len(val_events):
-        raise ValueError("train_model: empty train or validation split")
+    train_events, val_events = _nonempty(dataset, "train_model", "train", "validation")
     schema = dataset.schema
     state = fit_transforms(train_events, schema)
     enc_train = encode_events(train_events, state, schema)
@@ -434,9 +448,7 @@ def train_model(
     adam = AdamState.for_params(params.tensors)
     plateau = PlateauState(lr=train_config.learning_rate)
     history = TrainHistory()
-    best_params = params.copy()
-    best_epoch = -1
-    best_val = float("inf")
+    best_params, best_epoch, best_val = params.copy(), -1, float("inf")
     n = train_samples.size
 
     for epoch in range(train_config.max_epochs):
@@ -523,9 +535,7 @@ def _design_matrix(
 
 def fit_linear_baseline(dataset: Dataset) -> LinearBaseline:
     """Least squares (ridge jitter 1e-8) on each training event's last revision."""
-    train_events = dataset.split_tables()["train"]
-    if not len(train_events):
-        raise ValueError("fit_linear_baseline: empty training split")
+    (train_events,) = _nonempty(dataset, "fit_linear_baseline", "train")
     schema = dataset.schema
     state = fit_transforms(train_events, schema)
     encoded = encode_events(train_events, state, schema)

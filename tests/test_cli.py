@@ -667,6 +667,8 @@ class TestErrorHandling:
         *progress, last = capsys.readouterr().err.splitlines()
         assert all(line.startswith("epoch ") for line in progress)
         assert last == f"runtime failure: {failing}: matmul: non-finite values in result"
+        # outputs are written only after both reports are predicted
+        assert os.listdir(tmp_path / "o") == []
 
     @staticmethod
     def _drop_storm_magnitude(manifest):

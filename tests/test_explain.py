@@ -1,10 +1,12 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from etrcast import explain as explain_mod
+from etrcast.autodiff import Tape
 from etrcast.data import FeatureSchema, fit_transforms
 from etrcast.explain import (
     aggregate_topk,
@@ -16,7 +18,7 @@ from etrcast.explain import (
     write_topk,
 )
 from etrcast.model import ModelConfig, SequenceBatch, init_params, predict
-from etrcast.training import build_samples, encode_events
+from etrcast.training import CHUNK_SLOTS, build_samples, encode_events
 
 from conftest import event_batch, make_batch
 
@@ -126,7 +128,7 @@ class TestShapley:
 
 
 class TestBatchedShapley:
-    """K permutations per predict call give the one-per-call estimator's results."""
+    """Coalition rows go to predict in chunks of CHUNK_SLOTS token slots, as a pass."""
 
     def setup_method(self):
         self.schema = FeatureSchema(
@@ -138,14 +140,16 @@ class TestBatchedShapley:
         self.params = init_params(self.config, self.schema, seed=1)
         bg = make_batch(self.schema, self.config, n=16, seed=2, lengths=[4] * 16)
         self.bg_cat, self.bg_cont = final_revision_features(bg)
+        # valid in 4 of its 6 columns: the padding must reach no coalition row
         self.sample = make_batch(self.schema, self.config, n=1, seed=3, lengths=[4])
-        self.d = self.schema.p + self.schema.q  # 11: K = 8 at 96 rows per call
+        self.d = self.schema.p + self.schema.q  # 11
+        self.state_slots = (self.d + 1) * 4  # the slots of one permutation's d+1 states
 
-    def attribute(self, n_permutations, calls=None):
+    def attribute(self, n_permutations, calls=None, params=None, route=predict):
         def fn(batch):
             if calls is not None:
-                calls.append(batch.size)
-            return predict(self.params, batch)
+                calls.append(batch)
+            return route(params or self.params, batch)
 
         return shapley_attributions(
             fn, self.sample, self.bg_cat, self.bg_cont, n_permutations, seed=11
@@ -153,22 +157,67 @@ class TestBatchedShapley:
 
     def test_matches_one_permutation_per_call(self, monkeypatch):
         batched = self.attribute(37)
-        monkeypatch.setattr(explain_mod, "ROWS_PER_CALL", self.d + 1)
-        single = self.attribute(37)
+        monkeypatch.setattr(explain_mod, "CHUNK_SLOTS", self.state_slots)
+        calls = []
+        single = self.attribute(37, calls)
+        assert [b.size for b in calls] == [1] + [self.d + 1] * 37
         for field in ("values", "std_errors", "prediction", "background_mean"):
             np.testing.assert_allclose(
                 getattr(batched, field), getattr(single, field), rtol=0, atol=1e-12
             )
 
     @pytest.mark.parametrize("n_permutations", [1, 13, 37])
-    def test_predict_calls_and_efficiency(self, n_permutations):
-        per_call = max(1, explain_mod.ROWS_PER_CALL // (self.d + 1))
+    def test_predict_calls_and_efficiency(self, monkeypatch, n_permutations):
+        for slots in (CHUNK_SLOTS, 200, 20):  # 20 is less than one permutation's slots
+            monkeypatch.setattr(explain_mod, "CHUNK_SLOTS", slots)
+            per_call = max(1, slots // self.state_slots)  # whole permutations within the budget
+            calls = []
+            attr = self.attribute(n_permutations, calls)
+            assert len(calls) == 1 + math.ceil(n_permutations / per_call)
+            assert calls[0].size == 1
+            assert sum(b.size for b in calls[1:]) == n_permutations * (self.d + 1)
+            assert all(b.mask.size <= max(slots, self.state_slots) for b in calls[1:])
+            assert attr.n_permutations == n_permutations
+            assert abs(attr.efficiency_residual()) <= 1e-9
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_token_chunks_equal_own_slot_chunks(self, n_layers):
+        cfg = replace(self.config, n_layers=n_layers)
+        params = init_params(cfg, self.schema, seed=4)
         calls = []
-        attr = self.attribute(n_permutations, calls)
-        assert len(calls) == 1 + math.ceil(n_permutations / per_call)
-        assert calls[0] == 1 and sum(calls[1:]) == n_permutations * (self.d + 1)
-        assert attr.n_permutations == n_permutations
-        assert abs(attr.efficiency_residual()) <= 1e-9
+        tokens = self.attribute(200, calls, params)
+        assert len(calls) > 2 and all(b.tokens is not None for b in calls)
+        own_slots = lambda params, b: predict(params, replace(b, tokens=None))
+        own = self.attribute(200, params=params, route=own_slots)
+        for field in ("values", "std_errors", "prediction", "background_mean"):
+            np.testing.assert_array_equal(getattr(tokens, field), getattr(own, field))
+
+    def test_a_chunk_front_holds_the_context_once(self):
+        calls = []
+        self.attribute(5000, calls)
+        assert len(calls) == 1 + math.ceil(5000 / (CHUNK_SLOTS // self.state_slots))
+        for batch in calls[1:]:
+            # the sample's 4 rows, then one final row per coalition row
+            assert batch.tokens.front.size == 4 + batch.size
+            assert batch.tokens.front.size <= CHUNK_SLOTS + self.config.max_seq_len
+            # every row names the same 3 context tokens, then its own final row
+            ids = batch.tokens.ids
+            np.testing.assert_array_equal(ids[:, :3], np.tile(np.arange(3), (batch.size, 1)))
+            np.testing.assert_array_equal(ids[:, 3], 4 + np.arange(batch.size))
+
+    def test_weights_bound_once_per_attribution(self, monkeypatch):
+        bound = []
+        constant = Tape.constant
+
+        def spy(tape, value):
+            bound.extend(name for name, arr in self.params.tensors.items() if arr is value)
+            return constant(tape, value)
+
+        monkeypatch.setattr(Tape, "constant", spy)
+        calls = []
+        self.attribute(200, calls)
+        assert len(calls) > 2
+        assert sorted(bound) == sorted(self.params.tensors)
 
 
 class TestAggregateTopk:

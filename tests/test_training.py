@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -300,6 +302,20 @@ class TestTrainModel:
             TrainConfig(plateau_factor=1.5)
         with pytest.raises(ValueError):
             TrainConfig(loss="huber")
+
+
+    def test_too_few_storms_per_class_is_named(self):
+        # validation and test take 2 storms of each class, so 4 leave none to train
+        dataset = generate_dataset(
+            GeneratorConfig(seed=1, storms_per_class=4, events_per_storm=(2, 3))
+        )
+        assert not len(dataset.split_tables()["train"])
+        mcfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
+        message = r"empty train split: too few storms per class \(4 Small, 4 Medium, 4 Large\)"
+        with pytest.raises(ValueError, match="train_model: " + message):
+            train_model(dataset, mcfg, TrainConfig(max_epochs=1))
+        with pytest.raises(ValueError, match="fit_linear_baseline: " + message):
+            fit_linear_baseline(dataset)
 
 
 class TestLinearBaseline:
@@ -681,3 +697,43 @@ class TestTokenPass:
             assert ops["transpose"] == per_chunk * len(tapes)
             p = small_dataset.schema.p
             assert ops["embedding"] == (p if per_chunk == 5 else p * len(tapes))
+
+    def test_weights_bound_once_per_pass(self, small_dataset, monkeypatch):
+        from etrcast.autodiff import Tape
+
+        cfg = self.CONFIGS["windowed"]
+        samples = self._samples(small_dataset, cfg)
+        params = init_params(cfg, small_dataset.schema, seed=10)
+        bound = []
+        constant = Tape.constant
+
+        def spy(tape, value):
+            bound.extend(name for name, arr in params.tensors.items() if arr is value)
+            return constant(tape, value)
+
+        monkeypatch.setattr(Tape, "constant", spy)
+        for fn, passes in ((lambda b: predict(params, b), 1), (self._own_slots(params), None)):
+            bound.clear()
+            chunks = []
+            predict_in_chunks(lambda b: chunks.append(b) or fn(b), samples, slots=64)
+            assert len(chunks) > 1
+            # a token pass binds each tensor once; the own-slot route once per chunk
+            assert sorted(bound) == sorted([*params.tensors] * (passes or len(chunks)))
+
+    def test_a_pass_front_is_freed_by_reference_counting(self, small_dataset):
+        # a front left to the cycle collector outlives its pass with all its rows
+        cfg = self.CONFIGS["windowed"]
+        samples = self._samples(small_dataset, cfg)
+        params = init_params(cfg, small_dataset.schema, seed=11)
+        fronts = []
+
+        def fn(batch):
+            fronts.append(weakref.ref(batch.tokens.front))
+            return predict(params, batch)
+
+        gc.disable()
+        try:
+            predict_in_chunks(fn, samples, slots=64)
+            assert len(fronts) > 1 and all(ref() is None for ref in fronts)
+        finally:
+            gc.enable()
