@@ -1,11 +1,13 @@
 """Command-line pipeline: generate -> train -> eval -> explain / attention.
 
-Every pipeline subcommand takes a ``--seed``, writes its outputs to a
-distinct ``--out`` directory, and records a run_manifest.json with the
-resolved config, input/output checksums, and timestamps. ``generate`` and
-``train`` resolve their config dataclasses in layers: the field defaults
-(and ``train``'s ``--scale`` preset), then an optional ``--config``
-key=value file of dataclass fields, then flags named like the fields.
+Every pipeline subcommand takes a ``--seed`` and writes its outputs to a
+distinct ``--out`` directory. Each command notes its inputs, outputs and
+phase seconds on one ``RunRecord``; once the command returns, ``run`` writes
+the record, the resolved config and timestamps to ``run_manifest.json``. A
+command that fails writes no manifest. ``generate`` and ``train`` resolve
+their config dataclasses in layers: the field defaults (and ``train``'s
+``--scale`` preset), then an optional ``--config`` key=value file of
+dataclass fields, then flags named like the fields.
 With a fixed seed every artifact except the manifest (which carries
 wall-clock timestamps, per-phase seconds and the environment by design) is
 byte-reproducible on one machine. A CLI process keeps the memory it frees for
@@ -27,7 +29,7 @@ import platform
 import sys
 import time
 from dataclasses import asdict, fields, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,35 +74,41 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value file; blank lines and # comments ignored."""
-    out: dict[str, str] = {}
+def load_config_file(path: str) -> dict[str, tuple[str, str]]:
+    """Flat key=value file as key -> (value, "<path>:<line>"); blank lines and # comments ignored.
+
+    A byte that is not UTF-8 is refused naming its line.
+    """
+    out: dict[str, tuple[str, str]] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for line_no, line in enumerate(fh, start=1):
+                where = f"{path}:{line_no}"
+                if any("\udc80" <= ch <= "\udcff" for ch in line):  # an escaped byte
+                    raise CliError(f"{where}: not UTF-8 text")
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
                     continue
                 if "=" not in stripped:
-                    raise CliError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
+                    raise CliError(f"{where}: expected key=value, got {stripped!r}")
                 key, value = stripped.split("=", 1)
-                out[key.strip()] = value.strip()
+                out[key.strip()] = (value.strip(), where)
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     return out
 
 
-def _config_file(args, *classes) -> dict[str, str]:
+def _config_file(args, *classes) -> dict[str, tuple[str, str]]:
     """The ``--config`` entries; each key must be a field of one of ``classes``."""
     file_cfg = load_config_file(args.config) if args.config else {}
     known = {f.name for cls in classes for f in fields(cls)}
-    unknown = sorted(set(file_cfg) - known)
-    if unknown:
-        raise CliError(f"unknown config keys: {unknown}")
+    for key, (_, where) in file_cfg.items():
+        if key not in known:
+            raise CliError(f"{where}: unknown config key {key!r}")
     return file_cfg
 
 
-def _resolve(cls, preset: dict, file_cfg: dict[str, str], args):
+def _resolve(cls, preset: dict, file_cfg: dict[str, tuple[str, str]], args):
     """``cls`` from its defaults < ``preset`` < file < ``args`` attributes named like fields.
 
     A NaN or infinite value, alone or in a tuple, is refused naming its key.
@@ -109,7 +117,9 @@ def _resolve(cls, preset: dict, file_cfg: dict[str, str], args):
     resolved = dict(preset)
     for f in fields(cls):
         if f.name in file_cfg:
-            resolved[f.name] = _parse_like(getattr(defaults, f.name), file_cfg[f.name], f.name)
+            raw, where = file_cfg[f.name]
+            what = f"{where}: config key {f.name!r}"
+            resolved[f.name] = _parse_like(getattr(defaults, f.name), raw, what)
         flag = getattr(args, f.name, None)
         if flag is not None:
             resolved[f.name] = tuple(flag) if isinstance(flag, list) else flag
@@ -126,21 +136,24 @@ def _finite(value) -> bool:
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _parse_like(default, raw: str, key: str):
-    """``raw`` as the type of ``default``; a tuple needs exactly its length."""
+def _parse_like(default, raw: str, what: str):
+    """``raw`` as the type of ``default``; a tuple needs exactly its length.
+
+    ``what`` (the file, line and key) starts every error message.
+    """
     if isinstance(default, tuple):
         parts = raw.replace(",", " ").split()
         if len(parts) != len(default):
-            raise CliError(f"config key {key!r}: expected {len(default)} values, got {raw!r}")
-        return tuple(_parse_like(d, part, key) for d, part in zip(default, parts))
+            raise CliError(f"{what}: expected {len(default)} values, got {raw!r}")
+        return tuple(_parse_like(d, part, what) for d, part in zip(default, parts))
     if isinstance(default, bool):
         if raw.lower() not in _BOOLS:
-            raise CliError(f"config key {key!r}: expected true/false/yes/no/1/0, got {raw!r}")
+            raise CliError(f"{what}: expected true/false/yes/no/1/0, got {raw!r}")
         return _BOOLS[raw.lower()]
     try:
         return type(default)(raw)
     except ValueError as exc:
-        raise CliError(f"config key {key!r}: cannot parse {raw!r}") from exc
+        raise CliError(f"{what}: cannot parse {raw!r}") from exc
 
 
 # glibc's mallopt parameter numbers (malloc.h)
@@ -183,76 +196,65 @@ def run_environment() -> dict:
     }
 
 
-class Phases:
-    """Wall-clock seconds per named phase of a command, summed over its repeats.
+class RunRecord:
+    """What one command read, wrote and spent, for its ``run_manifest.json``.
 
-    ``with phases("load"): ...`` times one stretch. The figures go to
-    ``run_manifest.json`` only, which is exempt from byte-reproducibility.
+    ``run`` makes one record per command and writes the manifest from it once
+    the command returns; a command that raises writes none. A command times
+    its phases with ``with record.phase("load"): ...`` (seconds summed over
+    repeats), names its inputs, and writes each text or JSON output through the
+    record; a file that a library call wrote is added to ``outputs``. Phase
+    seconds go to the manifest only, which is exempt from byte-reproducibility.
     """
 
     def __init__(self):
-        self.seconds: dict[str, float] = {}
+        self.started = time.time()
+        self.inputs: dict[str, str] = {}  # path -> sha256
+        self.outputs: list[str] = []
+        self.phase_seconds: dict[str, float] = {}
 
     @contextlib.contextmanager
-    def __call__(self, name: str):
+    def phase(self, name: str):
         start = time.perf_counter()
         yield
-        self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
+        self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + time.perf_counter() - start
+
+    def write_text(self, path: str, text: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        self.outputs.append(path)
+
+    def write_json(self, path: str, doc) -> None:
+        self.write_text(path, canonical_json(doc) + "\n")
+
+    def write_report(self, out_dir: str, name: str, report: EvalReport, per_revision=None) -> None:
+        """Write ``<name>.json`` and ``<name>.txt``, and ``per_revision.json`` if given."""
+        self.write_json(os.path.join(out_dir, f"{name}.json"), report.to_dict())
+        self.write_text(os.path.join(out_dir, f"{name}.txt"), format_report(report, title=name))
+        if per_revision is not None:
+            rows = {str(j): row for j, row in per_revision.items()}
+            self.write_json(os.path.join(out_dir, "per_revision.json"), rows)
 
 
 def write_run_manifest(
-    out_dir: str,
-    command: str,
-    config: dict,
-    seed: int,
-    inputs: Mapping[str, str],
-    outputs: Sequence[str],
-    started: float,
-    phases: Phases | None = None,
-) -> str:
-    """Write ``run_manifest.json``; ``inputs`` maps each input path to its sha256."""
+    out_dir: str, command: str, config: dict, seed: int, record: RunRecord
+) -> None:
+    """Write ``run_manifest.json`` from ``record``; ``phase_seconds`` only if it timed one."""
     doc = {
         "format_version": 1,
         "command": command,
         "config": config,
         "seed": seed,
-        "inputs": dict(inputs),
-        "outputs": {path: file_sha256(path) for path in sorted(outputs)},
+        "inputs": record.inputs,
+        "outputs": {path: file_sha256(path) for path in sorted(record.outputs)},
         "environment": run_environment(),
-        "started": started,
+        "started": record.started,
         "finished": time.time(),
     }
-    if phases is not None:
-        doc["phase_seconds"] = dict(phases.seconds)
-    path = os.path.join(out_dir, "run_manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
-        fh.write("\n")
-    return path
-
-
-def _write_text(path: str, text: str) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
-
-
-def _write_json(path: str, doc) -> str:
-    return _write_text(path, canonical_json(doc) + "\n")
-
-
-def _report_paths(
-    out_dir: str, name: str, report: EvalReport, per_revision: dict | None = None
-) -> list[str]:
-    """Write ``<name>.json`` and ``<name>.txt``, and ``per_revision.json`` if given."""
-    paths = [
-        _write_json(os.path.join(out_dir, f"{name}.json"), report.to_dict()),
-        _write_text(os.path.join(out_dir, f"{name}.txt"), format_report(report, title=name)),
-    ]
-    if per_revision is not None:
-        rows = {str(j): row for j, row in per_revision.items()}
-        paths.append(_write_json(os.path.join(out_dir, "per_revision.json"), rows))
-    return paths
+    if record.phase_seconds:
+        doc["phase_seconds"] = record.phase_seconds
+    with open(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(doc) + "\n")
 
 
 @contextlib.contextmanager
@@ -267,8 +269,7 @@ def _naming(error: type[Exception], what: str):
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
-    started = time.time()
+def cmd_generate(args, record: RunRecord) -> tuple[dict, int]:
     cfg = _resolve(GeneratorConfig, {}, _config_file(args, GeneratorConfig), args)
     if cfg.storms_per_class < MIN_STORMS_PER_CLASS:
         raise CliError(
@@ -276,10 +277,9 @@ def cmd_generate(args) -> int:
             "validation and test take 2 storms of each class, so the training split would be empty"
         )
     os.makedirs(args.out, exist_ok=True)
-    outputs = list(generate_dataset(cfg, args.out).files)
-    write_run_manifest(args.out, "generate", cfg.to_dict(), cfg.seed, {}, outputs, started)
+    record.outputs.extend(generate_dataset(cfg, args.out).files)
     print(f"generated dataset at {args.out} ({cfg.storms_per_class * 3} storms)")
-    return 0
+    return cfg.to_dict(), cfg.seed
 
 
 def _configs_from_args(args) -> tuple[ModelConfig, TrainConfig, LossConfig]:
@@ -298,86 +298,72 @@ def _train_once(
     train_cfg: TrainConfig,
     loss_cfg: LossConfig,
     out_dir: str,
-    phases: Phases,
-) -> tuple[list[str], TrainResult, EvalReport]:
+    record: RunRecord,
+) -> tuple[TrainResult, EvalReport]:
     """Train and predict the reports, then write the checkpoint, history and reports.
 
     Nothing is written until both reports are predicted, so a run that fails
     leaves no checkpoint behind. Returns the test report too.
     """
-    with phases("train"):
+    with record.phase("train"):
         result = train_model(dataset, model_cfg, train_cfg, loss_cfg)
-    with phases("encode"):
+    with record.phase("encode"):
         splits = dataset.split_tables()
         encode = lambda name: encode_events(splits[name], result.transform_state, dataset.schema)
         # validation reports the final revisions only; test also feeds the per-revision curve
         val_samples = build_final_samples(encode("validation"), model_cfg)
         test_samples = build_samples(encode("test"), model_cfg)
-    with phases("predict"):
+    with record.phase("predict"):
         magnitudes = dataset.magnitude_of()
         model_fn = lambda batch: predict(result.params, batch)
         with _naming(TrainError, "validation report"):
             val_report, _ = evaluate(model_fn, val_samples, magnitudes, loss_cfg)
         with _naming(TrainError, "test report"):
             test_report, per_revision = evaluate(model_fn, test_samples, magnitudes, loss_cfg)
-    with phases("report"):
+    with record.phase("report"):
         os.makedirs(out_dir, exist_ok=True)
         ckpt = os.path.join(out_dir, "checkpoint.bin")
         save_checkpoint(ckpt, result.params, result.transform_state, result.fingerprint)
-        history = result.history.to_doc()
-        outputs = [ckpt, _write_json(os.path.join(out_dir, "history.json"), history)]
-        outputs += _report_paths(out_dir, "eval_validation", val_report)
-        outputs += _report_paths(out_dir, "eval_test", test_report, per_revision)
-    return outputs, result, test_report
+        record.outputs.append(ckpt)
+        record.write_json(os.path.join(out_dir, "history.json"), result.history.to_doc())
+        record.write_report(out_dir, "eval_validation", val_report)
+        record.write_report(out_dir, "eval_test", test_report, per_revision)
+    return result, test_report
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+def cmd_train(args, record: RunRecord) -> tuple[dict, int]:
     model_cfg, train_cfg, loss_cfg = _configs_from_args(args)
-    phases = Phases()
-    with phases("load"):
+    with record.phase("load"):
         dataset = load_dataset(args.dataset)
+    record.inputs.update(dataset.files)
     os.makedirs(args.out, exist_ok=True)
 
-    all_outputs: list[str] = []
     test_waes = []
     for trial in range(args.trials):
         trial_cfg = replace(train_cfg, seed=train_cfg.seed + trial)
         trial_dir = args.out if args.trials == 1 else os.path.join(args.out, f"trial{trial}")
-        outputs, result, test_report = _train_once(
-            dataset, model_cfg, trial_cfg, loss_cfg, trial_dir, phases
+        result, test_report = _train_once(
+            dataset, model_cfg, trial_cfg, loss_cfg, trial_dir, record
         )
-        all_outputs.extend(outputs)
         test_waes.append(test_report.overall.wae)
         print(
             f"trial {trial}: best epoch {result.best_epoch} "
             f"val WAE {result.best_val_wae:.4f} test WAE {test_waes[-1]:.4f}"
         )
     if args.trials > 1:
-        all_outputs.append(
-            _write_json(
-                os.path.join(args.out, "trials_summary.json"),
-                {"test_wae_per_trial": test_waes, "test_wae_mean": float(np.mean(test_waes))},
-            )
+        record.write_json(
+            os.path.join(args.out, "trials_summary.json"),
+            {"test_wae_per_trial": test_waes, "test_wae_mean": float(np.mean(test_waes))},
         )
-    config_doc = {
-        "model": asdict(model_cfg),
-        "train": asdict(train_cfg),
-        "loss": asdict(loss_cfg),
-        "trials": args.trials,
-        "scale": args.scale,
-    }
-    write_run_manifest(
-        args.out, "train", config_doc, train_cfg.seed, dataset.files, all_outputs, started, phases
-    )
-    return 0
+    config_doc = {"model": asdict(model_cfg), "train": asdict(train_cfg), "loss": asdict(loss_cfg)}
+    return {**config_doc, "trials": args.trials, "scale": args.scale}, train_cfg.seed
 
 
 def _load_for_inference(
-    args, phases: Phases
-) -> tuple[Dataset, ModelParams, TransformState, EncodedTable, dict[str, str]]:
-    """The dataset, the checkpoint, the encoded ``--split`` and the manifest inputs."""
-    with phases("load"):
+    args, record: RunRecord
+) -> tuple[Dataset, ModelParams, TransformState, EncodedTable]:
+    """The dataset, the checkpoint and the encoded ``--split``; records the inputs."""
+    with record.phase("load"):
         dataset = load_dataset(args.dataset)
         fingerprint = dataset_fingerprint(dataset.schema, dataset.categories)
         params, state, _ = load_checkpoint(args.checkpoint, expect_fingerprint=fingerprint)
@@ -388,42 +374,34 @@ def _load_for_inference(
     events = dataset.split_tables()[args.split]
     if not len(events):
         raise CliError(f"split {args.split!r} is empty")
-    with phases("encode"):
+    with record.phase("encode"):
         encoded = encode_events(events, state, dataset.schema)
-    inputs = {**dataset.files, args.checkpoint: file_sha256(args.checkpoint)}
-    return dataset, params, state, encoded, inputs
+    record.inputs.update({**dataset.files, args.checkpoint: file_sha256(args.checkpoint)})
+    return dataset, params, state, encoded
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
-    phases = Phases()
-    dataset, params, _, encoded, inputs = _load_for_inference(args, phases)
-    with phases("encode"):
+def cmd_eval(args, record: RunRecord) -> tuple[dict, int]:
+    dataset, params, _, encoded = _load_for_inference(args, record)
+    with record.phase("encode"):
         samples = build_samples(encoded, params.config)
     model_fn = lambda batch: predict(params, batch)
     # score with the loss the model was trained with
-    with phases("predict"), _naming(CliError, args.checkpoint):
+    with record.phase("predict"), _naming(CliError, args.checkpoint):
         report, per_revision = evaluate(model_fn, samples, dataset.magnitude_of(), params.loss)
-    with phases("report"):
+    with record.phase("report"):
         os.makedirs(args.out, exist_ok=True)
-        outputs = _report_paths(args.out, f"eval_{args.split}", report, per_revision)
-    write_run_manifest(
-        args.out, "eval", {"split": args.split}, args.seed, inputs, outputs, started, phases
-    )
+        record.write_report(args.out, f"eval_{args.split}", report, per_revision)
     print(format_report(report, title=f"eval {args.split}"), end="")
-    return 0
+    return {"split": args.split}, args.seed
 
 
-def cmd_explain(args) -> int:
-    started = time.time()
-    phases = Phases()
-    dataset, params, state, target, inputs = _load_for_inference(args, phases)
-    with phases("encode"):
+def cmd_explain(args, record: RunRecord) -> tuple[dict, int]:
+    dataset, params, state, target = _load_for_inference(args, record)
+    with record.phase("encode"):
         train_encoded = encode_events(dataset.split_tables()["train"], state, dataset.schema)
         target_samples = build_samples(target, params.config)
         train_samples = build_samples(train_encoded, params.config)
-    schema = dataset.schema
-    names = tuple(schema.categorical) + tuple(schema.continuous)
+    names = tuple(dataset.schema.categorical) + tuple(dataset.schema.continuous)
     model_fn = lambda batch: predict(params, batch)
 
     os.makedirs(args.out, exist_ok=True)
@@ -439,7 +417,7 @@ def cmd_explain(args) -> int:
         bg_cat, bg_cont = explain_mod.final_revision_features(train_samples.batch(bg_pick))
         for row in sorted(picked.tolist()):
             sample = target_samples.batch(np.asarray([row]))
-            with phases("predict"), _naming(CliError, args.checkpoint):
+            with record.phase("predict"), _naming(CliError, args.checkpoint):
                 attributions = explain_mod.shapley_attributions(
                     model_fn,
                     sample,
@@ -452,57 +430,50 @@ def cmd_explain(args) -> int:
             sets.append(attributions)
     if not sets:
         raise CliError("no samples available for attribution")
-    with phases("report"):
+    with record.phase("report"):
         report = explain_mod.aggregate_topk(sets, revision_range=args.revisions, k=args.topk)
-        topk_path = os.path.join(args.out, "topk.txt")
+        topk_path, attr_path = (os.path.join(args.out, n) for n in ("topk.txt", "attributions.txt"))
         explain_mod.write_topk(report, topk_path)
-        attr_path = os.path.join(args.out, "attributions.txt")
         explain_mod.write_attributions(sets, attr_path)
-    config_doc = {
-        "split": args.split,
-        "revisions": args.revisions,
-        "events": args.events,
-        "background": args.background,
-        "permutations": args.permutations,
-        "topk": args.topk,
-    }
-    outputs = [topk_path, attr_path]
-    write_run_manifest(args.out, "explain", config_doc, args.seed, inputs, outputs, started, phases)
+        record.outputs += [topk_path, attr_path]
     print(f"wrote attributions for {len(sets)} samples to {args.out}")
-    return 0
+    keys = ("split", "revisions", "events", "background", "permutations", "topk")
+    return {key: getattr(args, key) for key in keys}, args.seed
 
 
-def cmd_attention(args) -> int:
-    started = time.time()
-    phases = Phases()
-    _, params, _, encoded, inputs = _load_for_inference(args, phases)
+def cmd_attention(args, record: RunRecord) -> tuple[dict, int]:
+    _, params, _, encoded = _load_for_inference(args, record)
     event_id = encoded.event_ids[0] if args.event is None else args.event
     if event_id not in encoded.event_ids:
         raise CliError(f"event {args.event!r} not found in split {args.split!r}")
     event = encoded.select([encoded.event_ids.index(event_id)])
     batch = build_final_samples(event, params.config).batch(slice(0, 1))
-    with phases("predict"), _naming(CliError, args.checkpoint):
+    with record.phase("predict"), _naming(CliError, args.checkpoint):
         stack = explain_mod.extract_attention(
             params, batch, n_random_heads=args.heads, seed=args.seed
         )
-    with phases("report"):
+    with record.phase("report"):
         os.makedirs(args.out, exist_ok=True)
         paths = explain_mod.export_heatmap(stack, args.out)
-    config_doc = {"event": event_id, "heads": args.heads, "split": args.split}
-    write_run_manifest(args.out, "attention", config_doc, args.seed, inputs, paths, started, phases)
+        record.outputs += paths
     print(f"wrote {len(paths)} heatmap grids to {args.out}")
-    return 0
+    return {"event": event_id, "heads": args.heads, "split": args.split}, args.seed
 
 
 # -- parser -----------------------------------------------------------------------
 
 
-def positive_int(text: str) -> int:
-    """argparse type for a count that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(minimum: int):
+    """argparse type for an integer of at least ``minimum``: a count, a seed."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -516,7 +487,7 @@ def build_parser() -> _Parser:
             p.add_argument("--checkpoint", required=True, help="checkpoint file")
         p.add_argument("--out", required=True, help="output directory")
         # generate and train resolve --seed and --config into their config dataclasses
-        p.add_argument("--seed", type=int, default=0 if checkpoint else None)
+        p.add_argument("--seed", type=int_at_least(0), default=0 if checkpoint else None)
         if not checkpoint:
             p.add_argument("--config", help="key=value file of config dataclass fields")
 
@@ -536,7 +507,7 @@ def build_parser() -> _Parser:
     train.add_argument("--batch-size", type=int)
     train.add_argument("--lr", type=float, dest="learning_rate")
     train.add_argument("--loss", choices=("asymmetric", "mse"))
-    train.add_argument("--trials", type=positive_int, default=1)
+    train.add_argument("--trials", type=int_at_least(1), default=1)
     train.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -547,18 +518,18 @@ def build_parser() -> _Parser:
     ex = sub.add_parser("explain", help="Shapley attributions per revision index")
     common(ex, checkpoint=True)
     ex.add_argument("--split", default="test", choices=("train", "validation", "test"))
-    ex.add_argument("--revisions", type=positive_int, default=5)
-    ex.add_argument("--events", type=positive_int, default=10, help="samples per revision index")
-    ex.add_argument("--background", type=positive_int, default=64)
-    ex.add_argument("--permutations", type=positive_int, default=200)
-    ex.add_argument("--topk", type=positive_int, default=5)
+    ex.add_argument("--revisions", type=int_at_least(1), default=5)
+    ex.add_argument("--events", type=int_at_least(1), default=10, help="samples per revision index")
+    ex.add_argument("--background", type=int_at_least(1), default=64)
+    ex.add_argument("--permutations", type=int_at_least(1), default=200)
+    ex.add_argument("--topk", type=int_at_least(1), default=5)
     ex.set_defaults(func=cmd_explain)
 
     at = sub.add_parser("attention", help="export attention heatmap grids")
     common(at, checkpoint=True)
     at.add_argument("--split", default="test", choices=("train", "validation", "test"))
     at.add_argument("--event", help="event id (default: first event of the split)")
-    at.add_argument("--heads", type=positive_int, help="random heads per layer (default: all)")
+    at.add_argument("--heads", type=int_at_least(1), help="random heads per layer (default: all)")
     at.set_defaults(func=cmd_attention)
 
     return parser
@@ -568,7 +539,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     keep_freed_memory()
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        record = RunRecord()
+        config, seed = args.func(args, record)
+        write_run_manifest(args.out, args.command, config, seed, record)
+        return 0
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return 1

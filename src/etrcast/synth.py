@@ -115,6 +115,8 @@ class GeneratorConfig:
             raise ValueError("missing_rate must be in [0, 1)")
         if self.storms_per_class < 1:
             raise ValueError("storms_per_class must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

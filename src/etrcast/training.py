@@ -120,6 +120,8 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # -- sample construction ------------------------------------------------------

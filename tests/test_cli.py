@@ -360,6 +360,33 @@ class TestRunManifestInputs:
         assert hashed.count(events) == 1
 
 
+class TestRunManifestOutputs:
+    @pytest.mark.parametrize("command", ["train", "train_trials", "eval", "explain", "attention"])
+    def test_outputs_list_every_file_the_command_wrote(self, pipeline, tmp_path, command):
+        from etrcast.dataio import file_sha256
+
+        out = pipeline["run"] if command == "train" else str(tmp_path / "out")
+        checkpoint = os.path.join(pipeline["run"], "checkpoint.bin")
+        argv = {
+            "train": None,
+            "train_trials": ["train", "--epochs", "1", "--trials", "2"],
+            "eval": ["eval", "--checkpoint", checkpoint],
+            "explain": ["explain", "--checkpoint", checkpoint, "--revisions", "2", "--events", "1",
+                        "--permutations", "4"],
+            "attention": ["attention", "--checkpoint", checkpoint],
+        }[command]  # fmt: skip
+        if argv is not None:
+            assert run([*argv, "--dataset", pipeline["data"], "--out", out]) == 0
+        manifest_path = os.path.join(out, "run_manifest.json")
+        written = {os.path.join(root, name) for root, _, names in os.walk(out) for name in names}
+        outputs = json.load(open(manifest_path))["outputs"]
+        assert set(outputs) == written - {manifest_path}
+        assert all(digest == file_sha256(path) for path, digest in outputs.items())
+        if command == "train_trials":
+            assert os.path.join(out, "trial1", "per_revision.json") in outputs
+            assert os.path.join(out, "trials_summary.json") in outputs
+
+
 class TestExplainAndAttention:
     def test_explain_writes_reports(self, pipeline, tmp_path):
         out = str(tmp_path / "ex")
@@ -604,17 +631,26 @@ class TestErrorHandling:
             ("generate", ["--noise-std", "nan"], "", "noise_std must be finite, got nan"),
             ("generate", [], "split_ratios = 0.7 0.15 nan",
              "split_ratios must be finite, got (0.7, 0.15, nan)"),
+            *((command, ["--seed", "-1"], "", "argument --seed: must be >= 0, got -1")
+              for command in ("generate", "train", "eval", "explain", "attention")),
+            ("generate", [], "seed = -1", "seed must be >= 0, got -1"),
+            ("train", [], "seed = -1", "seed must be >= 0, got -1"),
         ],
         ids=["lr_nan", "lr_inf", "beta1_above_one", "beta2_one", "adam_eps_zero", "pe_base_nan",
-             "min_delta_nan", "min_delta_negative", "noise_std_nan", "split_ratio_nan"],
+             "min_delta_nan", "min_delta_negative", "noise_std_nan", "split_ratio_nan",
+             "generate_seed_flag_negative", "train_seed_flag_negative", "eval_seed_flag_negative",
+             "explain_seed_flag_negative", "attention_seed_flag_negative",
+             "generate_seed_file_negative", "train_seed_file_negative"],
     )  # fmt: skip
     def test_config_that_cannot_run_exits_one_naming_its_key(
         self, pipeline, tmp_path, capsys, command, flags, config, message
     ):
         out = tmp_path / "o"
         argv = [command, "--out", str(out), *flags]
-        if command == "train":
+        if command != "generate":
             argv += ["--dataset", pipeline["data"]]
+        if command not in ("generate", "train"):
+            argv += ["--checkpoint", os.path.join(pipeline["run"], "checkpoint.bin")]
         if config:
             (tmp_path / "c.cfg").write_text(config + "\n")
             argv += ["--config", str(tmp_path / "c.cfg")]
@@ -833,7 +869,7 @@ class TestConfigLayering:
     def test_parse_helpers(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\n\nalpha = 3.5\n")
-        assert load_config_file(str(cfg)) == {"alpha": "3.5"}
+        assert load_config_file(str(cfg)) == {"alpha": ("3.5", f"{cfg}:3")}
         with pytest.raises(Exception):
             load_config_file(str(tmp_path / "missing.cfg"))
 
@@ -891,6 +927,31 @@ class TestConfigLayering:
         err = capsys.readouterr().err
         assert f"config key {line.split()[0]!r}" in err and "Traceback" not in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "command, content, message",
+        [
+            ("generate", b"\xff = 1\n", ":1: not UTF-8 text"),
+            ("train", b"# model\nn_heads = 2\nd_model = \xe9\n", ":3: not UTF-8 text"),
+            ("train", b"# model\nd_model = abc\n", ":2: config key 'd_model': cannot parse 'abc'"),
+            ("generate", b"\n\nnoise_std = 0..1\n",
+             ":3: config key 'noise_std': cannot parse '0..1'"),
+            ("train", b"d_model = 8\nepochs = 2\n", ":2: unknown config key 'epochs'"),
+        ],
+        ids=["first_byte", "third_line", "train_value", "generate_value", "unknown_key"],
+    )  # fmt: skip
+    def test_config_file_error_names_path_and_line(
+        self, tmp_path, capsys, command, content, message
+    ):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(content)
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), "--config", str(cfg)]
+        if command == "train":
+            argv += ["--dataset", str(tmp_path / "none")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"{cfg}{message}"]
+        assert not out.exists()
 
 
 CONFIG_CLASSES = (GeneratorConfig, ModelConfig, TrainConfig, LossConfig)

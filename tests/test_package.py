@@ -46,3 +46,20 @@ def test_no_module_uses_assert():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_only_cli_run_writes_the_run_manifest():
+    """One run record: commands note what they did, and ``cli.run`` writes the manifest.
+
+    No command reads the wall clock either; the record holds the start time.
+    """
+    calls = {}  # "<module>.<function>" -> the names it calls
+    for path in sorted(pathlib.Path(etrcast.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                called = {ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)}
+                calls[f"{path.stem}.{node.name}"] = called
+    manifest_writers = {"write_run_manifest", "cli.write_run_manifest"}
+    assert [name for name, called in calls.items() if called & manifest_writers] == ["cli.run"]
+    clocked = [name for name, called in calls.items() if ".cmd_" in name and "time.time" in called]
+    assert clocked == []
