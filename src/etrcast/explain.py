@@ -10,20 +10,21 @@ Attribution side: Monte-Carlo permutation Shapley values (Strumbelj &
 Kononenko 2014) over the feature slots of a prefix's final revision. Each
 sampled permutation draws one background row and walks the permutation,
 switching features from background to sample values; marginal contributions
-are averaged per feature. An attribution is a prediction pass: a predict call
-scores the d+1 coalition states of as many permutations as fit in
-``CHUNK_SLOTS`` token slots, and names its slots in a ``TokenFront`` of the
-sample's rows plus the chunk's final rows, so the weights are bound once per
-attribution and the context's front computed once per call. Every
-permutation keeps its own seed (seed, t) and its contributions are summed in
-permutation order, so results do not depend on the chunking.
+are averaged per feature. An attribution is a prediction pass: each block of
+whole permutations (at most ``BLOCK_CHUNKS`` x ``CHUNK_SLOTS`` coalition rows)
+is deduplicated by exact bytes, and each predict call scores as many distinct
+rows as fit in ``CHUNK_SLOTS`` token slots, over a ``TokenFront`` of the
+sample's rows plus the call's final rows, so the weights are bound once per
+attribution and the context's front computed once per call. State d is the
+sample itself and gives ``prediction``. Permutation t draws from its own seed
+(seed, t) and sums run in permutation order, whatever the chunking.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .model import ModelParams, SequenceBatch, TokenFront, TokenSlots, predict
 from .training import CHUNK_SLOTS
 
 PredictFn = Callable[[SequenceBatch], np.ndarray]
+BLOCK_CHUNKS = 16  # coalition rows deduplicated at once, in CHUNK_SLOTS
 
 
 # -- attention ----------------------------------------------------------------
@@ -141,6 +143,15 @@ def final_revision_features(batch: SequenceBatch) -> tuple[np.ndarray, np.ndarra
     return batch.cat_idx[rows, last], batch.cont[rows, last]
 
 
+def distinct_rows(cat: np.ndarray, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows by exact bytes (so -0.0 != 0.0): first indices in order, each row's index."""
+    keys = np.hstack([cat.astype(np.int64), cont.astype(np.float64).view(np.int64)])
+    index: dict[bytes, int] = {}
+    void = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    inverse = np.array([index.setdefault(key, len(index)) for key in void.tolist()], np.intp)
+    return np.unique(inverse, return_index=True)[1], inverse
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, not warned about
 def shapley_attributions(
     predict_fn: PredictFn,
@@ -180,35 +191,38 @@ def shapley_attributions(
 
     last = int(sample.lengths[0]) - 1
     sample_cat, sample_cont = sample.cat_idx[0, last], sample.cont[0, last]
-    k = background_cat.shape[0]
-    # predict_in_chunks's rule: rows x width within CHUNK_SLOTS, in whole permutations
-    per_call = max(1, CHUNK_SLOTS // ((d + 1) * (last + 1)))
+    per_call = max(1, CHUNK_SLOTS // ((d + 1) * (last + 1))) * (d + 1)  # rows x width
+    per_block = max(1, BLOCK_CHUNKS * CHUNK_SLOTS // (d + 1))  # whole permutations
     sums, sumsq, bg_pred_sum = np.zeros(d), np.zeros(d), 0.0
 
-    # tokens 0..last are the sample's rows; a chunk appends its final rows
+    # tokens 0..last are the sample's rows; a call appends its final rows
     own = TokenFront(*(a[0, : last + 1] for a in (sample.cat_idx, sample.cont, sample.deltas)))
     with closing(own):
-        ids = np.minimum(np.arange(sample.mask.shape[1]), last)[None]  # a padded slot: any token
-        prediction = float(predict_fn(replace(sample, tokens=TokenSlots(own, ids)))[0])
-        for start in range(0, n_permutations, per_call):
+        for start in range(0, n_permutations, per_block):
             draws, perms = [], []
-            for t in range(start, min(start + per_call, n_permutations)):
+            for t in range(start, min(start + per_block, n_permutations)):
                 rng = np.random.default_rng((seed, t))
-                draws.append(int(rng.integers(0, k)))
+                draws.append(int(rng.integers(0, len(background_cat))))
                 perms.append(rng.permutation(d))
             perms = np.asarray(perms)  # [K, d]
-            n = perms.shape[0] * (d + 1)
             rank = np.argsort(perms, axis=1)  # the inverse: rank[perm] = arange(d)
             # state s holds the first s features of the permutation at sample values
             on = rank[:, None, :] < np.arange(d + 1)[None, :, None]  # [K, d+1, d]
-            chunk = own.extend(
-                np.where(on[..., :p], sample_cat, background_cat[draws][:, None]).reshape(n, p),
-                np.where(on[..., p:], sample_cont, background_cont[draws][:, None]).reshape(n, q),
-                np.full(n, own.rows[2][last]),
-            )
-            ids = np.hstack([np.tile(np.arange(last), (n, 1)), last + 1 + np.arange(n)[:, None]])
-            slots = (*(a[ids] for a in chunk.rows), np.ones(ids.shape, bool))
-            preds = predict_fn(SequenceBatch(*slots, TokenSlots(chunk, ids))).reshape(-1, d + 1)
+            cat = np.where(on[..., :p], sample_cat, background_cat[draws, None]).reshape(-1, p)
+            cont = np.where(on[..., p:], sample_cont, background_cont[draws, None]).reshape(-1, q)
+            first, inverse = distinct_rows(cat, cont)
+            # fill to whole permutations with row d, as calls were before: gemv sums an odd
+            # call's last row in another order, and a null feature's states would then differ
+            first = np.concatenate([first, np.full(-first.size % (d + 1), d)])
+            upreds = np.empty(first.size)
+            for lo in range(0, first.size, per_call):
+                rows = first[lo : lo + per_call]
+                m = rows.size
+                chunk = own.extend(cat[rows], cont[rows], np.full(m, own.rows[2][last]))
+                ids = np.column_stack([np.tile(np.arange(last), (m, 1)), last + 1 + np.arange(m)])
+                slots = (*(a[ids] for a in chunk.rows), np.ones(ids.shape, bool))
+                upreds[lo : lo + m] = predict_fn(SequenceBatch(*slots, TokenSlots(chunk, ids)))
+            preds = upreds[inverse].reshape(-1, d + 1)
             diffs = np.diff(preds, axis=1)
             # unbuffered and row-major, so every sum below runs in permutation order
             np.add.at(sums, perms.ravel(), diffs.ravel())
@@ -216,6 +230,7 @@ def shapley_attributions(
             for value in preds[:, 0]:
                 bg_pred_sum += value
 
+    prediction = float(preds[0, d])  # state d of every permutation is the sample itself
     values = sums / n_permutations
     var = np.maximum(sumsq / n_permutations - values * values, 0.0)
     std_errors = np.sqrt(var / n_permutations)

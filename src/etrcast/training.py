@@ -12,10 +12,10 @@ window. Evaluation (``evaluate``) predicts every sample of a split once: the
 final-revision report reads the samples at each event's last revision, and
 the per-revision error curve reads all of them.
 
-Every batch holds samples of similar window width, so little of it is
-padding. Prediction visits the samples in width order (``by_width``) and
-cuts them into chunks of about ``CHUNK_SLOTS`` token slots (rows x widest
-window, ``predict_in_chunks``); Shapley attributions cut their coalition rows
+Every batch holds samples of similar window width, so little of it is padding.
+Prediction visits the samples in width order (``by_width``) and cuts them into
+chunks of about ``CHUNK_SLOTS`` token slots (rows x widest window,
+``predict_in_chunks``); Shapley attributions cut their distinct coalition rows
 by the same budget. So every chunk's temporaries are about the same size: a
 CLI process keeps freed memory for reuse, and the largest chunk sets its
 resident size. The (event, j) samples of an event share their revisions: a

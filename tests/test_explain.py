@@ -20,6 +20,7 @@ from etrcast.explain import (
 from etrcast.model import ModelConfig, SequenceBatch, init_params, predict
 from etrcast.training import CHUNK_SLOTS, build_samples, encode_events
 
+import _reference_explain as reference
 from conftest import event_batch, make_batch
 
 
@@ -32,6 +33,12 @@ def linear_predict_fn(w_cont, bias=0.0):
         return rows @ w_cont + bias
 
     return fn
+
+
+def final_rows(batch):
+    """Each row's final-revision features, as exact bytes."""
+    cat, cont = final_revision_features(batch)
+    return [c.astype(np.int64).tobytes() + x.tobytes() for c, x in zip(cat, cont)]
 
 
 def single_sample(schema, config, seed=0, length=3):
@@ -145,22 +152,51 @@ class TestBatchedShapley:
         self.d = self.schema.p + self.schema.q  # 11
         self.state_slots = (self.d + 1) * 4  # the slots of one permutation's d+1 states
 
-    def attribute(self, n_permutations, calls=None, params=None, route=predict):
+    def attribute(self, n_permutations, calls=None, params=None, route=predict, bg=None):
         def fn(batch):
+            preds = route(params or self.params, batch)
             if calls is not None:
-                calls.append(batch)
-            return route(params or self.params, batch)
+                calls.append((batch, preds))
+            return preds
 
-        return shapley_attributions(
-            fn, self.sample, self.bg_cat, self.bg_cont, n_permutations, seed=11
-        )
+        bg_cat, bg_cont = bg or (self.bg_cat, self.bg_cont)
+        return shapley_attributions(fn, self.sample, bg_cat, bg_cont, n_permutations, seed=11)
+
+    def blocks(self, monkeypatch):
+        """(rows, distinct rows) of every block an attribution deduplicates."""
+        seen, distinct_rows = [], explain_mod.distinct_rows
+
+        def spy(cat, cont):
+            first, inverse = distinct_rows(cat, cont)
+            seen.append((cat.shape[0], first.size))
+            return first, inverse
+
+        monkeypatch.setattr(explain_mod, "distinct_rows", spy)
+        return seen
+
+    def coalitions(self, n_permutations):
+        """The distinct final rows of an attribution's coalitions, drawn as the oracle draws."""
+        p, rows = self.schema.p, set()
+        (cat,), (cont,) = final_revision_features(self.sample)
+        for t in range(n_permutations):
+            rng = np.random.default_rng((11, t))
+            draw, perm = int(rng.integers(0, self.bg_cat.shape[0])), rng.permutation(self.d)
+            for s in range(self.d + 1):
+                off = perm[s:]  # the features still at background values
+                row_cat, row_cont = cat.copy(), cont.copy()
+                row_cat[off[off < p]] = self.bg_cat[draw, off[off < p]]
+                row_cont[off[off >= p] - p] = self.bg_cont[draw, off[off >= p] - p]
+                rows.add(row_cat.astype(np.int64).tobytes() + row_cont.tobytes())
+        return rows
 
     def test_matches_one_permutation_per_call(self, monkeypatch):
         batched = self.attribute(37)
         monkeypatch.setattr(explain_mod, "CHUNK_SLOTS", self.state_slots)
         calls = []
         single = self.attribute(37, calls)
-        assert [b.size for b in calls] == [1] + [self.d + 1] * 37
+        # one permutation's slots hold d+1 = 12 rows of width 4: every call holds 12 rows
+        assert [b.size for b, _ in calls] == [self.d + 1] * len(calls)
+        assert len(calls) == math.ceil(len(self.coalitions(37)) / (self.d + 1))
         for field in ("values", "std_errors", "prediction", "background_mean"):
             np.testing.assert_allclose(
                 getattr(batched, field), getattr(single, field), rtol=0, atol=1e-12
@@ -170,13 +206,16 @@ class TestBatchedShapley:
     def test_predict_calls_and_efficiency(self, monkeypatch, n_permutations):
         for slots in (CHUNK_SLOTS, 200, 20):  # 20 is less than one permutation's slots
             monkeypatch.setattr(explain_mod, "CHUNK_SLOTS", slots)
-            per_call = max(1, slots // self.state_slots)  # whole permutations within the budget
-            calls = []
+            # whole permutations' rows within the budget
+            per_call = max(1, slots // self.state_slots) * (self.d + 1)
+            calls, blocks = [], self.blocks(monkeypatch)
             attr = self.attribute(n_permutations, calls)
-            assert len(calls) == 1 + math.ceil(n_permutations / per_call)
-            assert calls[0].size == 1
-            assert sum(b.size for b in calls[1:]) == n_permutations * (self.d + 1)
-            assert all(b.mask.size <= max(slots, self.state_slots) for b in calls[1:])
+            assert sum(rows for rows, _ in blocks) == n_permutations * (self.d + 1)
+            assert len(calls) == sum(math.ceil(distinct / per_call) for _, distinct in blocks)
+            padded = [math.ceil(distinct / (self.d + 1)) * (self.d + 1) for _, distinct in blocks]
+            assert sum(b.size for b, _ in calls) == sum(padded)
+            assert all(b.size <= per_call for b, _ in calls)
+            assert all(b.mask.size <= max(slots, self.state_slots) for b, _ in calls)
             assert attr.n_permutations == n_permutations
             assert abs(attr.efficiency_residual()) <= 1e-9
 
@@ -186,24 +225,101 @@ class TestBatchedShapley:
         params = init_params(cfg, self.schema, seed=4)
         calls = []
         tokens = self.attribute(200, calls, params)
-        assert len(calls) > 2 and all(b.tokens is not None for b in calls)
+        assert len(calls) > 2 and all(b.tokens is not None for b, _ in calls)
         own_slots = lambda params, b: predict(params, replace(b, tokens=None))
         own = self.attribute(200, params=params, route=own_slots)
         for field in ("values", "std_errors", "prediction", "background_mean"):
             np.testing.assert_array_equal(getattr(tokens, field), getattr(own, field))
 
-    def test_a_chunk_front_holds_the_context_once(self):
-        calls = []
+    def test_a_chunk_front_holds_the_context_once(self, monkeypatch):
+        calls, blocks = [], self.blocks(monkeypatch)
         self.attribute(5000, calls)
-        assert len(calls) == 1 + math.ceil(5000 / (CHUNK_SLOTS // self.state_slots))
-        for batch in calls[1:]:
-            # the sample's 4 rows, then one final row per coalition row
+        per_call = CHUNK_SLOTS // self.state_slots * (self.d + 1)
+        assert len(calls) == sum(math.ceil(distinct / per_call) for _, distinct in blocks)
+        for batch, _ in calls:
+            # the sample's 4 rows, then one final row per row of the call
             assert batch.tokens.front.size == 4 + batch.size
             assert batch.tokens.front.size <= CHUNK_SLOTS + self.config.max_seq_len
             # every row names the same 3 context tokens, then its own final row
             ids = batch.tokens.ids
             np.testing.assert_array_equal(ids[:, :3], np.tile(np.arange(3), (batch.size, 1)))
             np.testing.assert_array_equal(ids[:, 3], 4 + np.arange(batch.size))
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, "linear"])
+    def test_matches_all_rows_oracle(self, n_layers):
+        if n_layers == "linear":
+            w = np.random.default_rng(5).normal(size=self.schema.q)
+            route = lambda params, batch: linear_predict_fn(w, bias=2.0)(batch)
+            params = None
+        else:
+            params = init_params(replace(self.config, n_layers=n_layers), self.schema, seed=4)
+            route = predict
+        got = self.attribute(200, params=params, route=route)
+        fn = lambda batch: route(params or self.params, batch)
+        want = reference.shapley_attributions(
+            fn, self.sample, self.bg_cat, self.bg_cont, 200, seed=11
+        )
+        for field in ("values", "std_errors", "prediction", "background_mean"):
+            np.testing.assert_allclose(
+                getattr(got, field), getattr(want, field), rtol=0, atol=1e-12
+            )
+
+    def test_calls_predict_each_distinct_coalition_once(self):
+        calls = []
+        self.attribute(200, calls)
+        rows = [key for batch, _ in calls for key in final_rows(batch)]
+        distinct = self.coalitions(200)
+        assert len(distinct) < 200 * (self.d + 1)
+        # each distinct coalition once, then copies of the sample's own row up to a whole
+        # number of permutations' rows
+        assert set(rows[: len(distinct)]) == distinct
+        (own,) = final_rows(self.sample)
+        assert rows[len(distinct) :] == [own] * (-len(distinct) % (self.d + 1))
+
+    def test_prediction_is_the_state_d_row(self):
+        calls = []
+        attr = self.attribute(200, calls)
+        (own,) = final_rows(self.sample)
+        rows = [(key, p) for batch, preds in calls for key, p in zip(final_rows(batch), preds)]
+        assert [p for key, p in rows if key == own][0] == attr.prediction
+
+    def test_negative_zero_stays_apart(self, monkeypatch):
+        cat = np.zeros((3, 2), np.int64)
+        cont = np.zeros((3, 9))
+        cont[1, 4] = -0.0
+        first, inverse = explain_mod.distinct_rows(cat, cont)
+        np.testing.assert_array_equal(first, [0, 1])
+        np.testing.assert_array_equal(inverse, [0, 1, 0])
+        # a background differing from the sample only in one zero's sign: two rows
+        sample_cat, sample_cont = final_revision_features(self.sample)
+        bg_cont = sample_cont.copy()
+        bg_cont[0, 0] = 0.0
+        self.sample.cont[0, 3, 0] = -0.0
+        blocks = self.blocks(monkeypatch)
+        self.attribute(50, bg=(sample_cat, bg_cont))
+        assert blocks == [(50 * (self.d + 1), 2)]
+
+    def test_background_equal_to_the_sample_is_one_row(self, monkeypatch):
+        calls, blocks = [], self.blocks(monkeypatch)
+        cat, cont = final_revision_features(self.sample)
+        attr = self.attribute(100, calls, bg=(np.repeat(cat, 8, 0), np.repeat(cont, 8, 0)))
+        assert blocks == [(100 * (self.d + 1), 1)]
+        (own,) = final_rows(self.sample)
+        assert len(calls) == 1 and set(final_rows(calls[0][0])) == {own}
+        np.testing.assert_array_equal(attr.values, 0.0)
+        assert attr.prediction == calls[0][1][0]
+        assert attr.background_mean == pytest.approx(attr.prediction, rel=0, abs=1e-12)
+
+    def test_calls_and_blocks_stay_within_their_bounds(self, monkeypatch):
+        calls, blocks = [], self.blocks(monkeypatch)
+        attr = self.attribute(5000, calls)
+        per_block = explain_mod.BLOCK_CHUNKS * CHUNK_SLOTS // (self.d + 1)
+        assert [rows for rows, _ in blocks] == [
+            per_block * (self.d + 1), (5000 - per_block) * (self.d + 1)
+        ]
+        assert all(rows <= explain_mod.BLOCK_CHUNKS * CHUNK_SLOTS for rows, _ in blocks)
+        assert all(b.mask.size <= CHUNK_SLOTS for b, _ in calls)
+        assert abs(attr.efficiency_residual()) <= 1e-9
 
     def test_weights_bound_once_per_attribution(self, monkeypatch):
         bound = []
