@@ -18,12 +18,24 @@ under large constant timestamp shifts.
 Storm generation is independently seeded per (class, index): generating
 storms in parallel or in any order yields the same bytes as sequential
 generation.
+
+Each series drawn per event (the storm's event starts, and an event's gaps,
+customer multipliers, dispatch and churn increments) is one size-n call.
+numpy's ``Generator`` returns the same values for one size-n ``uniform`` or
+``integers`` call as for n scalar calls, and leaves the bit generator in the
+same state, so the stream and every dataset byte stay those of drawing one
+value per call; ``tests/test_synth.py`` checks this property. The priority is
+one ``random()`` draw bisected into the distribution ``Generator.choice``
+builds. The rolling average is ``np.mean``'s own sum and division over the
+closed events, which are a prefix of the close times kept sorted.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +68,11 @@ SIGNAL_CONTINUOUS = (
     "concurrent_event_count",
 )
 PRIORITY_LEVELS = ("P1", "P2", "P3", "P4")
+PRIORITY_WEIGHTS = (0.2, 0.3, 0.3, 0.2)
+# the cumulative distribution `Generator.choice` builds from PRIORITY_WEIGHTS;
+# bisecting one `random()` draw into it gives choice's index from the same draw
+_PRIORITY_CUMSUM = np.cumsum(PRIORITY_WEIGHTS)
+PRIORITY_CDF = tuple((_PRIORITY_CUMSUM / _PRIORITY_CUMSUM[-1]).tolist())
 FILLER_CODE_LEVELS = ("C0", "C1", "C2", "C3", "C4", "C5")
 
 # ground-truth coefficients (documented law, see ground_truth_duration)
@@ -117,6 +134,9 @@ class GeneratorConfig:
             raise ValueError("storms_per_class must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("n_filler_categorical", "n_filler_continuous"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -222,6 +242,13 @@ def _storm_rng(cfg: GeneratorConfig, magnitude: str, index: int) -> np.random.Ge
     return np.random.default_rng((cfg.seed, MAGNITUDES.index(magnitude), index))
 
 
+def _window_mean(window: list[float]) -> float:
+    """``np.mean`` of the window, by the same sum and division; ROLLING_DEFAULT if empty."""
+    if not window:
+        return ROLLING_DEFAULT
+    return float(np.add.reduce(np.array(window)) / len(window))
+
+
 def generate_storm(
     cfg: GeneratorConfig, magnitude: str, index: int
 ) -> tuple[StormRecord, list[tuple]]:
@@ -244,56 +271,46 @@ def generate_storm(
 
     n_events = int(rng.integers(cfg.events_per_storm[0], cfg.events_per_storm[1] + 1))
     storm_start = snap(rng.uniform(0.0, 1000.0))
-    starts = sorted(
-        snap(storm_start + rng.uniform(0.0, 72.0)) for _ in range(n_events)
-    )
+    starts = sorted(snap(storm_start + x) for x in rng.uniform(0.0, 72.0, n_events).tolist())
 
     n_filler_cat = cfg.n_filler_categorical
     n_filler_cont = cfg.n_filler_continuous
     base_customers = max(affected / n_events, 2.0)
 
-    # close-time bookkeeping for rolling averages and concurrency counts;
-    # (close_time, duration) of previously generated events, in close order
-    closed: list[tuple[float, float]] = []
-    open_closes: list[float] = []  # close times of previously generated events
-
-    def rolling_avg(at: float) -> float:
-        done = [d for c, d in closed if c <= at]
-        if not done:
-            return ROLLING_DEFAULT
-        return float(np.mean(done[-25:]))
-
-    def concurrent(at: float) -> float:
-        return float(sum(1 for c in open_closes if c > at))
+    # close times of the previously generated events, sorted with ties in
+    # generation order, and their durations in the same order
+    closes: list[float] = []
+    durations: list[float] = []
+    means: dict[int, float] = {}  # rolling average by prefix length
 
     records: list[tuple] = []
     for i, t_first in enumerate(starts):
         m = int(rng.integers(cfg.revisions_per_event[0], cfg.revisions_per_event[1] + 1))
-        gaps = [max(1.0 / GRID, snap(rng.uniform(0.25, 6.0))) for _ in range(m - 1)]
-        timestamps = [t_first]
-        for gap in gaps:
-            timestamps.append(timestamps[-1] + gap)
+        gaps = [max(1.0 / GRID, snap(x)) for x in rng.uniform(0.25, 6.0, m - 1).tolist()]
+        timestamps = list(accumulate(gaps, initial=t_first))
         deltas = [t - t_first for t in timestamps]
 
-        priority_idx = int(rng.choice(4, p=[0.2, 0.3, 0.3, 0.2]))
+        priority_idx = bisect_right(PRIORITY_CDF, rng.random())
         priority = PRIORITY_LEVELS[priority_idx]
 
         u = max(1.0, base_customers * rng.uniform(0.3, 1.7))
         customers = [float(round(u))]
-        for _ in range(m - 1):
-            u = max(1.0, u * rng.uniform(0.6, 1.0))
+        for x in rng.uniform(0.6, 1.0, m - 1).tolist():
+            u = max(1.0, u * x)
             customers.append(float(round(u)))
 
-        dispatched = [float(rng.integers(0, 2))]
-        for _ in range(m - 1):
-            dispatched.append(dispatched[-1] + float(rng.integers(0, 3)))
+        first = float(rng.integers(0, 2))
+        dispatched = list(accumulate(rng.integers(0, 3, m - 1).tolist(), initial=first))
+        churn = list(accumulate(rng.integers(0, 2, m - 1).tolist(), initial=0.0))
 
-        churn = [0.0]
-        for _ in range(m - 1):
-            churn.append(churn[-1] + float(rng.integers(0, 2)))
-
-        rolling = [rolling_avg(t) for t in timestamps]
-        concur = [concurrent(t) for t in timestamps]
+        # the events closed by a stamp are a prefix of `closes`; the rest
+        # are still open
+        prefixes = [bisect_right(closes, t) for t in timestamps]
+        for k in prefixes:
+            if k not in means:
+                means[k] = _window_mean(durations[max(0, k - 25) : k])
+        rolling = [means[k] for k in prefixes]
+        concur = [float(len(closes) - k) for k in prefixes]
 
         filler_cat = rng.integers(0, len(FILLER_CODE_LEVELS), size=(m, n_filler_cat))
         filler_cont = rng.normal(0.0, 1.0, size=(m, n_filler_cont))
@@ -320,9 +337,11 @@ def generate_storm(
         records.append((f"{storm_id}-e{i:04d}", storm_id, duration, timestamps, cat, cont))
 
         close = t_first + duration
-        open_closes.append(close)
-        closed.append((close, duration))
-        closed.sort(key=lambda cd: cd[0])
+        at = bisect_right(closes, close)
+        closes.insert(at, close)
+        durations.insert(at, duration)
+        # a prefix longer than `at` now ends in other events
+        means = {k: mean for k, mean in means.items() if k <= at}
 
     record = StormRecord(
         storm_id=storm_id,

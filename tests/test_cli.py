@@ -635,12 +635,17 @@ class TestErrorHandling:
               for command in ("generate", "train", "eval", "explain", "attention")),
             ("generate", [], "seed = -1", "seed must be >= 0, got -1"),
             ("train", [], "seed = -1", "seed must be >= 0, got -1"),
+            ("generate", [], "n_filler_categorical = -1",
+             "n_filler_categorical must be >= 0, got -1"),
+            ("generate", [], "n_filler_continuous = -1",
+             "n_filler_continuous must be >= 0, got -1"),
         ],
         ids=["lr_nan", "lr_inf", "beta1_above_one", "beta2_one", "adam_eps_zero", "pe_base_nan",
              "min_delta_nan", "min_delta_negative", "noise_std_nan", "split_ratio_nan",
              "generate_seed_flag_negative", "train_seed_flag_negative", "eval_seed_flag_negative",
              "explain_seed_flag_negative", "attention_seed_flag_negative",
-             "generate_seed_file_negative", "train_seed_file_negative"],
+             "generate_seed_file_negative", "train_seed_file_negative",
+             "filler_categorical_negative", "filler_continuous_negative"],
     )  # fmt: skip
     def test_config_that_cannot_run_exits_one_naming_its_key(
         self, pipeline, tmp_path, capsys, command, flags, config, message

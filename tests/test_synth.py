@@ -1,15 +1,19 @@
 import hashlib
 import math
 import os
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
+import _reference_synth
 from _reference_data import events_of, table_of
 from etrcast.data import MAGNITUDES
 from etrcast.dataio import load_dataset, save_dataset
 from etrcast.synth import (
     GRID,
+    PRIORITY_CDF,
+    PRIORITY_WEIGHTS,
     RATIO_BANDS,
     ROLLING_DEFAULT,
     SIGNAL_CONTINUOUS,
@@ -103,7 +107,7 @@ def test_rolling_average_exact_recompute():
                 got = rev.continuous_values[rolling_col]
                 prior = [d for c, d in closes if c <= rev.timestamp][-25:]
                 expect = float(np.mean(prior)) if prior else ROLLING_DEFAULT
-                assert abs(got - expect) < 1e-9
+                assert got == expect
 
 
 def test_concurrent_count_recompute():
@@ -238,6 +242,8 @@ NAN = float("nan")
         ("split_ratios", (0.7, 0.3, 0.1)),
         ("split_ratios", (1.1, -0.05, -0.05)),
         ("split_ratios", (0.5, 0.5)),
+        ("n_filler_categorical", -1),
+        ("n_filler_continuous", -1),
     ],
 )
 def test_config_refuses_what_cannot_generate(field, value):
@@ -251,3 +257,71 @@ def test_schema_has_expected_features():
     for name in SIGNAL_CONTINUOUS:
         assert name in schema.continuous
     assert categories["priority"] == ("P1", "P2", "P3", "P4")
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 19])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"noise_std": 0.0},
+        {"missing_rate": 0.3},
+        {"revisions_per_event": (1, 1)},
+        {"revisions_per_event": (1, 20)},
+        {"revisions_per_event": (12, 20)},
+        {"events_per_storm": (1, 1)},
+        {"events_per_storm": (88, 88)},
+    ],
+    ids=["default", "noiseless", "missing", "rev1", "rev1_20", "rev12_20", "one_event", "e88"],
+)
+def test_matches_per_draw_oracle(seed, overrides):
+    cfg = GeneratorConfig(seed=seed, storms_per_class=2, **overrides)
+    for magnitude in MAGNITUDES:
+        for index in range(cfg.storms_per_class):
+            storm, records = generate_storm(cfg, magnitude, index)
+            ref_storm, ref_records = _reference_synth.generate_storm(cfg, magnitude, index)
+            assert storm == ref_storm
+            assert len(records) == len(ref_records)
+            for got, want in zip(records, ref_records):
+                assert got[:5] == want[:5]  # ids, target, timestamps, cat
+                # bitwise: NaN in the same places, signed zeros kept apart
+                assert np.array(got[5]).tobytes() == np.array(want[5]).tobytes()
+
+
+# each call the generator makes with a size, at the arguments it passes
+BATCHED_DRAWS = {
+    "uniform_starts": lambda rng, n: rng.uniform(0.0, 72.0, n),
+    "uniform_gaps": lambda rng, n: rng.uniform(0.25, 6.0, n),
+    "uniform_multipliers": lambda rng, n: rng.uniform(0.6, 1.0, n),
+    "integers_0_2": lambda rng, n: rng.integers(0, 2, n),
+    "integers_0_3": lambda rng, n: rng.integers(0, 3, n),
+    "integers_0_6": lambda rng, n: rng.integers(0, 6, n),
+    "normal": lambda rng, n: rng.normal(0.0, 1.0, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_DRAWS))
+def test_one_sized_draw_equals_scalar_draws(name):
+    # the generator's output stays the same only while this holds; the leading
+    # integers draw leaves half of a 64-bit word buffered in the state
+    draw = BATCHED_DRAWS[name]
+    for seed in range(30):
+        for lead in (0, 1):
+            for n in range(20):
+                batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                for rng in (batched, scalar):
+                    for _ in range(lead):
+                        rng.integers(0, 2)
+                got = draw(batched, n).tolist()
+                want = [draw(scalar, None) for _ in range(n)]
+                assert got == want, (seed, lead, n)
+                assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+def test_priority_draw_equals_weighted_choice():
+    for seed in range(30):
+        bisected, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            got = bisect_right(PRIORITY_CDF, bisected.random())
+            assert got == int(chosen.choice(4, p=PRIORITY_WEIGHTS)), seed
+        assert bisected.bit_generator.state == chosen.bit_generator.state
