@@ -9,89 +9,4 @@ stratified evaluation, attention export, and permutation Shapley
 attributions.
 """
 
-from .autodiff import NumericsError, Tape
-from .data import (
-    DatasetSplit,
-    FeatureSchema,
-    StormRecord,
-    TransformState,
-    classify_storm,
-    fit_transforms,
-    stratified_split,
-)
-from .dataio import Dataset, load_dataset, save_dataset
-from .losses import LossConfig, asymmetric_loss, piecewise_loss
-from .metrics import EvalReport, PredictionSet, csi, eval_report, opr8, rmse, upr, wae
-from .model import (
-    ModelConfig,
-    ModelParams,
-    SequenceBatch,
-    forward,
-    init_params,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-)
-from .synth import GeneratorConfig, generate_dataset, generate_storm
-from .training import (
-    TrainConfig,
-    TrainResult,
-    evaluate,
-    fit_linear_baseline,
-    train_model,
-)
-from .explain import (
-    aggregate_topk,
-    extract_attention,
-    export_heatmap,
-    shapley_attributions,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "NumericsError",
-    "Tape",
-    "DatasetSplit",
-    "FeatureSchema",
-    "StormRecord",
-    "TransformState",
-    "classify_storm",
-    "fit_transforms",
-    "stratified_split",
-    "Dataset",
-    "load_dataset",
-    "save_dataset",
-    "LossConfig",
-    "asymmetric_loss",
-    "piecewise_loss",
-    "EvalReport",
-    "PredictionSet",
-    "csi",
-    "eval_report",
-    "opr8",
-    "rmse",
-    "upr",
-    "wae",
-    "ModelConfig",
-    "ModelParams",
-    "SequenceBatch",
-    "forward",
-    "init_params",
-    "load_checkpoint",
-    "predict",
-    "save_checkpoint",
-    "GeneratorConfig",
-    "generate_dataset",
-    "generate_storm",
-    "TrainConfig",
-    "TrainResult",
-    "evaluate",
-    "fit_linear_baseline",
-    "train_model",
-    "aggregate_topk",
-    "extract_attention",
-    "export_heatmap",
-    "shapley_attributions",
-    "__version__",
-]

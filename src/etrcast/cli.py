@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import ctypes
 import functools
+import glob
 import json
 import math
 import os
@@ -77,7 +78,7 @@ class _Parser(argparse.ArgumentParser):
 def load_config_file(path: str) -> dict[str, tuple[str, str]]:
     """Flat key=value file as key -> (value, "<path>:<line>"); blank lines and # comments ignored.
 
-    A byte that is not UTF-8 is refused naming its line.
+    A byte that is not UTF-8 is refused naming its line, a repeated key naming both.
     """
     out: dict[str, tuple[str, str]] = {}
     try:
@@ -91,8 +92,10 @@ def load_config_file(path: str) -> dict[str, tuple[str, str]]:
                     continue
                 if "=" not in stripped:
                     raise CliError(f"{where}: expected key=value, got {stripped!r}")
-                key, value = stripped.split("=", 1)
-                out[key.strip()] = (value.strip(), where)
+                key, value = (part.strip() for part in stripped.split("=", 1))
+                if key in out:
+                    raise CliError(f"{where}: config key {key!r} already set at {out[key][1]}")
+                out[key] = (value, where)
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     return out
@@ -182,14 +185,28 @@ def keep_freed_memory() -> bool:
     return taken == [1, 1]
 
 
+def blas_threads() -> int | None:
+    """OpenBLAS's own thread count, asked of the library bundled with numpy; None if none is found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                return get()
+    return None
+
+
 def run_environment() -> dict:
-    """What a run ran on, for ``run_manifest.json``: versions, CPUs and the allocator."""
+    """What a run ran on, for ``run_manifest.json``: versions, CPUs, BLAS threads, the allocator."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     affinity = getattr(os, "sched_getaffinity", None)
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": blas_threads(),
         "etrcast": __version__,
         "cpus": len(affinity(0)) if affinity else os.cpu_count(),
         "keeps_freed_memory": keep_freed_memory(),
@@ -449,12 +466,9 @@ def cmd_attention(args, record: RunRecord) -> tuple[dict, int]:
     event = encoded.select([encoded.event_ids.index(event_id)])
     batch = build_final_samples(event, params.config).batch(slice(0, 1))
     with record.phase("predict"), _naming(CliError, args.checkpoint):
-        stack = explain_mod.extract_attention(
-            params, batch, n_random_heads=args.heads, seed=args.seed
-        )
+        stack = explain_mod.extract_attention(params, batch, args.heads, args.seed)
     with record.phase("report"):
-        os.makedirs(args.out, exist_ok=True)
-        paths = explain_mod.export_heatmap(stack, args.out)
+        paths = explain_mod.export_heatmap(stack, args.out)  # it makes --out
         record.outputs += paths
     print(f"wrote {len(paths)} heatmap grids to {args.out}")
     return {"event": event_id, "heads": args.heads, "split": args.split}, args.seed

@@ -1,10 +1,10 @@
 """Interpretability: attention-weight extraction and Shapley attributions.
 
 Attention side: a forward pass over one event captures every layer's softmax
-matrices; a seeded subset of heads per layer (default: all heads) is averaged
-into one matrix per layer, exported as plain numeric grids with queries on
-rows and keys on columns. Capturing reads weights out of the forward pass and
-never changes a prediction.
+matrices; a seeded random subset of heads per layer (default: all heads) is
+averaged into one matrix per layer, exported as plain numeric grids with
+queries on rows and keys on columns. Capturing reads weights out of the
+forward pass and never changes a prediction.
 
 Attribution side: Monte-Carlo permutation Shapley values (Strumbelj &
 Kononenko 2014) over the feature slots of a prefix's final revision. Each
@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ModelParams, SequenceBatch, TokenFront, TokenSlots, predict
+from .model import ModelParams, SequenceBatch, TokenFront, predict, token_batch
 from .training import CHUNK_SLOTS
 
 PredictFn = Callable[[SequenceBatch], np.ndarray]
@@ -54,58 +54,38 @@ class AttentionStack:
 
 
 def extract_attention(
-    params: ModelParams,
-    batch: SequenceBatch,
-    layers: Sequence[int] | None = None,
-    heads: Sequence[int] | None = None,
-    n_random_heads: int | None = None,
-    seed: int = 0,
+    params: ModelParams, batch: SequenceBatch, n_random_heads: int | None = None, seed: int = 0
 ) -> AttentionStack:
-    """Capture attention matrices for a single-event batch.
+    """Capture every layer's attention matrices for a single-event batch.
 
-    ``heads`` selects explicit head indices for every layer; otherwise
-    ``n_random_heads`` are drawn per layer with the seed (all heads when
-    neither is given). Selection is per layer, mirroring sampling heads
-    within each layer.
+    ``n_random_heads`` heads are drawn per layer with the seed (all heads when
+    it is not given), mirroring sampling heads within each layer.
     """
     if batch.size != 1:
         raise ValueError("extract_attention expects a single-event batch")
     cfg = params.config
-    layer_ids = list(range(cfg.n_layers)) if layers is None else sorted(set(layers))
-    for layer in layer_ids:
-        if not 0 <= layer < cfg.n_layers:
-            raise ValueError(f"layer index {layer} out of range [0, {cfg.n_layers})")
-    if heads is not None:
-        for h in heads:
-            if not 0 <= h < cfg.n_heads:
-                raise ValueError(f"head index {h} out of range [0, {cfg.n_heads})")
-
     captured: list[np.ndarray] = []
     predict(params, batch, capture=captured)
     rng = np.random.default_rng(seed)
     out = []
-    for layer in layer_ids:
-        weights = captured[layer][0]  # [H, S, S]
-        if heads is not None:
-            chosen = tuple(heads)
-        elif n_random_heads is not None:
+    for layer in range(cfg.n_layers):
+        chosen = tuple(range(cfg.n_heads))
+        if n_random_heads is not None:
             n = min(n_random_heads, cfg.n_heads)
             chosen = tuple(sorted(rng.choice(cfg.n_heads, size=n, replace=False).tolist()))
-        else:
-            chosen = tuple(range(cfg.n_heads))
-        picked = weights[list(chosen)]
+        picked = captured[layer][0][list(chosen)]  # [n_selected, S, S]
         out.append(LayerAttention(layer, chosen, picked, picked.mean(axis=0)))
     return AttentionStack(layers=tuple(out), valid_len=int(batch.lengths[0]))
 
 
-def export_heatmap(stack: AttentionStack, out_dir: str, prefix: str = "attention") -> list[str]:
+def export_heatmap(stack: AttentionStack, out_dir: str) -> list[str]:
     """One numeric grid file per layer: query rows by key columns, full precision."""
     os.makedirs(out_dir, exist_ok=True)
     n = stack.valid_len
     paths = []
     for layer_attn in stack.layers:
         grid = layer_attn.mean_weights[:n, :n]
-        path = os.path.join(out_dir, f"{prefix}_layer{layer_attn.layer}.txt")
+        path = os.path.join(out_dir, f"attention_layer{layer_attn.layer}.txt")
         lines = [
             f"# attention heatmap layer={layer_attn.layer} "
             f"heads={','.join(map(str, layer_attn.head_indices))} "
@@ -220,8 +200,7 @@ def shapley_attributions(
                 m = rows.size
                 chunk = own.extend(cat[rows], cont[rows], np.full(m, own.rows[2][last]))
                 ids = np.column_stack([np.tile(np.arange(last), (m, 1)), last + 1 + np.arange(m)])
-                slots = (*(a[ids] for a in chunk.rows), np.ones(ids.shape, bool))
-                upreds[lo : lo + m] = predict_fn(SequenceBatch(*slots, TokenSlots(chunk, ids)))
+                upreds[lo : lo + m] = predict_fn(token_batch(chunk, ids, np.ones(ids.shape, bool)))
             preds = upreds[inverse].reshape(-1, d + 1)
             diffs = np.diff(preds, axis=1)
             # unbuffered and row-major, so every sum below runs in permutation order

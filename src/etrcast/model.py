@@ -20,7 +20,8 @@ start: an event's prefixes, or a Shapley attribution's coalition rows. So a
 prediction pass binds its weights once, runs the front once on its distinct
 tokens (``TokenFront``), and layer 0 of each batch gathers its slots from
 there (``SequenceBatch.tokens``). Both routes apply the same operations to
-each row, and the tests require equal bits.
+each row, and the tests require equal bits. One constructor builds every
+chunk from token rows, ids and a mask (``token_batch``).
 """
 
 from __future__ import annotations
@@ -305,6 +306,18 @@ class TokenSlots:
 
     front: TokenFront
     ids: np.ndarray
+
+
+def token_batch(tokens: TokenFront | tuple, ids: np.ndarray, mask: np.ndarray) -> SequenceBatch:
+    """The chunk whose slot (b, s) holds token ``ids[b, s]``; padded slots (``~mask``) are zeroed.
+
+    ``tokens`` holds the token rows ([T,p], [T,q], [T]), or is a pass's
+    ``TokenFront``, whose tokens each slot then also names.
+    """
+    front = tokens if isinstance(tokens, TokenFront) else None
+    cat_idx, cont, deltas = (a[ids] for a in (tokens if front is None else front.rows))
+    cat_idx[~mask], cont[~mask], deltas[~mask] = 0, 0.0, 0.0
+    return SequenceBatch(cat_idx, cont, deltas, mask, front and TokenSlots(front, ids))
 
 
 def encode_sequence(

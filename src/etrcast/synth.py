@@ -74,6 +74,9 @@ PRIORITY_WEIGHTS = (0.2, 0.3, 0.3, 0.2)
 _PRIORITY_CUMSUM = np.cumsum(PRIORITY_WEIGHTS)
 PRIORITY_CDF = tuple((_PRIORITY_CUMSUM / _PRIORITY_CUMSUM[-1]).tolist())
 FILLER_CODE_LEVELS = ("C0", "C1", "C2", "C3", "C4", "C5")
+# bounds of an event's integers, in order: its first dispatch value, dispatch and churn
+# increments, filler codes; one call over them draws what one call per bound would
+INTEGER_HIGHS = (2, 3, 2, len(FILLER_CODE_LEVELS))
 
 # ground-truth coefficients (documented law, see ground_truth_duration)
 BASE_HOURS = 3.0
@@ -299,9 +302,10 @@ def generate_storm(
             u = max(1.0, u * x)
             customers.append(float(round(u)))
 
-        first = float(rng.integers(0, 2))
-        dispatched = list(accumulate(rng.integers(0, 3, m - 1).tolist(), initial=first))
-        churn = list(accumulate(rng.integers(0, 2, m - 1).tolist(), initial=0.0))
+        draws = rng.integers(0, np.repeat(INTEGER_HIGHS, (1, m - 1, m - 1, m * n_filler_cat)))
+        dispatched = list(accumulate(draws[1:m].tolist(), initial=float(draws[0])))
+        churn = list(accumulate(draws[m : 2 * m - 1].tolist(), initial=0.0))
+        filler_cat = draws[2 * m - 1 :].reshape(m, n_filler_cat)
 
         # the events closed by a stamp are a prefix of `closes`; the rest
         # are still open
@@ -312,7 +316,6 @@ def generate_storm(
         rolling = [means[k] for k in prefixes]
         concur = [float(len(closes) - k) for k in prefixes]
 
-        filler_cat = rng.integers(0, len(FILLER_CODE_LEVELS), size=(m, n_filler_cat))
         filler_cont = rng.normal(0.0, 1.0, size=(m, n_filler_cont))
         missing_cat = rng.random((m, n_filler_cat)) < cfg.missing_rate
         missing_cont = rng.random((m, n_filler_cont)) < cfg.missing_rate

@@ -3,14 +3,14 @@
 A split arrives as one encoded table (flat per-revision columns plus event
 offsets; see ``etrcast.data``). A sample is an (event, j) index pair, one per
 revision j of every event: the model trains to predict the final restoration
-duration from every intermediate revision state, which mirrors how an
-estimate would be re-issued as updates arrive. The sample for revision j
-holds revisions max(1, j - max_seq_len + 1) to j, with time deltas restarted
-at its first row, so it depends only on what was known at revision j. A
-batch gathers its samples from the table on demand, padded to its own widest
+duration from every intermediate revision state, which mirrors how an estimate
+would be re-issued as updates arrive. The sample for revision j holds
+revisions max(1, j - max_seq_len + 1) to j, with time deltas restarted at its
+first row, so it depends only on what was known at revision j. A batch gathers
+its samples on demand (``model.token_batch``), padded to its own widest
 window. Evaluation (``evaluate``) predicts every sample of a split once: the
-final-revision report reads the samples at each event's last revision, and
-the per-revision error curve reads all of them.
+final-revision report reads the samples at each event's last revision, and the
+per-revision error curve reads all of them.
 
 Every batch holds samples of similar window width, so little of it is padding.
 Prediction visits the samples in width order (``by_width``) and cuts them into
@@ -20,12 +20,12 @@ by the same budget. So every chunk's temporaries are about the same size: a
 CLI process keeps freed memory for reuse, and the largest chunk sets its
 resident size. The (event, j) samples of an event share their revisions: a
 token is one revision seen from one window start, and every window with
-j <= max_seq_len starts at the event's first revision. A prediction pass
-binds the weights once and computes the model's row-wise front
-(``model.front``) once per distinct token (``SampleSet.token_start``,
-``model.TokenFront``); each chunk gathers its slots from it, with the same
-bits as computing them per chunk: 8,519 tokens for 76,126 slots on
-12-20-revision events.
+j <= max_seq_len starts at the event's first revision. A set builds its
+tokens once (``SampleSet.token_rows``), and every batch gathers from them. A
+prediction pass binds the weights once and computes the model's row-wise
+front (``model.front``) once per distinct token (``model.TokenFront``); each
+chunk gathers its slots from it, with the same bits as computing them per
+chunk: 8,519 tokens for 76,126 slots on 12-20-revision events.
 
 A training epoch cuts a seeded permutation into pools of ``POOL_BATCHES``
 batches, sorts each pool by width with the same rule and cuts it into
@@ -77,10 +77,10 @@ from .model import (
     ModelParams,
     SequenceBatch,
     TokenFront,
-    TokenSlots,
     forward,
     init_params,
     predict,
+    token_batch,
 )
 
 
@@ -172,24 +172,30 @@ class SampleSet:
 
     @cached_property
     def token_start(self) -> np.ndarray:
-        """[N] each sample's first token in ``token_front``; slot t holds token ``start + t``.
-
-        Tokens 0..R-1 are the table's own rows, whose deltas count from their
-        event's first row, where every window with j <= max_seq_len starts.
-        Each later window, its deltas restarted, appends max_seq_len tokens.
-        """
+        """[N] each sample's first token in ``token_rows``; slot t holds token ``start + t``."""
         windowed, start = self.prefix_len > self.max_seq_len, self.first_row.copy()
         start[windowed] = self.events.deltas.size + self.max_seq_len * np.arange(windowed.sum())
         return start
 
-    def token_front(self) -> TokenFront:
-        """A fresh front over the set's tokens, for one prediction pass."""
+    @cached_property
+    def token_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The set's tokens as [T,p], [T,q] and [T] rows, built once.
+
+        The table's rows come first (its own arrays when no window restarts);
+        each window of j > max_seq_len appends max_seq_len rows, deltas restarted.
+        """
         t, span = self.events, self.max_seq_len
         first = self.first_row[self.prefix_len > span]
+        if not first.size:
+            return t.cat_idx, t.cont, t.deltas
         own = (first[:, None] + np.arange(span)).ravel()
         rows = np.concatenate([np.arange(t.deltas.size), own])
         deltas = np.concatenate([t.deltas, t.deltas[own] - np.repeat(t.deltas[first], span)])
-        return TokenFront(t.cat_idx[rows], t.cont[rows], deltas)
+        return t.cat_idx[rows], t.cont[rows], deltas
+
+    def token_front(self) -> TokenFront:
+        """A fresh front over the set's tokens, for one prediction pass."""
+        return TokenFront(*self.token_rows)
 
     def batch(self, idx: np.ndarray | slice, front: TokenFront | None = None) -> SequenceBatch:
         """The samples at ``idx``, zero-padded to the longest window among them.
@@ -198,19 +204,9 @@ class SampleSet:
         there; a padded slot names its window's first token.
         """
         width = self.width[idx]
-        first = self.first_row[idx][:, None]
         mask = np.arange(width.max(initial=0)) < width[:, None]
-        offset = np.where(mask, np.arange(mask.shape[1]), 0)
-        rows = first + offset
-        cat = self.events.cat_idx[rows]
-        cont = self.events.cont[rows]
-        deltas = self.events.deltas[rows] - self.events.deltas[first]
-        pad = ~mask
-        cat[pad] = 0
-        cont[pad] = 0.0
-        deltas[pad] = 0.0
-        slots = None if front is None else TokenSlots(front, offset + self.token_start[idx, None])
-        return SequenceBatch(cat_idx=cat, cont=cont, deltas=deltas, mask=mask, tokens=slots)
+        ids = self.token_start[idx][:, None] + np.where(mask, np.arange(mask.shape[1]), 0)
+        return token_batch(front or self.token_rows, ids, mask)
 
 
 def _encoded(events: EncodedTable, caller: str) -> EncodedTable:

@@ -830,10 +830,26 @@ class TestProcessMemory:
     def test_manifest_records_the_environment(self, pipeline):
         manifest = json.load(open(os.path.join(pipeline["run"], "run_manifest.json")))
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "blas", "etrcast", "cpus", "keeps_freed_memory"}
+        assert set(env) == {
+            "python", "numpy", "blas", "blas_threads", "etrcast", "cpus", "keeps_freed_memory"
+        }
         assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
         assert env["etrcast"] == etrcast.__version__ and env["cpus"] >= 1
         assert env["keeps_freed_memory"] is cli.keep_freed_memory()
+
+
+    def test_manifest_records_the_blas_threads(self, tmp_path):
+        # bits can differ between thread counts, so two manifests must tell them apart
+        out = tmp_path / "d"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+        argv = ["generate", "--out", str(out), "--storms-per-class", "5"]
+        argv += ["--events-per-storm", "2", "2"]
+        done = subprocess.run(
+            [sys.executable, "-m", "etrcast.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        threads = json.load(open(out / "run_manifest.json"))["environment"]["blas_threads"]
+        assert threads == (None if cli.blas_threads() is None else 1)
 
 
 class TestReadme:
@@ -956,6 +972,21 @@ class TestConfigLayering:
             argv += ["--dataset", str(tmp_path / "none")]
         assert run(argv) == 1
         assert capsys.readouterr().err.splitlines() == [f"{cfg}{message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys, command):
+        # the later value used to win silently: max_epochs 1 then 2 trained 2 epochs
+        key = {"generate": "noise_std", "train": "max_epochs"}[command]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = 1\n# again\n{key}= 2\n")
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), "--config", str(cfg)]
+        if command == "train":
+            argv += ["--dataset", str(tmp_path / "none")]
+        assert run(argv) == 1
+        want = f"{cfg}:3: config key {key!r} already set at {cfg}:1"
+        assert capsys.readouterr().err.splitlines() == [want]
         assert not out.exists()
 
 

@@ -403,13 +403,6 @@ class TestAttention:
             assert la.mean_weights.shape == (4, 4)
             np.testing.assert_allclose(la.mean_weights.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_explicit_heads_and_layers(self, micro_params, micro_schema, micro_config):
-        batch = make_batch(micro_schema, micro_config, n=1, seed=2, lengths=[3])
-        single = event_batch(batch.cat_idx[0, :3], batch.cont[0, :3], batch.deltas[0, :3])
-        stack = extract_attention(micro_params, single, layers=[1], heads=[0, 1])
-        assert [la.layer for la in stack.layers] == [1]
-        assert stack.layers[0].head_indices == (0, 1)
-
     def test_random_head_choice_is_seeded(self, micro_schema):
         cfg = ModelConfig(max_seq_len=5, d_model=16, n_layers=2, n_heads=4)
         params = init_params(cfg, micro_schema, seed=0)
@@ -444,14 +437,6 @@ class TestAttention:
         plain = predict(micro_params, batch)
         captured = predict(micro_params, batch, capture=[])
         np.testing.assert_array_equal(plain, captured)
-
-    def test_invalid_layer_rejected(self, micro_params, micro_schema, micro_config):
-        batch = make_batch(micro_schema, micro_config, n=1, seed=7, lengths=[2])
-        single = event_batch(batch.cat_idx[0, :2], batch.cont[0, :2], batch.deltas[0, :2])
-        with pytest.raises(ValueError):
-            extract_attention(micro_params, single, layers=[9])
-        with pytest.raises(ValueError):
-            extract_attention(micro_params, single, heads=[99])
 
 
 class TestFinalRevisionFeatures:

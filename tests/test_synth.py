@@ -12,6 +12,7 @@ from etrcast.data import MAGNITUDES
 from etrcast.dataio import load_dataset, save_dataset
 from etrcast.synth import (
     GRID,
+    INTEGER_HIGHS,
     PRIORITY_CDF,
     PRIORITY_WEIGHTS,
     RATIO_BANDS,
@@ -316,6 +317,23 @@ def test_one_sized_draw_equals_scalar_draws(name):
                 want = [draw(scalar, None) for _ in range(n)]
                 assert got == want, (seed, lead, n)
                 assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+def test_one_array_high_draw_equals_scalar_draws():
+    # the generator draws an event's integers in one call over per-value bounds
+    for seed in range(30):
+        for lead in (0, 1):
+            for m in range(1, 21):
+                for codes in range(3):
+                    highs = np.repeat(INTEGER_HIGHS, (1, m - 1, m - 1, m * codes))
+                    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                    for rng in (batched, scalar):
+                        for _ in range(lead):
+                            rng.integers(0, 2)
+                    got = batched.integers(0, highs).tolist()
+                    want = [int(scalar.integers(0, high)) for high in highs.tolist()]
+                    assert got == want, (seed, lead, m, codes)
+                    assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 def test_priority_draw_equals_weighted_choice():

@@ -608,6 +608,40 @@ class TestTokenPass:
             for token_col, col in zip(front.rows, (batch.cat_idx, batch.cont, batch.deltas)):
                 np.testing.assert_array_equal(token_col[ids][mask], col[mask])
 
+    def test_rows_without_restarted_windows_are_the_tables_own(self, small_dataset):
+        samples = self._samples(small_dataset, self.CONFIGS["default"])
+        assert not (samples.prefix_len > samples.max_seq_len).any()
+        table = samples.events
+        columns = (table.cat_idx, table.cont, table.deltas)
+        for rows, column in zip(samples.token_front().rows, columns):
+            assert np.shares_memory(rows, column)
+
+    def test_rows_are_built_once_per_set(self, small_dataset):
+        samples = self._samples(small_dataset, self.CONFIGS["windowed"])
+        assert (samples.prefix_len > samples.max_seq_len).any()
+        first, second = samples.token_front(), samples.token_front()
+        assert first is not second  # a fresh front per pass, over the same rows
+        assert all(a is b for a, b in zip(first.rows, second.rows))
+        assert not np.shares_memory(first.rows[2], samples.events.deltas)
+
+    @pytest.mark.parametrize("name", ["default", "windowed"])
+    def test_padded_slots_are_zero_and_name_the_window_start(self, small_dataset, name):
+        samples = self._samples(small_dataset, self.CONFIGS[name])
+        front = samples.token_front()
+        padded = 0
+        for idx in np.array_split(np.arange(samples.size), 7):
+            batch, plain = samples.batch(idx, front), samples.batch(idx)
+            pad = ~batch.mask
+            padded += int(pad.sum())
+            for col in (batch.cat_idx, batch.cont, batch.deltas):
+                assert not col[pad].any()
+            starts = np.broadcast_to(samples.token_start[idx][:, None], pad.shape)
+            np.testing.assert_array_equal(batch.tokens.ids[pad], starts[pad])
+            assert plain.tokens is None
+            for field in ("cat_idx", "cont", "deltas"):
+                np.testing.assert_array_equal(getattr(plain, field), getattr(batch, field))
+        assert padded > 0
+
     @pytest.mark.parametrize("name", ["windowed", "one_layer"])
     def test_padded_slots_may_name_any_token(self, small_dataset, name):
         cfg = self.CONFIGS[name]
