@@ -372,13 +372,6 @@ class EncodedTable(_Events):
     ROW_COLUMNS: ClassVar[tuple[str, ...]] = ("cat_idx", "cont", "deltas")
 
 
-def check_thresholds(thresholds: tuple[float, float]) -> None:
-    """Storm-magnitude thresholds (small_max, medium_max) need 0 < small_max < medium_max < 1."""
-    small_max, medium_max = thresholds
-    if not 0.0 < small_max < medium_max < 1.0:
-        raise ValueError(f"bad thresholds {thresholds}")
-
-
 def check_split_ratios(ratios: tuple[float, float, float]) -> None:
     """Train, validation and test ratios need three non-negative values summing to 1."""
     if len(ratios) != 3 or not (abs(sum(ratios) - 1.0) <= 1e-9 and min(ratios) >= 0):
@@ -393,7 +386,8 @@ def classify_storm(
     small_max, medium_max = thresholds
     if customers_served <= 0:
         raise ValueError("customers_served must be positive")
-    check_thresholds(thresholds)
+    if not 0.0 < small_max < medium_max < 1.0:  # NaN fails too
+        raise ValueError(f"bad thresholds {thresholds}")
     ratio = customers_affected / customers_served
     if ratio <= small_max:
         return "Small"

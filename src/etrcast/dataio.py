@@ -394,15 +394,13 @@ def _read_sidecar(
     return table
 
 
-def load_dataset(path: str) -> Dataset:
-    """Load a dataset directory (or a manifest path) and validate every event.
+def load_dataset(directory: str) -> Dataset:
+    """Load a dataset directory and validate every event.
 
     The events come from the events.bin sidecar when it is current (see
     ``_read_sidecar``), otherwise from events.jsonl.
     """
-    if os.path.isdir(path):
-        path = os.path.join(path, MANIFEST_NAME)
-    manifest_path, directory = path, os.path.dirname(path)
+    manifest_path = os.path.join(directory, MANIFEST_NAME)
     events_path = os.path.join(directory, EVENTS_NAME)
     try:
         with open(manifest_path, "rb") as fh:

@@ -17,9 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .data import MAGNITUDES
 from .losses import LossConfig, math_fsum, piecewise_loss_vec
-
-STRATUM_ORDER = ("Small", "Medium", "Large")
 
 
 @dataclass(frozen=True)
@@ -149,9 +148,9 @@ def eval_report(pset: PredictionSet, cfg: LossConfig = LossConfig()) -> EvalRepo
     if pset.strata is not None:
         labels = np.asarray(pset.strata)
         present = set(labels.tolist())
-        order = [s for s in STRATUM_ORDER if s in present]
-        order += sorted(present - set(STRATUM_ORDER))
-        for name in STRATUM_ORDER:
+        order = [s for s in MAGNITUDES if s in present]
+        order += sorted(present - set(MAGNITUDES))
+        for name in MAGNITUDES:
             if name not in present:
                 notes.append(f"stratum {name} has no pairs; omitted")
         for name in order:

@@ -462,9 +462,7 @@ def predict(params: ModelParams, batch: SequenceBatch, capture: list | None = No
 CHECKPOINT_VERSION = 2
 
 
-def _transform_state_doc(state: TransformState | None) -> dict | None:
-    if state is None:
-        return None
+def _transform_state_doc(state: TransformState) -> dict:
     return {
         "cont_mean": dict(state.cont_mean),
         "cont_std": dict(state.cont_std),
@@ -476,15 +474,13 @@ def _transform_state_doc(state: TransformState | None) -> dict | None:
     }
 
 
-def _transform_state_from_doc(doc: dict | None, schema: FeatureSchema) -> TransformState | None:
+def _transform_state_from_doc(doc: dict, schema: FeatureSchema) -> TransformState:
     """The stored transform state; ValueError unless it fits ``schema``.
 
     It must hold statistics for exactly the schema's features, finite means
     and positive finite deviations, and category maps whose dense indices
     (and the UNKNOWN index after them) fit the embedding tables.
     """
-    if doc is None:
-        return None
     state = TransformState(
         cont_mean={k: float(v) for k, v in doc["cont_mean"].items()},
         cont_std={k: float(v) for k, v in doc["cont_std"].items()},
@@ -514,10 +510,7 @@ def _transform_state_from_doc(doc: dict | None, schema: FeatureSchema) -> Transf
 
 
 def save_checkpoint(
-    path: str,
-    params: ModelParams,
-    transform_state: TransformState | None = None,
-    schema_fingerprint: str = "",
+    path: str, params: ModelParams, transform_state: TransformState, schema_fingerprint: str
 ) -> None:
     names = sorted(params.tensors)
     header = {
@@ -538,8 +531,10 @@ def save_checkpoint(
 
 def load_checkpoint(
     path: str, expect_fingerprint: str | None = None
-) -> tuple[ModelParams, TransformState | None, str]:
+) -> tuple[ModelParams, TransformState, str]:
     """Read a checkpoint; any mismatch with its own config raises ValueError.
+
+    A checkpoint without a transform state cannot encode inputs, so it is refused.
 
     The tensor list must name exactly the tensors ``init_params`` builds for
     the stored config and schema, with the same shapes and finite values, and
@@ -550,6 +545,8 @@ def load_checkpoint(
         version = header.get("format_version") if isinstance(header, dict) else None
         if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"{path}: unsupported checkpoint version")
+        if header.get("transform_state") is None:
+            raise ValueError(f"{path}: carries no transform state")
         try:
             fingerprint = header["schema_fingerprint"]
             config = ModelConfig(**header["model_config"])
@@ -557,7 +554,7 @@ def load_checkpoint(
                 tuple((n, k) for n, k in header["schema"]["features"]),
                 {k: int(v) for k, v in header["schema"]["cardinalities"].items()},
             )
-            state = _transform_state_from_doc(header.get("transform_state"), schema)
+            state = _transform_state_from_doc(header["transform_state"], schema)
             loss = LossConfig(**header["loss"]) if version > 1 else LossConfig()
             entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
             expected = init_params(config, schema).tensors

@@ -50,16 +50,13 @@ from .data import (
     StormRecord,
     build_table,
     check_split_ratios,
-    check_thresholds,
-    classify_storm,
     stratified_split,
 )
 from .dataio import Dataset, save_dataset
 
 GRID = 64.0  # timestamps live on a 1/64-hour grid
 
-# feature names; the six signal features drive the ground-truth law
-SIGNAL_CATEGORICAL = ("priority",)
+# feature names; priority and these five signal features drive the ground-truth law
 SIGNAL_CONTINUOUS = (
     "customers_under_outage",
     "crew_dispatched_events",
@@ -92,8 +89,8 @@ ROLLING_REF = 24.0
 ROLLING_DEFAULT = 24.0
 MIN_DURATION = 0.25
 
-# per-class (affected / served) ratio bands; strictly inside the default
-# classification thresholds (0.05, 0.20) with margin on both sides
+# per-class (affected / served) ratio bands; strictly inside classify_storm's
+# default thresholds (0.05, 0.20) with margin on both sides
 RATIO_BANDS = {
     "Small": (0.005, 0.045),
     "Medium": (0.07, 0.18),
@@ -107,29 +104,19 @@ class GeneratorConfig:
     storms_per_class: int = 8
     events_per_storm: tuple[int, int] = (60, 110)
     revisions_per_event: tuple[int, int] = (4, 9)
-    max_seq_len: int = 20
     n_filler_categorical: int = 1
     n_filler_continuous: int = 4
     noise_std: float = 0.5
     missing_rate: float = 0.02
-    thresholds: tuple[float, float] = (0.05, 0.20)
     split_ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
 
     def __post_init__(self):
-        if self.revisions_per_event[0] < 1 or (
-            self.revisions_per_event[1] > self.max_seq_len
-        ):
-            raise ValueError(
-                f"revisions_per_event {self.revisions_per_event} must lie in "
-                f"[1, max_seq_len={self.max_seq_len}]"
-            )
-        if self.revisions_per_event[0] > self.revisions_per_event[1]:
-            raise ValueError("revisions_per_event range inverted")
+        if not 1 <= self.revisions_per_event[0] <= self.revisions_per_event[1]:
+            raise ValueError(f"bad revisions_per_event range {self.revisions_per_event}")
         if self.events_per_storm[0] < 1 or self.events_per_storm[0] > self.events_per_storm[1]:
             raise ValueError(f"bad events_per_storm range {self.events_per_storm}")
         if not self.noise_std >= 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        check_thresholds(self.thresholds)
         check_split_ratios(self.split_ratios)
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValueError("missing_rate must be in [0, 1)")
@@ -143,7 +130,7 @@ class GeneratorConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        for key in ("events_per_storm", "revisions_per_event", "thresholds", "split_ratios"):
+        for key in ("events_per_storm", "revisions_per_event", "split_ratios"):
             d[key] = list(d[key])
         return d
 
@@ -268,9 +255,6 @@ def generate_storm(
     served = int(rng.integers(400_000, 800_001))
     lo, hi = RATIO_BANDS[magnitude]
     affected = int(served * rng.uniform(lo, hi))
-    got = classify_storm(affected, served, cfg.thresholds)
-    if got != magnitude:  # bands are strictly inside the thresholds
-        raise AssertionError(f"ratio band produced {got}, wanted {magnitude}")
 
     n_events = int(rng.integers(cfg.events_per_storm[0], cfg.events_per_storm[1] + 1))
     storm_start = snap(rng.uniform(0.0, 1000.0))

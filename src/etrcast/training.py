@@ -311,19 +311,11 @@ class EpochRecord:
     train_loss: float
     val_wae: float
     lr: float
-    wall_time: float
 
 
 @dataclass
 class TrainHistory:
     epochs: list[EpochRecord] = field(default_factory=list)
-
-    def to_doc(self) -> list[dict]:
-        """Serialization omits wall_time so history files are run-reproducible."""
-        return [
-            {"epoch": r.epoch, "train_loss": r.train_loss, "val_wae": r.val_wae, "lr": r.lr}
-            for r in self.epochs
-        ]
 
 
 @dataclass
@@ -484,7 +476,7 @@ def train_model(
         lr_used = plateau.lr
         plateau = plateau_scheduler(val_wae, plateau, train_config)
         seconds = time.perf_counter() - t_start
-        history.epochs.append(EpochRecord(epoch, train_loss, val_wae, lr_used, seconds))
+        history.epochs.append(EpochRecord(epoch, train_loss, val_wae, lr_used))
         print(
             f"epoch {epoch}: train loss {train_loss:.4f}, val WAE {val_wae:.4f}, "
             f"lr {lr_used:.3g}, {seconds:.2f} s, {n / seconds:.0f} samples/s, "

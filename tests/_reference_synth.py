@@ -39,7 +39,7 @@ def generate_storm(
     served = int(rng.integers(400_000, 800_001))
     lo, hi = RATIO_BANDS[magnitude]
     affected = int(served * rng.uniform(lo, hi))
-    assert classify_storm(affected, served, cfg.thresholds) == magnitude
+    assert classify_storm(affected, served) == magnitude
 
     n_events = int(rng.integers(cfg.events_per_storm[0], cfg.events_per_storm[1] + 1))
     storm_start = snap(rng.uniform(0.0, 1000.0))

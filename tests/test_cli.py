@@ -23,10 +23,11 @@ from hypothesis import strategies as st
 import etrcast
 from etrcast import cli, dataio
 from etrcast.cli import SCALES, build_parser, load_config_file, run
+from etrcast.data import fit_transforms
 from etrcast.dataio import load_dataset
 from etrcast.losses import LossConfig
 from etrcast.model import ModelConfig, init_params, load_checkpoint, predict, save_checkpoint
-from etrcast.synth import GeneratorConfig, build_schema
+from etrcast.synth import GeneratorConfig, build_schema, generate_dataset
 from etrcast.training import TrainConfig
 
 from conftest import make_batch
@@ -284,6 +285,7 @@ class TestEval:
         if command in messages:  # "<checkpoint>: [<primitive>: ]<message>", one line
             assert code == 1 and f"{bad}: " in err and messages[command] in err
             assert len(err.splitlines()) == 1
+            assert not os.path.exists(tmp_path / "out")  # a failed command makes no --out
         else:  # the attention maps do not depend on the head
             assert code == 0 and err == ""
 
@@ -709,7 +711,7 @@ class TestErrorHandling:
         assert all(line.startswith("epoch ") for line in progress)
         assert last == f"runtime failure: {failing}: matmul: non-finite values in result"
         # outputs are written only after both reports are predicted
-        assert os.listdir(tmp_path / "o") == []
+        assert not os.path.exists(tmp_path / "o")
 
     @staticmethod
     def _drop_storm_magnitude(manifest):
@@ -785,6 +787,28 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert f"{bad}: {message}" in err and "Traceback" not in err
 
+    @staticmethod
+    def _no_transform_state(blob):
+        (length,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + length])
+        header["transform_state"] = None
+        return TestErrorHandling._with_header(json.dumps(header).encode())(blob)
+
+    @pytest.mark.parametrize("command", ["eval", "explain", "attention"])
+    def test_checkpoint_without_transform_state_exits_one(
+        self, pipeline, tmp_path, capsys, command
+    ):
+        # such a checkpoint cannot encode its inputs, so loading it refuses it
+        checkpoint = tmp_path / "checkpoint.bin"
+        blob = open(os.path.join(pipeline["run"], "checkpoint.bin"), "rb").read()
+        checkpoint.write_bytes(self._no_transform_state(blob))
+        out = tmp_path / "out"
+        argv = [command, "--dataset", pipeline["data"], "--checkpoint", str(checkpoint)]
+        assert run([*argv, "--out", str(out)]) == 1
+        want = f"error: {checkpoint}: carries no transform state"
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not out.exists()
+
 
 class TestProcessMemory:
     def test_importing_the_package_leaves_the_allocator_alone(self):
@@ -850,6 +874,40 @@ class TestProcessMemory:
         assert done.returncode == 0, done.stderr
         threads = json.load(open(out / "run_manifest.json"))["environment"]["blas_threads"]
         assert threads == (None if cli.blas_threads() is None else 1)
+
+    def test_inference_bits_do_not_depend_on_the_blas_threads(self, tmp_path):
+        # training bits hold per thread count only; prediction must not depend on it.
+        # eval's 2,048-slot chunks and explain's 2,040-row Shapley calls are large
+        # enough for OpenBLAS to split their products between threads.
+        data, checkpoint = tmp_path / "data", str(tmp_path / "checkpoint.bin")
+        gen = GeneratorConfig(seed=3, storms_per_class=5, events_per_storm=(40, 40))
+        dataset = generate_dataset(gen, str(data))
+        state = fit_transforms(dataset.split_tables()["train"], dataset.schema)
+        params = init_params(ModelConfig(**SCALES["desk"]["model"]), dataset.schema, seed=0)
+        fingerprint = dataio.dataset_fingerprint(dataset.schema, dataset.categories)
+        save_checkpoint(checkpoint, params, state, fingerprint)
+        inputs = ["--dataset", str(data), "--checkpoint", checkpoint]
+        explain = ["--revisions", "2", "--events", "2", "--background", "16"]
+        for threads in ("1", "2"):
+            argvs = [
+                ["eval", *inputs, "--out", str(tmp_path / threads / "eval")],
+                ["explain", *inputs, *explain, "--out", str(tmp_path / threads / "explain")],
+            ]
+            code = f"import sys; from etrcast.cli import run; sys.exit(max(map(run, {argvs!r})))"
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+            env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr
+        for command in ("eval", "explain"):
+            one, two = (tmp_path / threads / command for threads in ("1", "2"))
+            names = sorted(set(os.listdir(one)) - {"run_manifest.json"})
+            assert names == sorted(set(os.listdir(two)) - {"run_manifest.json"}) and names
+            for name in names:
+                assert (one / name).read_bytes() == (two / name).read_bytes(), (command, name)
+            if cli.blas_threads() is not None:
+                for threads, out in (("1", one), ("2", two)):
+                    manifest = json.load(open(out / "run_manifest.json"))
+                    assert manifest["environment"]["blas_threads"] == int(threads)
 
 
 class TestReadme:
@@ -958,8 +1016,13 @@ class TestConfigLayering:
             ("generate", b"\n\nnoise_std = 0..1\n",
              ":3: config key 'noise_std': cannot parse '0..1'"),
             ("train", b"d_model = 8\nepochs = 2\n", ":2: unknown config key 'epochs'"),
+            # the generator's magnitude thresholds and sequence cap were removed
+            ("generate", b"seed = 1\nthresholds = 0.04, 0.3\n",
+             ":2: unknown config key 'thresholds'"),
+            ("generate", b"max_seq_len = 30\n", ":1: unknown config key 'max_seq_len'"),
         ],
-        ids=["first_byte", "third_line", "train_value", "generate_value", "unknown_key"],
+        ids=["first_byte", "third_line", "train_value", "generate_value", "unknown_key",
+             "removed_thresholds", "removed_max_seq_len"],
     )  # fmt: skip
     def test_config_file_error_names_path_and_line(
         self, tmp_path, capsys, command, content, message
@@ -1003,9 +1066,8 @@ FIELD_VALUES = {
     "n_filler_continuous": ("3", 3),
     "noise_std": ("0.25", 0.25),
     "missing_rate": ("0.1", 0.1),
-    "thresholds": ("0.04,0.3", (0.04, 0.3)),
     "split_ratios": ("0.6 0.2 0.2", (0.6, 0.2, 0.2)),
-    # ModelConfig; max_seq_len is also a GeneratorConfig field
+    # ModelConfig
     "max_seq_len": ("12", 12),
     "d_model": ("64", 64),
     "n_layers": ("3", 3),

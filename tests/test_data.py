@@ -94,6 +94,14 @@ class TestClassify:
     def test_custom_thresholds(self):
         assert classify_storm(30, 100, thresholds=(0.5, 0.8)) == "Small"
 
+    @pytest.mark.parametrize(
+        "thresholds",
+        [(math.nan, 0.2), (0.05, math.nan), (0.2, 0.05), (0.0, 0.2), (0.05, 1.0)],
+    )
+    def test_refuses_bad_thresholds(self, thresholds):
+        with pytest.raises(ValueError, match="thresholds"):
+            classify_storm(5, 100, thresholds=thresholds)
+
 
 class TestFitTransforms:
     def test_mean_std_population(self):

@@ -519,19 +519,22 @@ class TestCheckpoint:
 
     def test_fingerprint_mismatch_rejected(self, micro_params, tmp_path):
         path = str(tmp_path / "model.bin")
-        save_checkpoint(path, micro_params, None, "expected")
+        save_checkpoint(path, micro_params, self.make_state(), "expected")
         with pytest.raises(ValueError, match="fingerprint"):
             load_checkpoint(path, expect_fingerprint="different")
 
-    def test_no_transform_state(self, micro_params, tmp_path):
+    def test_no_transform_state(self, micro_params, tmp_path, monkeypatch):
+        # a null transform state is refused at load: the checkpoint cannot encode inputs
         path = str(tmp_path / "bare.bin")
-        save_checkpoint(path, micro_params)
-        _, state, fp = load_checkpoint(path)
-        assert state is None and fp == ""
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "_transform_state_doc", lambda state: None)
+            save_checkpoint(path, micro_params, self.make_state(), "fp")
+        with pytest.raises(ValueError, match=f"{path}: carries no transform state"):
+            load_checkpoint(path)
 
     def test_corrupt_magic_rejected(self, micro_params, tmp_path):
         path = tmp_path / "model.bin"
-        save_checkpoint(str(path), micro_params)
+        save_checkpoint(str(path), micro_params, self.make_state(), "fp")
         raw = bytearray(path.read_bytes())
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))

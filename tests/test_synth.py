@@ -1,15 +1,18 @@
 import hashlib
+import inspect
 import math
 import os
 from bisect import bisect_right
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import _reference_synth
 from _reference_data import events_of, table_of
-from etrcast.data import MAGNITUDES
+from etrcast.data import MAGNITUDES, classify_storm, fit_transforms
 from etrcast.dataio import load_dataset, save_dataset
+from etrcast.model import ModelConfig
 from etrcast.synth import (
     GRID,
     INTEGER_HIGHS,
@@ -26,6 +29,7 @@ from etrcast.synth import (
     replay_ground_truth,
     snap,
 )
+from etrcast.training import build_samples, encode_events
 
 SMALL = GeneratorConfig(seed=7, storms_per_class=4, events_per_storm=(5, 9))
 
@@ -218,7 +222,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(revisions_per_event=(0, 5))
     with pytest.raises(ValueError):
-        GeneratorConfig(revisions_per_event=(2, 40))  # above max_seq_len
+        GeneratorConfig(revisions_per_event=(5, 4))  # inverted
     with pytest.raises(ValueError):
         GeneratorConfig(events_per_storm=(10, 5))
     with pytest.raises(ValueError):
@@ -234,11 +238,11 @@ NAN = float("nan")
     "field, value",
     [
         ("noise_std", NAN),
-        ("thresholds", (NAN, 0.2)),
-        ("thresholds", (0.05, NAN)),
-        ("thresholds", (0.2, 0.05)),
-        ("thresholds", (0.0, 0.2)),
-        ("thresholds", (0.05, 1.0)),
+        ("revisions_per_event", (0, 5)),
+        ("revisions_per_event", (5, 4)),
+        ("events_per_storm", (10, 5)),
+        ("missing_rate", NAN),
+        ("storms_per_class", 0),
         ("split_ratios", (0.7, 0.15, NAN)),
         ("split_ratios", (0.7, 0.3, 0.1)),
         ("split_ratios", (1.1, -0.05, -0.05)),
@@ -250,6 +254,66 @@ NAN = float("nan")
 def test_config_refuses_what_cannot_generate(field, value):
     with pytest.raises(ValueError, match=field.split("_")[-1]):
         GeneratorConfig(**{field: value})
+
+
+def test_long_events_generate_and_window_at_max_seq_len():
+    # revisions_per_event has no cap: training windows longer events
+    cfg = GeneratorConfig(
+        seed=2, storms_per_class=4, events_per_storm=(2, 3), revisions_per_event=(21, 24)
+    )
+    ds = generate_dataset(cfg)
+    lengths = np.diff(ds.table.offsets)
+    assert lengths.min() >= 21 and lengths.max() <= 24
+    state = fit_transforms(ds.table, ds.schema)
+    samples = build_samples(encode_events(ds.table, state, ds.schema), ModelConfig())
+    assert samples.prefix_len.max() > 20
+    np.testing.assert_array_equal(samples.width, np.minimum(samples.prefix_len, 20))
+    batch = samples.batch(np.arange(samples.size))
+    assert batch.mask.shape[1] == 20
+    # every window's deltas restart at its first row
+    assert not batch.deltas[:, 0].any()
+
+
+# a value unlike DATA_BASE's for every GeneratorConfig field; 20 storms per
+# class so that split ratios move round(ratio * n) past the quota of 2
+DATA_BASE = GeneratorConfig(seed=4, storms_per_class=20, events_per_storm=(2, 4))
+DATA_CHANGES = {
+    "seed": 5,
+    "storms_per_class": 21,
+    "events_per_storm": (2, 5),
+    "revisions_per_event": (4, 10),
+    "n_filler_categorical": 2,
+    "n_filler_continuous": 3,
+    "noise_std": 0.25,
+    "missing_rate": 0.1,
+    "split_ratios": (0.6, 0.2, 0.2),
+}
+
+
+def _events_and_split(cfg, out):
+    ds = generate_dataset(cfg, str(out))
+    return (out / "events.jsonl").read_bytes(), ds.split
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(GeneratorConfig)])
+def test_every_generator_field_changes_the_data(name, tmp_path):
+    # a field that changes neither events.jsonl nor the split is accepted but does nothing
+    assert name in DATA_CHANGES, f"no changed value listed for {name}"
+    changed = replace(DATA_BASE, **{name: DATA_CHANGES[name]})
+    assert getattr(changed, name) != getattr(DATA_BASE, name)
+    base = _events_and_split(DATA_BASE, tmp_path / "base")
+    assert _events_and_split(changed, tmp_path / "changed") != base
+
+
+def test_ratio_bands_lie_inside_the_default_thresholds():
+    # a storm's magnitude is its band, so each band must classify as its own class
+    small_max, medium_max = inspect.signature(classify_storm).parameters["thresholds"].default
+    edges = {"Small": (0.0, small_max), "Medium": (small_max, medium_max), "Large": (medium_max, 1.0)}
+    assert set(RATIO_BANDS) == set(MAGNITUDES)
+    for magnitude, (lo, hi) in RATIO_BANDS.items():
+        low_edge, high_edge = edges[magnitude]
+        assert low_edge < lo < hi < high_edge, magnitude
+        assert classify_storm(lo * 1e6, 1e6) == classify_storm(hi * 1e6, 1e6) == magnitude
 
 
 def test_schema_has_expected_features():

@@ -257,7 +257,7 @@ class TestTrainModel:
         tcfg = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=2, seed=3)
         a = train_model(tiny, mcfg, tcfg)
         b = train_model(tiny, mcfg, tcfg)
-        assert a.history.to_doc() == b.history.to_doc()
+        assert a.history == b.history
         for k in a.params.tensors:
             np.testing.assert_array_equal(a.params.tensors[k], b.params.tensors[k])
 
@@ -281,11 +281,11 @@ class TestTrainModel:
         tcfg = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=2, seed=3)
         plain = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
         dropped = replace(plain, dropout=0.5)
-        base = train_model(tiny, plain, tcfg).history.to_doc()
+        base = train_model(tiny, plain, tcfg).history
         a = train_model(tiny, dropped, tcfg)
         b = train_model(tiny, dropped, tcfg)
-        assert a.history.to_doc() == b.history.to_doc()
-        assert a.history.to_doc() != base
+        assert a.history == b.history
+        assert a.history != base
         for k in a.params.tensors:
             np.testing.assert_array_equal(a.params.tensors[k], b.params.tensors[k])
 
