@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from . import explain as explain_mod
-from .data import EncodedTable, TransformState
+from .data import EncodedTable, TransformState, split_counts
 from .dataio import Dataset, canonical_json, dataset_fingerprint, file_sha256, load_dataset
 from .losses import LossConfig
 from .metrics import EvalReport, format_report
@@ -60,10 +60,6 @@ SCALES = {
     },
     "full": {"model": {}, "train": {"max_epochs": 100}},  # the config defaults, trained longer
 }
-
-
-# validation and test each take 2 storms of every class, so 5 leaves 1 to train
-MIN_STORMS_PER_CLASS = 5
 
 
 class CliError(Exception):
@@ -288,10 +284,11 @@ def _naming(error: type[Exception], what: str):
 
 def cmd_generate(args, record: RunRecord) -> tuple[dict, int]:
     cfg = _resolve(GeneratorConfig, {}, _config_file(args, GeneratorConfig), args)
-    if cfg.storms_per_class < MIN_STORMS_PER_CLASS:
+    n, (val, test) = cfg.storms_per_class, split_counts(cfg.storms_per_class, cfg.split_ratios)
+    if val + test >= n:
         raise CliError(
-            f"storms_per_class must be >= {MIN_STORMS_PER_CLASS}, got {cfg.storms_per_class}: "
-            "validation and test take 2 storms of each class, so the training split would be empty"
+            f"storms_per_class {n} with split_ratios {cfg.split_ratios} leaves no storm of a "
+            f"class to train: validation takes {val} and test {test}, each at least 2 if it can"
         )
     record.outputs.extend(generate_dataset(cfg, args.out).files)
     print(f"generated dataset at {args.out} ({cfg.storms_per_class * 3} storms)")
@@ -341,7 +338,7 @@ def _train_once(
         ckpt = os.path.join(out_dir, "checkpoint.bin")
         save_checkpoint(ckpt, result.params, result.transform_state, result.fingerprint)
         record.outputs.append(ckpt)
-        history = [asdict(epoch) for epoch in result.history.epochs]
+        history = [asdict(epoch) for epoch in result.history]
         record.write_json(os.path.join(out_dir, "history.json"), history)
         record.write_report(out_dir, "eval_validation", val_report)
         record.write_report(out_dir, "eval_test", test_report, per_revision)

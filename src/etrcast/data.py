@@ -206,63 +206,6 @@ class EventTable(_Events):
     ROW_COLUMNS: ClassVar[tuple[str, ...]] = ("t", "cat", "cont")
 
 
-class _Columns:
-    """Events added one at a time, each converted to compact arrays on arrival."""
-
-    def __init__(
-        self,
-        schema: FeatureSchema,
-        vocabularies: Sequence[Mapping] | None,
-        storms: Collection[str] | None,
-    ):
-        self.schema, self.vocabularies, self.storms = schema, vocabularies, storms
-        self.event_ids: list = []
-        self.storm_ids: list = []
-        self.targets: list[float] = []
-        self.lengths: list[int] = []
-        self.t: list[np.ndarray] = []
-        self.cat: list[int] = []  # flat, p codes per revision
-        self.cont: list[np.ndarray] = []
-
-    def add(self, event_id, storm_id, target, t: Sequence, cat: Sequence, cont: Sequence) -> None:
-        """Append one event; ``t``, ``cat`` and ``cont`` hold one item per revision."""
-        p, q = self.schema.p, self.schema.q
-        if not isinstance(event_id, str) or not isinstance(storm_id, str):
-            raise ValueError("event_id and storm_id must be strings")
-        if set(map(len, cat)) - {p} or set(map(len, cont)) - {q}:
-            j = next(j for j, (c, x) in enumerate(zip(cat, cont)) if (len(c), len(x)) != (p, q))
-            raise ValueError(f"event {event_id} revision {j}: value lengths do not match schema")
-        codes = itertools.chain.from_iterable(cat)
-        if self.vocabularies is not None:  # each value through its own feature's vocabulary
-            codes = map(dict.__getitem__, itertools.cycle(self.vocabularies), codes)
-        codes = list(codes)
-        goal = math.nan if target is None else float(target)
-        times, values = _array(t, np.float64), _array(cont, np.float64, q)
-        # every conversion succeeded: the event is added whole or not at all
-        self.event_ids.append(event_id)
-        self.storm_ids.append(storm_id)
-        self.targets.append(goal)
-        self.lengths.append(len(t))
-        self.t.append(times)
-        self.cat.extend(codes)
-        self.cont.append(values)
-
-    def table(self) -> EventTable:
-        """The events added so far, after :func:`check_table`."""
-        schema = self.schema
-        table = EventTable(
-            tuple(self.event_ids),
-            tuple(self.storm_ids),
-            np.array(self.targets, dtype=np.float64),
-            _offsets(self.lengths),
-            np.concatenate([np.empty(0), *self.t]),
-            np.array(self.cat, dtype=np.int64).reshape(-1, schema.p),
-            np.concatenate([np.empty((0, schema.q)), *self.cont]),
-        )
-        check_table(table, schema, self.storms)
-        return table
-
-
 def check_table(table: EventTable, schema: FeatureSchema, storms: Collection[str] | None) -> None:
     """The checks that need every row of a table, over all rows at once.
 
@@ -316,16 +259,48 @@ def build_table(
     at the end. The :class:`EventError` raised names the first bad record,
     also when reading the records fails.
     """
-    columns = _Columns(schema, vocabularies, storms)
+    p, q = schema.p, schema.q
+    event_ids, storm_ids, targets, lengths = [], [], [], []  # one item per event
+    times: list[np.ndarray] = []  # [M] timestamps per event
+    values: list[np.ndarray] = []  # [M,q] continuous values per event
+    codes: list[int] = []  # flat, p codes per revision
     failure = None
     try:
-        for record in records:
-            columns.add(*record)
+        for event_id, storm_id, target, t, cat, cont in records:
+            if not isinstance(event_id, str) or not isinstance(storm_id, str):
+                raise ValueError("event_id and storm_id must be strings")
+            if set(map(len, cat)) - {p} or set(map(len, cont)) - {q}:
+                j = next(j for j, (c, x) in enumerate(zip(cat, cont)) if (len(c), len(x)) != (p, q))
+                where = f"event {event_id} revision {j}"
+                raise ValueError(f"{where}: value lengths do not match schema")
+            event_codes = itertools.chain.from_iterable(cat)
+            if vocabularies is not None:  # each value through its own feature's vocabulary
+                event_codes = map(dict.__getitem__, itertools.cycle(vocabularies), event_codes)
+            event_codes = list(event_codes)
+            goal = math.nan if target is None else float(target)
+            event_t, event_cont = _array(t, np.float64), _array(cont, np.float64, q)
+            # every conversion succeeded: the event is added whole or not at all
+            event_ids.append(event_id)
+            storm_ids.append(storm_id)
+            targets.append(goal)
+            lengths.append(len(t))
+            times.append(event_t)
+            codes.extend(event_codes)
+            values.append(event_cont)
     except KeyError as exc:
-        failure = EventError(len(columns.event_ids), f"unknown category value {exc.args[0]!r}")
+        failure = EventError(len(event_ids), f"unknown category value {exc.args[0]!r}")
     except (TypeError, ValueError) as exc:
-        failure = EventError(len(columns.event_ids), str(exc))
-    table = columns.table()
+        failure = EventError(len(event_ids), str(exc))
+    table = EventTable(
+        tuple(event_ids),
+        tuple(storm_ids),
+        np.array(targets, dtype=np.float64),
+        _offsets(lengths),
+        np.concatenate([np.empty(0), *times]),
+        np.array(codes, dtype=np.int64).reshape(-1, p),
+        np.concatenate([np.empty((0, q)), *values]),
+    )
+    check_table(table, schema, storms)
     if failure is not None:
         raise failure
     return table
@@ -459,6 +434,12 @@ def encode_table(table: EventTable, state: TransformState, schema: FeatureSchema
     )
 
 
+def split_counts(n: int, ratios: tuple[float, float, float]) -> tuple[int, int]:
+    """Validation and test storms of a class of ``n``: max(2, round(ratio * n)), capped to fit."""
+    val = min(max(2, round(ratios[1] * n)), max(n - 2, 0))
+    return val, min(max(2, round(ratios[2] * n)), n - val)
+
+
 def stratified_split(
     storms: Sequence[StormRecord],
     ratios: tuple[float, float, float] = (0.7, 0.15, 0.15),
@@ -467,9 +448,8 @@ def stratified_split(
     """Magnitude-stratified storm split with a hard >=2 quota in val and test.
 
     Within each magnitude class, storm ids are shuffled by the seed, then
-    validation and test each take max(2, round(ratio * n)) storms (capped so
-    the quota stays satisfiable) and the remainder trains. Deterministic for
-    a given seed.
+    validation and test take :func:`split_counts` storms and the remainder
+    trains. Deterministic for a given seed.
     """
     check_split_ratios(ratios)
     rng = np.random.default_rng(seed)
@@ -484,8 +464,7 @@ def stratified_split(
                 f"need at least 4 {magnitude} storms for a stratified split, have {n}"
             )
         order = [ids[i] for i in rng.permutation(n)]
-        want_val = min(max(2, round(ratios[1] * n)), n - 2)
-        want_test = min(max(2, round(ratios[2] * n)), n - want_val)
+        want_val, want_test = split_counts(n, ratios)
         val.extend(order[:want_val])
         test.extend(order[want_val : want_val + want_test])
         train.extend(order[want_val + want_test :])

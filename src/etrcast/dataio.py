@@ -397,7 +397,8 @@ def _read_sidecar(
 def load_dataset(directory: str) -> Dataset:
     """Load a dataset directory and validate every event.
 
-    The events come from the events.bin sidecar when it is current (see
+    The split must assign every storm of the manifest, and only those. The
+    events come from the events.bin sidecar when it is current (see
     ``_read_sidecar``), otherwise from events.jsonl.
     """
     manifest_path = os.path.join(directory, MANIFEST_NAME)
@@ -434,6 +435,10 @@ def load_dataset(directory: str) -> Dataset:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
+    stray = sorted(storm_ids ^ {*split.train, *split.validation, *split.test})
+    if stray:  # the split must be a partition of the storms
+        why = "in no split" if stray[0] in storm_ids else "in the split but not among the storms"
+        raise ValueError(f"{manifest_path}: storm {stray[0]!r} is {why}")
 
     try:
         events_sha256 = file_sha256(events_path)

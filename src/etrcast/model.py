@@ -8,9 +8,9 @@ key-padding mask mixes the positions, its last layer at the readout row (the
 last valid position) only; a small fully connected head reads that row and
 emits the predicted restoration duration in hours.
 
-Padded positions are sanitized to neutral values on entry and excluded from
-attention by the mask, so their contents can never influence a prediction
-(exact equality, not just approximately).
+Padded positions are zeroed by ``token_batch``, through which ``forward`` also
+gathers a batch's own slots, and excluded from attention by the mask, so their
+contents can never influence a prediction (exact equality, not approximately).
 
 The front of the model (embeddings, projection, positional encoding and the
 first layer's query, key and value projections) works row by row: ``front``
@@ -132,6 +132,8 @@ def validate_batch(batch: SequenceBatch, config: ModelConfig, schema: FeatureSch
         )
     if batch.deltas.shape != (b, s) or batch.mask.shape != (b, s):
         raise ValueError("deltas/mask shape mismatch")
+    if not np.issubdtype(batch.cat_idx.dtype, np.integer):
+        raise ValueError(f"cat_idx must hold integers, got {batch.cat_idx.dtype}")
     if s > config.max_seq_len:
         raise ValueError(f"sequence length {s} exceeds max_seq_len {config.max_seq_len}")
     mask = np.asarray(batch.mask, dtype=bool)
@@ -141,18 +143,6 @@ def validate_batch(batch: SequenceBatch, config: ModelConfig, schema: FeatureSch
         raise ValueError("valid positions must form a prefix of each row")
     if np.any(batch.deltas[mask] < 0):
         raise ValueError("negative time delta at a valid position")
-
-
-def sanitize_batch(batch: SequenceBatch) -> SequenceBatch:
-    """Zero out padded positions so padding contents cannot reach the model."""
-    mask = np.asarray(batch.mask, dtype=bool)
-    m3 = mask[:, :, None]
-    return SequenceBatch(  # np.where makes the copy; astype converts only another dtype
-        cat_idx=np.where(m3, batch.cat_idx, 0).astype(np.int64, copy=False),
-        cont=np.where(m3, batch.cont, 0.0).astype(np.float64, copy=False),
-        deltas=np.where(mask, batch.deltas, 0.0).astype(np.float64, copy=False),
-        mask=mask,
-    )
 
 
 def init_params(config: ModelConfig, schema: FeatureSchema, seed: int = 0) -> ModelParams:
@@ -429,8 +419,9 @@ def forward(
     tokens = None if train_rng is not None else batch.tokens
     if tokens is None:
         w = _bind(tape, params, train_rng is not None)
-        trimmed = (a[:, :used] for a in (batch.cat_idx, batch.cont, batch.deltas, mask))
-        own = sanitize_batch(SequenceBatch(*trimmed))
+        n = batch.mask.size
+        slots = tuple(a.reshape(n, *a.shape[2:]) for a in (batch.cat_idx, batch.cont, batch.deltas))
+        own = token_batch(slots, np.arange(n).reshape(batch.mask.shape)[:, :used], mask)
         rows = (a.reshape(mask.size, *a.shape[2:]) for a in (own.cat_idx, own.cont, own.deltas))
         states, ids = front(tape, params, w, *rows), None
     else:

@@ -51,7 +51,7 @@ import math
 import sys
 import time
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -314,15 +314,10 @@ class EpochRecord:
 
 
 @dataclass
-class TrainHistory:
-    epochs: list[EpochRecord] = field(default_factory=list)
-
-
-@dataclass
 class TrainResult:
     params: ModelParams
     transform_state: TransformState
-    history: TrainHistory
+    history: list[EpochRecord]
     best_epoch: int
     best_val_wae: float
     fingerprint: str
@@ -437,7 +432,7 @@ def train_model(
     params = replace(init_params(model_config, schema, seed=train_config.seed), loss=loss_config)
     adam = AdamState.for_params(params.tensors)
     plateau = PlateauState(lr=train_config.learning_rate)
-    history = TrainHistory()
+    history: list[EpochRecord] = []
     best_params, best_epoch, best_val = params.copy(), -1, float("inf")
     n = train_samples.size
 
@@ -476,7 +471,7 @@ def train_model(
         lr_used = plateau.lr
         plateau = plateau_scheduler(val_wae, plateau, train_config)
         seconds = time.perf_counter() - t_start
-        history.epochs.append(EpochRecord(epoch, train_loss, val_wae, lr_used))
+        history.append(EpochRecord(epoch, train_loss, val_wae, lr_used))
         print(
             f"epoch {epoch}: train loss {train_loss:.4f}, val WAE {val_wae:.4f}, "
             f"lr {lr_used:.3g}, {seconds:.2f} s, {n / seconds:.0f} samples/s, "

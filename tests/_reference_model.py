@@ -22,7 +22,7 @@ from etrcast.model import (
     _bind,
     _linear,
     front,
-    sanitize_batch,
+    token_batch,
     validate_batch,
 )
 
@@ -77,8 +77,10 @@ def forward(
     """Predicted durations [B] through the full-layer encoder (no dropout)."""
     validate_batch(batch, params.config, params.schema)
     used = int(batch.lengths.max(initial=1))
-    trimmed = (a[:, :used] for a in (batch.cat_idx, batch.cont, batch.deltas, batch.mask))
-    batch = sanitize_batch(SequenceBatch(*trimmed))
+    n = batch.mask.size
+    slots = tuple(a.reshape(n, *a.shape[2:]) for a in (batch.cat_idx, batch.cont, batch.deltas))
+    ids = np.arange(n).reshape(batch.mask.shape)[:, :used]
+    batch = token_batch(slots, ids, np.asarray(batch.mask, dtype=bool)[:, :used])
     w = _bind(tape, params, train_rng is not None)
     n = batch.mask.size
     rows = (a.reshape(n, *a.shape[2:]) for a in (batch.cat_idx, batch.cont, batch.deltas))

@@ -72,15 +72,24 @@ class TestGenerate:
             os.path.join(out, "manifest.json"),
         }
 
-    @pytest.mark.parametrize("storms", ["4", "1"])
-    def test_too_few_storms_exits_one(self, tmp_path, capsys, storms):
+    @pytest.mark.parametrize(
+        "storms, ratios, counts",
+        [("4", None, "takes 2 and test 2"), ("1", None, "takes 0 and test 1"),
+         ("6", "0.0, 0.5, 0.5", "takes 3 and test 3")],
+        ids=["4", "1", "no_train_ratio"],
+    )  # fmt: skip
+    def test_too_few_storms_exits_one(self, tmp_path, capsys, storms, ratios, counts):
+        # validation and test would take every storm of a class: refused before writing
         out = str(tmp_path / "d")
         argv = ["generate", "--out", out, "--storms-per-class", storms]
+        if ratios is not None:
+            (tmp_path / "split.cfg").write_text(f"split_ratios = {ratios}\n", encoding="utf-8")
+            argv += ["--config", str(tmp_path / "split.cfg")]
         assert run(argv) == 1
-        err = capsys.readouterr().err
-        assert "storms_per_class must be >= 5" in err
-        assert "training split would be empty" in err
-        assert "Traceback" not in err
+        (err,) = capsys.readouterr().err.splitlines()
+        ratio_text = "(0.7, 0.15, 0.15)" if ratios is None else f"({ratios})"
+        assert f"storms_per_class {storms} with split_ratios {ratio_text}" in err
+        assert f"leaves no storm of a class to train: validation {counts}" in err
         assert not os.path.exists(out)
 
     def test_five_storms_per_class_trains(self, tmp_path):
@@ -786,6 +795,32 @@ class TestErrorHandling:
         assert run([*argv, "--out", str(tmp_path / "ev")]) == 1
         err = capsys.readouterr().err
         assert f"{bad}: {message}" in err and "Traceback" not in err
+
+    @staticmethod
+    def _drop_test_storm(split):
+        return f"storm {split['test'].pop(0)!r} is in no split"
+
+    @staticmethod
+    def _swap_test_storm(split):
+        split["test"][0] = "storm-nowhere"
+        return "storm 'storm-nowhere' is in the split but not among the storms"
+
+    @pytest.mark.parametrize(
+        "edit", [_drop_test_storm, _swap_test_storm], ids=["dropped", "swapped"]
+    )
+    def test_split_that_is_not_a_partition_exits_one(self, pipeline, tmp_path, capsys, edit):
+        # a storm in no split would silently take its events out of every split
+        data, src = tmp_path / "data", pipeline["data"]
+        self._copy_dataset(src, data, stale_sidecar=True)
+        (data / "events.jsonl").write_bytes(open(os.path.join(src, "events.jsonl"), "rb").read())
+        manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+        message = edit(manifest["split"])
+        (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["train", "--dataset", str(data), "--out", str(out), "--epochs", "1"]) == 1
+        want = f"error: {data / 'manifest.json'}: {message}"
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not out.exists()
 
     @staticmethod
     def _no_transform_state(blob):

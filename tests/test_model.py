@@ -20,8 +20,8 @@ from etrcast.model import (
     load_checkpoint,
     positional_encode,
     predict,
-    sanitize_batch,
     save_checkpoint,
+    token_batch,
     validate_batch,
 )
 
@@ -164,6 +164,13 @@ class TestBatchValidation:
                 micro_schema,
             )
 
+    def test_float_cat_idx_refused(self, micro_config, micro_schema):
+        # a float index would reach the embedding lookup, so it is refused, not truncated
+        batch = make_batch(micro_schema, micro_config, n=2, seed=0)
+        floats = SequenceBatch(batch.cat_idx + 0.5, batch.cont, batch.deltas, batch.mask)
+        with pytest.raises(ValueError, match="cat_idx must hold integers"):
+            validate_batch(floats, micro_config, micro_schema)
+
     def test_sanitize_zeroes_padding(self, micro_config, micro_schema):
         batch = make_batch(micro_schema, micro_config, n=3, seed=1, lengths=[2, 5, 1])
         dirty = SequenceBatch(
@@ -172,11 +179,14 @@ class TestBatchValidation:
             np.where(batch.mask, batch.deltas, -np.inf),
             batch.mask,
         )
-        clean = sanitize_batch(dirty)
+        n = dirty.mask.size
+        slots = tuple(a.reshape(n, *a.shape[2:]) for a in (dirty.cat_idx, dirty.cont, dirty.deltas))
+        clean = token_batch(slots, np.arange(n).reshape(dirty.mask.shape), dirty.mask)
         assert np.all(clean.cat_idx[~clean.mask] == 0)
         assert np.all(clean.cont[~clean.mask] == 0.0)
         assert np.all(clean.deltas[~clean.mask] == 0.0)
         np.testing.assert_array_equal(clean.cat_idx[clean.mask], batch.cat_idx[batch.mask])
+        assert np.all(dirty.cat_idx[~dirty.mask] == 9999)  # the gather copies
 
 
 class TestForward:
@@ -206,9 +216,11 @@ class TestForward:
         out = predict(micro_params, double)
         assert out[0] == out[1]
 
-    def test_padding_garbage_bit_identical(self, micro_params, micro_config, micro_schema):
+    @pytest.mark.parametrize("train", [False, True], ids=["inference", "training"])
+    def test_padding_garbage_bit_identical(self, micro_params, micro_config, micro_schema, train):
+        # garbage in padded slots moves no prediction and, in a training
+        # forward, neither the loss nor any gradient; the batch is not written
         batch = make_batch(micro_schema, micro_config, n=4, seed=5, lengths=[1, 3, 4, 5])
-        base = predict(micro_params, batch)
         rng = np.random.default_rng(9)
         garbage = SequenceBatch(
             np.where(batch.mask[:, :, None], batch.cat_idx, rng.integers(10**6, 10**9, batch.cat_idx.shape)),
@@ -216,7 +228,25 @@ class TestForward:
             np.where(batch.mask, batch.deltas, -rng.uniform(1e6, 1e9, batch.deltas.shape)),
             batch.mask,
         )
-        np.testing.assert_array_equal(predict(micro_params, garbage), base)
+        arrays = lambda b: (b.cat_idx, b.cont, b.deltas, b.mask)
+        before = [a.copy() for a in arrays(garbage)]
+        targets = np.array([9.0, 4.0, 15.0, 6.0])
+
+        def run(b):
+            if not train:
+                return predict(micro_params, b), {}
+            tape = Tape()
+            preds = forward(tape, micro_params, b, train_rng=np.random.default_rng(0))
+            loss = tape.scalar_op(preds, lambda p: asymmetric_loss(p, targets, LossConfig()))
+            return loss.data, tape.gradients(loss)
+
+        (base, base_grads), (out, grads) = run(batch), run(garbage)
+        np.testing.assert_array_equal(out, base)
+        assert set(grads) == (set(micro_params.tensors) if train else set()) == set(base_grads)
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], base_grads[name])
+        for old, new in zip(before, arrays(garbage)):
+            np.testing.assert_array_equal(new, old)
 
     def test_order_sensitivity(self, micro_params, micro_config, micro_schema):
         # swapping two real revisions changes the prediction (time matters)

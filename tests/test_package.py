@@ -74,3 +74,20 @@ def test_only_cli_run_writes_the_run_manifest():
     assert [name for name, called in calls.items() if called & manifest_writers] == ["cli.run"]
     clocked = [name for name, called in calls.items() if ".cmd_" in name and "time.time" in called]
     assert clocked == []
+
+
+def test_only_token_batch_builds_a_sequence_batch():
+    """One batch builder: ``model.token_batch`` holds the only ``SequenceBatch(`` call."""
+    builds = lambda node: (
+        isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "SequenceBatch"
+    )
+    calls, builders = 0, []
+    for path in sorted(pathlib.Path(etrcast.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += sum(map(builds, ast.walk(tree)))
+        builders += [
+            f"{path.stem}.{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and any(map(builds, ast.walk(node)))
+        ]
+    assert (calls, builders) == (1, ["model.token_batch"])

@@ -265,15 +265,15 @@ class TestTrainModel:
         mcfg = ModelConfig(max_seq_len=20, d_model=16, n_layers=1, n_heads=2)
         tcfg = TrainConfig(learning_rate=3e-3, batch_size=64, max_epochs=5, seed=0)
         result = train_model(tiny, mcfg, tcfg)
-        losses = [r.train_loss for r in result.history.epochs]
+        losses = [r.train_loss for r in result.history]
         assert losses[-1] < losses[0]
-        assert result.best_val_wae <= result.history.epochs[0].val_wae
+        assert result.best_val_wae <= result.history[0].val_wae
 
     def test_best_epoch_snapshot(self, tiny):
         mcfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
         tcfg = TrainConfig(learning_rate=3e-3, batch_size=64, max_epochs=3, seed=1)
         result = train_model(tiny, mcfg, tcfg)
-        waes = [r.val_wae for r in result.history.epochs]
+        waes = [r.val_wae for r in result.history]
         assert result.best_epoch == int(np.argmin(waes))
         assert result.best_val_wae == min(waes)
 
@@ -293,7 +293,7 @@ class TestTrainModel:
         mcfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
         tcfg = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=1, seed=0, loss="mse")
         result = train_model(tiny, mcfg, tcfg)
-        assert len(result.history.epochs) == 1
+        assert len(result.history) == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
