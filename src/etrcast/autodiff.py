@@ -315,7 +315,9 @@ class Tape:
                     grads[tid] = grads[tid] + gin
                 else:
                     grads[tid] = gin
+        # zeros only for a parameter the output does not reach
         return {
-            name: grads.get(t.tid, np.zeros_like(t.data)) for name, t in self._params.items()
+            name: grads[t.tid] if t.tid in grads else np.zeros_like(t.data)
+            for name, t in self._params.items()
         }
 

@@ -82,7 +82,11 @@ def canonical_json(obj: Any) -> str:
 
 
 def write_container(path: str, magic: bytes, header: Any, arrays: Iterable[np.ndarray]) -> str:
-    """Write a container file; returns the sha256 of the bytes written."""
+    """Write a container file; returns the sha256 of the bytes written.
+
+    Each array is written and hashed from its own buffer, copied only when it
+    is not contiguous little-endian already.
+    """
     blob = canonical_json(header).encode("utf-8")
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -90,7 +94,8 @@ def write_container(path: str, magic: bytes, header: Any, arrays: Iterable[np.nd
             fh.write(chunk)
             digest.update(chunk)
         for array in arrays:
-            data = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<")).tobytes()
+            contiguous = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
+            data = memoryview(contiguous.reshape(-1).view(np.uint8))
             fh.write(data)
             digest.update(data)
     return digest.hexdigest()

@@ -36,7 +36,7 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -344,23 +344,35 @@ def generate_dataset(cfg: GeneratorConfig, out_dir: str | None = None) -> Datase
     """Generate all storms, split them, and optionally write the dataset.
 
     When ``out_dir`` is given, the returned dataset's ``files`` names the
-    files written there.
+    files written there. ``build_table`` takes each storm's records as the
+    storm is generated, so only one storm's records live as Python lists at
+    a time.
     """
     schema, categories = build_schema(cfg)
     storms: list[StormRecord] = []
-    records: list[tuple] = []
-    for magnitude in MAGNITUDES:
-        for index in range(cfg.storms_per_class):
-            storm, storm_records = generate_storm(cfg, magnitude, index)
-            storms.append(storm)
-            records.extend(storm_records)
-    split = stratified_split(storms, cfg.split_ratios, seed=cfg.seed)
+    failures: list[Exception] = []
+
+    def records() -> Iterator[tuple]:
+        # build_table reports a failing record source as a bad event, so a
+        # generator failure ends the records here and is raised below as it is
+        try:
+            for magnitude in MAGNITUDES:
+                for index in range(cfg.storms_per_class):
+                    storm, storm_records = generate_storm(cfg, magnitude, index)
+                    storms.append(storm)
+                    yield from storm_records
+        except Exception as exc:
+            failures.append(exc)
+
+    table = build_table(records(), schema)
+    if failures:
+        raise failures[0]
     dataset = Dataset(
         schema=schema,
         categories=categories,
         storms=tuple(storms),
-        split=split,
-        table=build_table(records, schema),
+        split=stratified_split(storms, cfg.split_ratios, seed=cfg.seed),
+        table=table,
         generator_config=cfg.to_dict(),
         seed=cfg.seed,
     )

@@ -16,12 +16,14 @@ Every batch holds samples of similar window width, so little of it is padding.
 Prediction visits the samples in width order (``by_width``) and cuts them into
 chunks of about ``CHUNK_SLOTS`` token slots (rows x widest window,
 ``predict_in_chunks``); Shapley attributions cut their distinct coalition rows
-by the same budget. So every chunk's temporaries are about the same size: a
-CLI process keeps freed memory for reuse, and the largest chunk sets its
-resident size. The (event, j) samples of an event share their revisions: a
-token is one revision seen from one window start, and every window with
-j <= max_seq_len starts at the event's first revision. A set builds its
-tokens once (``SampleSet.token_rows``), and every batch gathers from them. A
+by the same budget. So every chunk's temporaries are about the same size, and
+a CLI process, which keeps freed memory for reuse, holds the largest chunk's.
+The pass's token front (below) adds 4 x d_model floats per distinct token of
+the split for the whole pass. The (event, j)
+samples of an event share their revisions: a token is one revision seen from
+one window start, and every window with j <= max_seq_len starts at the
+event's first revision. A set builds its tokens once
+(``SampleSet.token_rows``), and every batch gathers from them. A
 prediction pass binds the weights once and computes the model's row-wise
 front (``model.front``) once per distinct token (``model.TokenFront``); each
 chunk gathers its slots from it, with the same bits as computing them per
@@ -364,10 +366,10 @@ def predict_in_chunks(
     of as many rows as fit in ``slots`` token slots at the chunk's widest
     window; a row wider than ``slots`` is a chunk of its own. Each chunk is
     trimmed to its own width, so its temporaries take about ``slots`` token
-    rows whatever the width: that, not the split's size, sets the memory a
-    process keeps mapped for the next chunk. Every chunk's batch names its
-    slots in the pass's one ``token_front``, which binds the weights once and
-    is closed when the pass ends.
+    rows whatever the width. Every chunk's batch names its slots in the
+    pass's one ``token_front``, which binds the weights once, holds the
+    front of every distinct token of ``samples`` and is closed when the pass
+    ends.
     """
     order = by_width(samples, np.arange(samples.size))
     widths = samples.width[order]
@@ -385,15 +387,23 @@ def predict_in_chunks(
 
 
 def _nonempty(dataset: Dataset, caller: str, *names: str) -> list[EventTable]:
-    """The named split tables; ValueError naming the storms per class if one is empty."""
+    """The named split tables; ValueError naming the manifest's storms of an empty one."""
     splits = dataset.split_tables()
-    counts = ", ".join(f"{sum(s.magnitude == m for s in dataset.storms)} {m}" for m in MAGNITUDES)
+    per_class = [sum(s.magnitude == m for s in dataset.storms) for m in MAGNITUDES]
     for name in names:
-        if not len(splits[name]):
-            raise ValueError(
-                f"{caller}: empty {name} split: too few storms per class ({counts}); "
-                "validation and test take at least 2 storms of each class"
+        if len(splits[name]):
+            continue
+        n = len(getattr(dataset.split, name))
+        why = f"the manifest gives it {n} storms" + (", none with events" if n else "")
+        # validation and test take at least 2 storms of each class, so at most
+        # 4 per class leave none to train
+        if name == "train" and max(per_class) <= 4:
+            counts = ", ".join(f"{c} {m}" for c, m in zip(per_class, MAGNITUDES))
+            why = (
+                f"too few storms per class ({counts}); validation and test take at least "
+                f"2 storms of each class, so {why}"
             )
+        raise ValueError(f"{caller}: empty {name} split: {why}")
     return [splits[name] for name in names]
 
 

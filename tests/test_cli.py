@@ -822,6 +822,23 @@ class TestErrorHandling:
         assert capsys.readouterr().err.splitlines() == [want]
         assert not out.exists()
 
+    def test_manifest_with_no_training_storm_names_the_split(self, pipeline, tmp_path, capsys):
+        # still a partition, and 6 storms per class leave 2 to train under the
+        # quota, so the message must not blame the storms per class
+        data, src = tmp_path / "data", pipeline["data"]
+        self._copy_dataset(src, data, stale_sidecar=False)
+        (data / "events.jsonl").write_bytes(open(os.path.join(src, "events.jsonl"), "rb").read())
+        manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+        split = manifest["split"]
+        split["test"] += split["train"]
+        split["train"] = []
+        (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["train", "--dataset", str(data), "--out", str(out), "--epochs", "1"]) == 1
+        want = "error: train_model: empty train split: the manifest gives it 0 storms"
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not out.exists()
+
     @staticmethod
     def _no_transform_state(blob):
         (length,) = struct.unpack("<Q", blob[8:16])

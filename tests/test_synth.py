@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import math
 import os
+import tracemalloc
 from bisect import bisect_right
 from dataclasses import fields, replace
 
@@ -10,7 +11,8 @@ import pytest
 
 import _reference_synth
 from _reference_data import events_of, table_of
-from etrcast.data import MAGNITUDES, classify_storm, fit_transforms
+from etrcast import synth
+from etrcast.data import MAGNITUDES, build_table, classify_storm, fit_transforms
 from etrcast.dataio import load_dataset, save_dataset
 from etrcast.model import ModelConfig
 from etrcast.synth import (
@@ -407,3 +409,111 @@ def test_priority_draw_equals_weighted_choice():
             got = bisect_right(PRIORITY_CDF, bisected.random())
             assert got == int(chosen.choice(4, p=PRIORITY_WEIGHTS)), seed
         assert bisected.bit_generator.state == chosen.bit_generator.state
+
+
+def _generated_storms(monkeypatch):
+    """Storm ids in the order ``generate_dataset`` generates them, from now on."""
+    generated, real = [], synth.generate_storm
+
+    def counting(cfg, magnitude, index):
+        storm, records = real(cfg, magnitude, index)
+        generated.append(storm.storm_id)
+        return storm, records
+
+    monkeypatch.setattr(synth, "generate_storm", counting)
+    return generated
+
+
+def test_records_stream_to_the_table_one_storm_at_a_time(monkeypatch):
+    # build_table takes each record before the next storm is generated, and the
+    # records are the per-draw oracle's eager lists, storm after storm
+    cfg = GeneratorConfig(
+        seed=3, storms_per_class=4, events_per_storm=(5, 9), revisions_per_event=(12, 20)
+    )
+    generated = _generated_storms(monkeypatch)
+    seen = []  # (storms generated so far, record) as build_table takes each record
+    real_build = synth.build_table
+
+    def watching(records, schema):
+        def watched():
+            for record in records:
+                seen.append((len(generated), record))
+                yield record
+
+        return real_build(watched(), schema)
+
+    monkeypatch.setattr(synth, "build_table", watching)
+    table = generate_dataset(cfg).table
+    eager = [
+        record
+        for magnitude in MAGNITUDES
+        for index in range(cfg.storms_per_class)
+        for record in _reference_synth.generate_storm(cfg, magnitude, index)[1]
+    ]
+    assert len(seen) == len(eager)
+    for (n_generated, got), want in zip(seen, eager):
+        assert generated[n_generated - 1] == got[1]  # its own storm is the newest
+        assert got[:5] == want[:5]
+        assert np.array(got[5]).tobytes() == np.array(want[5]).tobytes()
+    want_table = build_table(eager, build_schema(cfg)[0])
+    assert table.event_ids == want_table.event_ids and table.storm_ids == want_table.storm_ids
+    for column in ("targets", "offsets", "t", "cat", "cont"):
+        assert getattr(table, column).tobytes() == getattr(want_table, column).tobytes()
+
+
+@pytest.mark.parametrize(
+    "error", [ValueError("bad draw"), TypeError("bad type"), RuntimeError("no storm")],
+    ids=["ValueError", "TypeError", "RuntimeError"],
+)
+def test_generation_error_reaches_the_caller_unchanged(monkeypatch, tmp_path, error):
+    # build_table turns a failing record source into a bad-event error; a
+    # failing generator must not be reported as one
+    generated = _generated_storms(monkeypatch)
+    counting = synth.generate_storm
+
+    def failing(cfg, magnitude, index):
+        if len(generated) == 5:
+            raise error
+        return counting(cfg, magnitude, index)
+
+    monkeypatch.setattr(synth, "generate_storm", failing)
+    with pytest.raises(type(error)) as raised:
+        generate_dataset(SMALL, str(tmp_path / "d"))
+    assert raised.value is error
+    assert not (tmp_path / "d").exists()
+
+
+def _table_bytes(table):
+    return sum(getattr(table, c).nbytes for c in ("targets", "offsets", "t", "cat", "cont"))
+
+
+def _traced_transient(fn):
+    """fn's result, and the traced bytes it held at its peak beyond what it kept."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept
+
+
+MEMORY_CONFIG = GeneratorConfig(seed=3, storms_per_class=4, events_per_storm=(20, 30))
+
+
+def test_generation_holds_one_storm_of_records_at_a_time():
+    # every storm's records as Python lists come to about 7.6x the table's
+    # bytes; one storm of them plus the table's per-event arrays stay under 3x
+    generate_dataset(replace(MEMORY_CONFIG, events_per_storm=(1, 2)))  # first-use imports
+    ds, transient = _traced_transient(lambda: generate_dataset(MEMORY_CONFIG))
+    assert transient <= 3 * _table_bytes(ds.table), (transient, _table_bytes(ds.table))
+
+
+def test_save_writes_each_column_from_its_own_buffer(tmp_path):
+    # a copy of each column to write would add 1.5x the largest column
+    ds = generate_dataset(MEMORY_CONFIG)
+    tiny = generate_dataset(replace(MEMORY_CONFIG, events_per_storm=(1, 2)))
+    save_dataset(tiny, str(tmp_path / "a"))  # first-use imports
+    _, transient = _traced_transient(lambda: save_dataset(ds, str(tmp_path / "b")))
+    largest = max(ds.table.t.nbytes, ds.table.cat.nbytes, ds.table.cont.nbytes)
+    assert transient < largest, (transient, largest)

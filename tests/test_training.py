@@ -317,6 +317,17 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="fit_linear_baseline: " + message):
             fit_linear_baseline(dataset)
 
+    def test_split_whose_storms_have_no_events_is_named(self):
+        dataset = generate_dataset(
+            GeneratorConfig(seed=1, storms_per_class=8, events_per_storm=(2, 3))
+        )
+        kept = [i for i, s in enumerate(dataset.table.storm_ids) if s not in dataset.split.train]
+        dataset = replace(dataset, table=dataset.table.select(kept))
+        n = len(dataset.split.train)
+        message = f"fit_linear_baseline: empty train split: the manifest gives it {n} storms, none"
+        with pytest.raises(ValueError, match=message + " with events$"):
+            fit_linear_baseline(dataset)
+
 
 class TestLinearBaseline:
     def make_dataset(self):
