@@ -9,11 +9,21 @@ nothing, so a forward pass built from :meth:`Tape.constant` alone (inference)
 keeps no backward closures and frees each intermediate as soon as the next
 primitive has used it.
 
-Primitives reject non-finite outputs outright: NaN or Inf anywhere is treated
-as a bug in the caller, never silently propagated. A large output costs one
-reduction: any NaN or Inf makes the sum non-finite, so a finite sum proves
-every value finite. A non-finite sum (finite values can overflow), or an output
-below ``FINITE_SCAN_BELOW`` values, gets a full ``isfinite`` scan instead.
+Every tape tensor is finite: NaN or Inf anywhere is treated as a bug in the
+caller, never silently propagated. :meth:`Tape.constant` and :meth:`Tape.param`
+check what enters the tape, and every primitive that can make a non-finite
+value from finite inputs (``add``, ``mul``, ``scale``, ``matmul``, ``linear``,
+``layer_norm``, ``sum_all``, ``mean_all``, ``scalar_op``) checks its result and
+raises :class:`NumericsError` under its own name. The primitives in
+``SCAN_FREE`` cannot: they copy or select values (``reshape``, ``transpose``,
+``gather_rows``, ``embedding``, ``concat_last``), are bounded (``relu``,
+``tanh``) or return weights in [0, 1] (``masked_softmax``, ``softmax_rows``).
+So they skip the check, and by induction their results are finite too.
+
+A large checked result costs one reduction: any NaN or Inf makes the sum
+non-finite, so a finite sum proves every value finite. A non-finite sum
+(finite values can overflow), or a result below ``FINITE_SCAN_BELOW`` values,
+gets a full ``isfinite`` scan instead.
 """
 
 from __future__ import annotations
@@ -26,6 +36,11 @@ import numpy as np
 from . import kernels
 
 FINITE_SCAN_BELOW = 100_000  # below it one isfinite scan beats np.errstate plus a sum
+# primitives whose result is finite whenever their inputs are; _record skips their check
+SCAN_FREE = frozenset(
+    {"reshape", "transpose", "gather_rows", "embedding", "concat_last", "relu", "tanh",
+     "masked_softmax", "softmax_rows"}
+)  # fmt: skip
 
 
 class NumericsError(ValueError):
@@ -106,7 +121,8 @@ class Tape:
         return t
 
     def _record(self, out: np.ndarray, inputs: Sequence[Tensor], backward, op: str) -> Tensor:
-        _require_finite(out, op)
+        if op not in SCAN_FREE:
+            _require_finite(out, op)
         t = self._wrap(out)
         in_tids = tuple(x.tid for x in inputs)
         if not self._reaches_param.isdisjoint(in_tids):

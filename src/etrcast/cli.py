@@ -454,6 +454,9 @@ def cmd_explain(args, record: RunRecord) -> tuple[dict, int]:
 
 def cmd_attention(args, record: RunRecord) -> tuple[dict, int]:
     _, params, _, encoded = _load_for_inference(args, record)
+    n_heads = params.config.n_heads
+    if args.heads is not None and args.heads > n_heads:
+        raise CliError(f"--heads {args.heads} exceeds the checkpoint's n_heads {n_heads}")
     event_id = encoded.event_ids[0] if args.event is None else args.event
     if event_id not in encoded.event_ids:
         raise CliError(f"event {args.event!r} not found in split {args.split!r}")

@@ -190,17 +190,19 @@ def dataset_fingerprint(schema: FeatureSchema, categories: Mapping[str, Sequence
 def _event_lines(dataset: Dataset) -> Iterator[str]:
     """One canonical JSON line per event, read from the table's columns."""
     table, schema = dataset.table, dataset.schema
-    # vocabulary value by raw index; MISSING_CAT (-1) reads the trailing None
-    vocab = [np.array([*dataset.categories[n], None], dtype=object) for n in schema.categorical]
-    cats = np.stack([v[table.cat[:, c]] for c, v in enumerate(vocab)], axis=1)
-    missing = np.isnan(table.cont)
-    bounds = table.offsets.tolist()
-    for event_id, storm_id, target, lo, hi in zip(
-        table.event_ids, table.storm_ids, table.targets.tolist(), bounds, bounds[1:]
-    ):
-        conts = table.cont[lo:hi].astype(object)  # one event at a time keeps memory flat
-        conts[missing[lo:hi]] = None
-        rows = zip(table.t[lo:hi].tolist(), cats[lo:hi].tolist(), conts.tolist())
+    # every feature's vocabulary in one array, each led by None: feature c's raw
+    # index i reads vocab[i + shift[c]], so MISSING_CAT (-1) reads its None
+    blocks = [[None, *dataset.categories[n]] for n in schema.categorical]
+    vocab = np.array([v for block in blocks for v in block], dtype=object)
+    shift = np.cumsum([1] + [len(block) for block in blocks[:-1]])
+    # one event at a time keeps memory flat: no per-row or per-event list up front
+    offsets = table.offsets
+    for i, (event_id, storm_id) in enumerate(zip(table.event_ids, table.storm_ids)):
+        lo, hi, target = int(offsets[i]), int(offsets[i + 1]), float(table.targets[i])
+        cats = vocab[table.cat[lo:hi] + shift]
+        conts = table.cont[lo:hi].astype(object)
+        conts[np.isnan(table.cont[lo:hi])] = None
+        rows = zip(table.t[lo:hi].tolist(), cats.tolist(), conts.tolist())
         record = {
             "event_id": event_id,
             "storm_id": storm_id,

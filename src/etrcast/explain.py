@@ -58,8 +58,9 @@ def extract_attention(
 ) -> AttentionStack:
     """Capture every layer's attention matrices for a single-event batch.
 
-    ``n_random_heads`` heads are drawn per layer with the seed (all heads when
-    it is not given), mirroring sampling heads within each layer.
+    ``n_random_heads`` heads, at most ``n_heads``, are drawn per layer with the
+    seed (all heads when it is not given), mirroring sampling heads within
+    each layer.
     """
     if batch.size != 1:
         raise ValueError("extract_attention expects a single-event batch")
@@ -71,8 +72,8 @@ def extract_attention(
     for layer in range(cfg.n_layers):
         chosen = tuple(range(cfg.n_heads))
         if n_random_heads is not None:
-            n = min(n_random_heads, cfg.n_heads)
-            chosen = tuple(sorted(rng.choice(cfg.n_heads, size=n, replace=False).tolist()))
+            picks = rng.choice(cfg.n_heads, size=n_random_heads, replace=False)
+            chosen = tuple(sorted(picks.tolist()))
         picked = captured[layer][0][list(chosen)]  # [n_selected, S, S]
         out.append(LayerAttention(layer, chosen, picked, picked.mean(axis=0)))
     return AttentionStack(layers=tuple(out), valid_len=int(batch.lengths[0]))

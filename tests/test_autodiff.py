@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _reference_gradients import fd_check
-from etrcast.autodiff import FINITE_SCAN_BELOW, NumericsError, Tape
+from etrcast.autodiff import FINITE_SCAN_BELOW, SCAN_FREE, NumericsError, Tape
 
 TOL = 1e-4
 H = 1e-5
@@ -208,6 +209,82 @@ def test_finite_check_rejects_nonfinite_anywhere(bad, where):
         b[pos] = 1e300 if bad == "+inf" else -1e300
         with np.errstate(over="ignore"), pytest.raises(NumericsError, match="mul"):
             tape.mul(tape.constant(a), tape.constant(b))
+
+
+# -- which primitives check their result ---------------------------------------
+
+MAX = 1.7976931348623157e308
+EXTREMES = (MAX, -MAX, 5e-324, -5e-324, 0.0, -0.0)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), b=st.integers(1, 3), s=st.integers(1, 5))
+def test_scan_free_primitives_map_finite_inputs_to_finite_outputs(data, b, s):
+    x = data.draw(arrays(np.float64, (b, 2, s, s), elements=FINITE))
+    key_valid = data.draw(arrays(np.bool_, (b, s)))
+    key_valid[:, 0] |= ~key_valid.any(axis=1)  # every sequence needs one valid key
+    rows = data.draw(arrays(np.int64, (b,), elements=st.integers(0, 2 * s - 1)))
+    ids = data.draw(arrays(np.int64, (3, 2), elements=st.integers(0, b * 2 * s - 1)))
+    tape = Tape()
+    t = tape.param("x", x)
+    flat = tape.reshape(t, (b * 2 * s, s))
+    # a softmax's x - max may overflow to -inf, whose exp is exactly 0
+    with np.errstate(over="ignore"):
+        outs = {
+            "reshape": flat,
+            "transpose": tape.transpose(t, (3, 1, 0, 2)),
+            "gather_rows": tape.gather_rows(tape.reshape(t, (b, 2 * s, s)), rows),
+            "embedding": tape.embedding(flat, ids),
+            "concat_last": tape.concat_last([t, t]),
+            "relu": tape.relu(t),
+            "tanh": tape.tanh(t),
+            "masked_softmax": tape.masked_softmax(t, key_valid),
+            "softmax_rows": tape.softmax_rows(t),
+        }
+    assert set(outs) == SCAN_FREE
+    for op, out in outs.items():
+        assert np.isfinite(out.data).all(), op
+    for op in ("masked_softmax", "softmax_rows"):
+        assert ((outs[op].data >= 0.0) & (outs[op].data <= 1.0)).all(), op
+
+
+def _overflowing(tape, op):
+    """Apply ``op`` to finite tape tensors whose exact result exceeds float64."""
+    x = tape.param("x", np.full((1, 2), 1e308))
+    ones = tape.constant(np.ones((2, 2)))
+    big = tape.constant(np.full(2, 1e308))
+    return {
+        "add": lambda: tape.add(x, x),
+        "mul": lambda: tape.mul(x, tape.constant(np.full((1, 2), 10.0))),
+        "scale": lambda: tape.scale(x, 10.0),
+        "matmul": lambda: tape.matmul(x, ones),
+        "linear": lambda: tape.linear(x, ones, tape.constant(np.zeros(2))),
+        "layer_norm": lambda: tape.layer_norm(tape.constant([[1.0, -1.0]]), big, big),
+        "sum_all": lambda: tape.sum_all(x),
+        "mean_all": lambda: tape.mean_all(x),
+        "scalar_op": lambda: tape.scalar_op(x, lambda v: (np.sum(v), np.ones_like(v))),
+    }[op]()
+
+
+SCANNING = ("add", "mul", "scale", "matmul", "linear", "layer_norm", "sum_all", "mean_all",
+            "scalar_op")  # fmt: skip
+
+
+@pytest.mark.parametrize("op", SCANNING)
+def test_scanning_primitive_names_itself_on_overflow(op):
+    with np.errstate(over="ignore"), pytest.raises(NumericsError) as raised:
+        _overflowing(Tape(), op)
+    assert str(raised.value) == f"{op}: non-finite values in result"
+
+
+def test_every_primitive_either_scans_or_is_scan_free():
+    primitives = {
+        name for name, fn in vars(Tape).items() if callable(fn) and not name.startswith("_")
+    } - {"constant", "param", "gradients"}
+    assert SCAN_FREE <= primitives  # names only Tape primitives
+    assert SCAN_FREE.isdisjoint(SCANNING)
+    assert SCAN_FREE | set(SCANNING) == primitives
 
 
 def test_duplicate_param_rejected():

@@ -438,6 +438,15 @@ class TestExplainAndAttention:
         grid = np.atleast_2d(grid)
         np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_attention_refuses_more_heads_than_the_checkpoint_has(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "at"
+        argv = ["attention", "--dataset", pipeline["data"],
+                "--checkpoint", os.path.join(pipeline["run"], "checkpoint.bin"), "--out", str(out)]
+        assert run([*argv, "--heads", "5"]) == 1  # desk scale has 4 heads
+        assert capsys.readouterr().err == "--heads 5 exceeds the checkpoint's n_heads 4\n"
+        assert not out.exists()
+        assert run([*argv, "--heads", "4"]) == 0
+
 
 class TestErrorHandling:
     def test_unknown_flag_exits_one_with_usage(self, capsys):

@@ -100,6 +100,33 @@ def test_masked_softmax_bit_identical_to_reference(seed):
     assert_same_bits(kernels.masked_softmax_bwd(w, g), reference.softmax_rows_bwd(w, g))
 
 
+@pytest.mark.parametrize("b", [1, 160], ids=["few-rows", "key-columns"])
+@pytest.mark.parametrize("s", range(1, 21))
+def test_masked_softmax_bit_identical_at_every_key_width(s, b):
+    # one sequence takes numpy's max-reduce; 160 sequences x 4 heads x s queries
+    # take the max per key column, in more than one block of rows from 13 keys on
+    rng = np.random.default_rng(300 + s)
+    scores = _with_negative_zeros(rng, rng.normal(size=(b, 4, s, s)) * 3)
+    mask = np.arange(s)[None, :] < rng.integers(1, s + 1, size=b)[:, None]
+    mask[: b // 4] = np.arange(s) == 0  # sequences with a single valid key
+    w = kernels.masked_softmax(scores, mask)
+    assert_same_bits(w, reference.masked_softmax(scores, mask))
+    assert_same_bits(kernels.softmax_rows(scores), reference.softmax_rows(scores))
+
+
+@pytest.mark.parametrize("s", [2, 7, 20])
+def test_softmax_bit_identical_when_the_max_is_a_signed_zero_tie(s):
+    # every row's maximum is zero, held by both +0.0 and -0.0 in shuffled columns
+    rng = np.random.default_rng(400 + s)
+    scores = -np.abs(rng.normal(size=(64, 4, s, s)))
+    scores[..., 0] = -0.0
+    scores[..., -1] = 0.0
+    scores = rng.permuted(scores, axis=-1)
+    mask = np.ones((64, s), dtype=bool)
+    assert_same_bits(kernels.masked_softmax(scores, mask), reference.masked_softmax(scores, mask))
+    assert_same_bits(kernels.softmax_rows(scores), reference.softmax_rows(scores))
+
+
 @pytest.mark.parametrize("sq", [1, 3])
 def test_rectangular_masked_softmax_bit_identical_to_reference(sq):
     # [B,H,Sq,S] scores: fewer query rows than keys, as in a readout-only layer

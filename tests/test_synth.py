@@ -517,3 +517,19 @@ def test_save_writes_each_column_from_its_own_buffer(tmp_path):
     _, transient = _traced_transient(lambda: save_dataset(ds, str(tmp_path / "b")))
     largest = max(ds.table.t.nbytes, ds.table.cat.nbytes, ds.table.cont.nbytes)
     assert transient < largest, (transient, largest)
+
+
+def test_save_transient_does_not_grow_with_the_rows(tmp_path):
+    # the same 480 events with 2-3 and with 16-20 revisions: events.jsonl is
+    # written one event at a time, so the 7,450 more rows add no transient.
+    # Whole-dataset category and missing-value arrays would add 25 bytes a row.
+    cfg = replace(MEMORY_CONFIG, events_per_storm=(40, 40))
+    short, long = (
+        generate_dataset(replace(cfg, revisions_per_event=r)) for r in ((2, 3), (16, 20))
+    )
+    assert len(short.table) == len(long.table) == 480
+    assert len(long.table.t) - len(short.table.t) == 7_450
+    save_dataset(short, str(tmp_path / "warm"))  # first-use imports
+    _, short_transient = _traced_transient(lambda: save_dataset(short, str(tmp_path / "a")))
+    _, long_transient = _traced_transient(lambda: save_dataset(long, str(tmp_path / "b")))
+    assert long_transient - short_transient < 16_384, (short_transient, long_transient)
