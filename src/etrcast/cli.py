@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import ctypes
 import functools
-import glob
 import json
 import math
 import os
@@ -38,6 +37,7 @@ from . import __version__
 from . import explain as explain_mod
 from .data import EncodedTable, TransformState, split_counts
 from .dataio import Dataset, canonical_json, dataset_fingerprint, file_sha256, load_dataset
+from .kernels import blas_threads, blas_threads_at
 from .losses import LossConfig
 from .metrics import EvalReport, format_report
 from .model import ModelConfig, ModelParams, load_checkpoint, predict, save_checkpoint
@@ -51,6 +51,7 @@ from .training import (
     encode_events,
     evaluate,
     train_model,
+    usable_cpus,
 )
 
 SCALES = {
@@ -156,20 +157,22 @@ def _parse_like(default, raw: str, what: str):
 
 
 # glibc's mallopt parameter numbers (malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
 @functools.cache
 def keep_freed_memory() -> bool:
-    """Make glibc malloc keep freed memory for reuse; True when it took both settings.
+    """Make glibc malloc keep freed memory for reuse; True when it took all three settings.
 
     By default glibc maps each block above a dynamic threshold afresh and hands
     a free heap top back to the OS, so every prediction chunk faults its
     multi-MB intermediates in again. Blocks up to 32 MiB now come from the heap,
     and up to 1 GiB of free heap top stays mapped. Both are set because setting
-    either one turns off the dynamic thresholds. Without mallopt (not glibc)
-    nothing changes. ``run`` calls this once per process; a library import does
-    not, since a caller's process is not ours to tune.
+    either one turns off the dynamic thresholds. All threads share the one
+    heap, so the worker threads of a pooled prediction pass do not each keep
+    an arena of freed chunks. Without mallopt (not glibc) nothing changes.
+    ``run`` calls this once per process; a library import does not, since a
+    caller's process is not ours to tune.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -177,34 +180,20 @@ def keep_freed_memory() -> bool:
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    taken = [mallopt(_M_TRIM_THRESHOLD, 1 << 30), mallopt(_M_MMAP_THRESHOLD, 32 << 20)]
-    return taken == [1, 1]
-
-
-def blas_threads() -> int | None:
-    """OpenBLAS's own thread count, asked of the library bundled with numpy; None if none is found."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            get = getattr(lib, symbol, None)
-            if get is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                return get()
-    return None
+    settings = ((_M_TRIM_THRESHOLD, 1 << 30), (_M_MMAP_THRESHOLD, 32 << 20), (_M_ARENA_MAX, 1))
+    return [mallopt(param, value) for param, value in settings] == [1, 1, 1]
 
 
 def run_environment() -> dict:
     """What a run ran on, for ``run_manifest.json``: versions, CPUs, BLAS threads, the allocator."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    affinity = getattr(os, "sched_getaffinity", None)
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "blas_threads": blas_threads(),
         "etrcast": __version__,
-        "cpus": len(affinity(0)) if affinity else os.cpu_count(),
+        "cpus": usable_cpus(),
         "keeps_freed_memory": keep_freed_memory(),
     }
 
@@ -392,16 +381,22 @@ def _load_for_inference(
 
 
 def cmd_eval(args, record: RunRecord) -> tuple[dict, int]:
-    dataset, params, _, encoded = _load_for_inference(args, record)
-    with record.phase("encode"):
-        samples = build_samples(encoded, params.config)
-    model_fn = lambda batch: predict(params, batch)
-    # score with the loss the model was trained with
-    with record.phase("predict"), _naming(CliError, args.checkpoint):
-        report, per_revision = evaluate(model_fn, samples, dataset.magnitude_of(), params.loss)
-    with record.phase("report"):
-        os.makedirs(args.out, exist_ok=True)
-        record.write_report(args.out, f"eval_{args.split}", report, per_revision)
+    # inference bits do not depend on the BLAS thread count, so eval runs BLAS
+    # on one thread and its chunks on every CPU; the manifest records the
+    # process's own count, restored by then
+    with blas_threads_at(1):
+        dataset, params, _, encoded = _load_for_inference(args, record)
+        with record.phase("encode"):
+            samples = build_samples(encoded, params.config)
+        model_fn = lambda batch: predict(params, batch)
+        # score with the loss the model was trained with
+        with record.phase("predict"), _naming(CliError, args.checkpoint):
+            report, per_revision = evaluate(
+                model_fn, samples, dataset.magnitude_of(), params.loss, workers=usable_cpus()
+            )
+        with record.phase("report"):
+            os.makedirs(args.out, exist_ok=True)
+            record.write_report(args.out, f"eval_{args.split}", report, per_revision)
     print(format_report(report, title=f"eval {args.split}"), end="")
     return {"split": args.split}, args.seed
 

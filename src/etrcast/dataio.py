@@ -93,11 +93,16 @@ def write_container(path: str, magic: bytes, header: Any, arrays: Iterable[np.nd
         for chunk in (magic, struct.pack("<Q", len(blob)), blob):
             fh.write(chunk)
             digest.update(chunk)
-        for array in arrays:
-            contiguous = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
-            data = memoryview(contiguous.reshape(-1).view(np.uint8))
-            fh.write(data)
-            digest.update(data)
+        return _write_arrays(fh, digest, arrays)
+
+
+def _write_arrays(fh: IO[bytes], digest, arrays: Iterable[np.ndarray]) -> str:
+    """Write and hash each array from its own buffer; returns the digest's hex."""
+    for array in arrays:
+        contiguous = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
+        data = memoryview(contiguous.reshape(-1).view(np.uint8))
+        fh.write(data)
+        digest.update(data)
     return digest.hexdigest()
 
 
@@ -231,24 +236,71 @@ def _content_sha256(content_json: str, columns: Iterable[np.ndarray]) -> str:
     return digest.hexdigest()
 
 
+_ID_BLOCK = 256  # ids serialised per piece of a sidecar header: a few KB
+_CONTENT_KEYS = ("columns", "event_ids", "storm_ids")  # the header members content_sha256 covers
+
+
+def _json_pieces(value) -> Iterator[str]:
+    """``canonical_json(value)`` in pieces: a long tuple a block of items at a time."""
+    if not isinstance(value, tuple) or len(value) <= _ID_BLOCK:
+        yield canonical_json(value)
+        return
+    yield "["
+    for lo in range(0, len(value), _ID_BLOCK):
+        yield ("," if lo else "") + canonical_json(value[lo : lo + _ID_BLOCK])[1:-1]
+    yield "]"
+
+
 def _write_sidecar(path: str, dataset: Dataset, events_sha256: str) -> str:
-    """Write the table's columns to ``path``; returns the file's sha256."""
+    """Write the table's columns to ``path``; returns the file's sha256.
+
+    The header's ids are serialised once, a block at a time, and hashed into
+    ``content_sha256`` as they are written, so the write holds no copy of
+    them. The header's length and ``content_sha256`` precede the ids, so
+    both are written last over placeholders of their own size, and the
+    file's sha256 reads the header back from the file.
+    """
     table, schema = dataset.table, dataset.schema
     specs = _column_specs(len(table), len(table.t), schema)
     columns = [np.ascontiguousarray(getattr(table, s["name"]), dtype=s["dtype"]) for s in specs]
-    content = {
-        "event_ids": list(table.event_ids),
-        "storm_ids": list(table.storm_ids),
-        "columns": specs,
-    }
     header = {
         "format_version": SIDECAR_VERSION,
         "events_sha256": events_sha256,
         "dataset_fingerprint": dataset_fingerprint(schema, dataset.categories),
-        **content,
-        "content_sha256": _content_sha256(canonical_json(content), columns),
+        "columns": specs,
+        "event_ids": table.event_ids,
+        "storm_ids": table.storm_ids,
+        "content_sha256": "0" * 64,
     }
-    return write_container(path, SIDECAR_MAGIC, header, columns)
+    content = hashlib.sha256()
+    with open(path, "w+b") as fh:
+        fh.write(SIDECAR_MAGIC + bytes(8))
+        for i, key in enumerate(sorted(header)):
+            member, covered = canonical_json(key) + ":", key in _CONTENT_KEYS
+            fh.write((("," if i else "{") + member).encode("ascii"))
+            if covered:
+                content.update((("," if key != _CONTENT_KEYS[0] else "{") + member).encode("ascii"))
+            elif key == "content_sha256":
+                late = fh.tell() + 1  # past the opening quote
+            for piece in _json_pieces(header[key]):
+                data = piece.encode("ascii")  # canonical JSON escapes every non-ASCII character
+                fh.write(data)
+                if covered:
+                    content.update(data)
+        fh.write(b"}")
+        content.update(b"}")
+        for column in columns:
+            content.update(column)
+        end = fh.tell()
+        fh.seek(len(SIDECAR_MAGIC))
+        fh.write(struct.pack("<Q", end - len(SIDECAR_MAGIC) - 8))
+        fh.seek(late)
+        fh.write(content.hexdigest().encode("ascii"))
+        fh.seek(0)
+        digest = hashlib.sha256()
+        while fh.tell() < end:
+            digest.update(fh.read(min(1 << 13, end - fh.tell())))
+        return _write_arrays(fh, digest, columns)
 
 
 def save_dataset(dataset: Dataset, out_dir: str) -> dict[str, str]:

@@ -1,7 +1,8 @@
 """Hot numeric kernels: masked softmax and layer normalization, forward and backward.
 
 One implementation: vectorized numpy, with matrix products left to
-numpy/BLAS. Every kernel is sequential and bit-deterministic, and works in
+numpy/BLAS, whose thread count ``blas_threads`` reads and ``blas_threads_at``
+sets for a block. Every kernel is sequential and bit-deterministic, and works in
 place on its own temporaries so that each output costs as few passes over
 memory as the arithmetic allows. The operation order is part of the
 contract: ``tests/_reference_kernels.py`` keeps the earlier out-of-place
@@ -9,6 +10,13 @@ versions, and the tests require bit-identical results against them.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +30,46 @@ _COLUMN_BLOCK_ROWS = 8192  # rows per block: at 20 keys a block is 1.3 MB and st
 def backend_name() -> str:
     """Name of the kernel implementation, recorded in benchmark environments."""
     return "numpy"
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """OpenBLAS's thread count getter and setter, from the library bundled with numpy."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's own thread count, asked of the library bundled with numpy; None if none is found."""
+    lib = _openblas()
+    return None if lib is None else lib[0]()
+
+
+@contextlib.contextmanager
+def blas_threads_at(n: int):
+    """Run the block with OpenBLAS at ``n`` threads, and restore its count however the block ends.
+
+    ``eval`` runs at one thread, so that ``training.predict_in_chunks`` can
+    run its chunks side by side. Without OpenBLAS nothing changes.
+    """
+    lib, before = _openblas(), blas_threads()
+    if lib is None or before == n:
+        yield
+        return
+    lib[1](n)
+    try:
+        yield
+    finally:
+        lib[1](before)
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -46,7 +94,8 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise (last axis) softmax with max subtraction."""
-    e = x - _row_max(x)
+    with np.errstate(over="ignore"):  # a finite difference past the range is -inf, exp(-inf) = 0
+        e = x - _row_max(x)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e
@@ -69,7 +118,8 @@ def masked_softmax(scores: np.ndarray, key_valid: np.ndarray) -> np.ndarray:
     valid key, so its max is finite.
     """
     e = np.where(key_valid[:, None, None, :], scores, _NEG_INF)
-    e -= _row_max(e)
+    with np.errstate(over="ignore"):  # as in softmax_rows
+        e -= _row_max(e)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e

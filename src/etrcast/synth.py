@@ -45,7 +45,6 @@ from .data import (
     CONTINUOUS,
     MAGNITUDES,
     MISSING_CAT,
-    EventTable,
     FeatureSchema,
     StormRecord,
     build_table,
@@ -205,26 +204,6 @@ def ground_truth_duration(
         + DISPATCH_COEF * dispatch_delay * math.log1p(u_first) / math.log1p(CUSTOMER_REF)
         + CHURN_COEF * churn_mid
         + ROLLING_COEF * rolling_first / ROLLING_REF
-    )
-
-
-def replay_ground_truth(table: EventTable, i: int, schema: FeatureSchema, categories) -> float:
-    """Re-evaluate g from event ``i`` of a table; oracle for the zero-noise case."""
-    lo, hi = table.offsets[i], table.offsets[i + 1]
-    t = table.t[lo:hi]
-
-    def column(name: str) -> list[float]:
-        return table.cont[lo:hi, schema.continuous.index(name)].tolist()
-
-    mid = (hi - lo + 1) // 2 - 1  # middle revision, 0-based
-    priority = categories["priority"][table.cat[lo, schema.categorical.index("priority")]]
-    return ground_truth_duration(
-        u_first=column("customers_under_outage")[0],
-        priority=priority,
-        concurrent_first=column("concurrent_event_count")[0],
-        dispatch_delay=dispatch_delay_hours(column("crew_dispatched_events"), (t - t[0]).tolist()),
-        churn_mid=column("crew_unassigned_transitions")[mid],
-        rolling_first=column("rolling_avg_restore_last_25")[0],
     )
 
 

@@ -17,7 +17,8 @@ Prediction visits the samples in width order (``by_width``) and cuts them into
 chunks of about ``CHUNK_SLOTS`` token slots (rows x widest window,
 ``predict_in_chunks``); Shapley attributions cut their distinct coalition rows
 by the same budget. So every chunk's temporaries are about the same size, and
-a CLI process, which keeps freed memory for reuse, holds the largest chunk's.
+a CLI process, which keeps freed memory for reuse, holds the largest chunk's
+(one per thread where ``eval`` predicts its chunks on every CPU).
 The pass's token front (below) adds 4 x d_model floats per distinct token of
 the split for the whole pass. The (event, j)
 samples of an event share their revisions: a token is one revision seen from
@@ -50,8 +51,10 @@ scored by the same ``evaluate`` as the model.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -72,6 +75,7 @@ from .data import (
     fit_transforms,
 )
 from .dataio import Dataset, dataset_fingerprint
+from .kernels import blas_threads
 from .losses import LossConfig, asymmetric_loss, mse_loss
 from .metrics import EvalReport, PredictionSet, eval_report, wae
 from .model import (
@@ -355,10 +359,17 @@ def epoch_batches(
 CHUNK_SLOTS = 2048  # token slots (rows x widest window) per prediction chunk
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def predict_in_chunks(
     predict_fn: Callable[[SequenceBatch], np.ndarray],
     samples: SampleSet,
     slots: int = CHUNK_SLOTS,
+    workers: int = 1,
 ) -> np.ndarray:
     """Predict every sample, returned in input order.
 
@@ -370,19 +381,45 @@ def predict_in_chunks(
     pass's one ``token_front``, which binds the weights once, holds the
     front of every distinct token of ``samples`` and is closed when the pass
     ends.
+
+    With ``workers`` > 1 (``eval`` passes one per CPU) and OpenBLAS at one
+    thread, the chunks after the first run on up to ``workers`` threads, each
+    writing its own rows, and ``predict_fn`` must be safe to call from
+    several threads at once, as ``model.predict`` is. A product on one BLAS
+    thread gives the same bits on any thread, so the predictions do not
+    change; over multi-threaded BLAS the pass stays serial, as a pool stacked
+    on it runs slower than either alone. The first chunk runs on the calling
+    thread, so the front is bound and computed before any other chunk reads
+    it; the pool is joined before the pass returns. A chunk's error reaches
+    the caller as it would serially: the first failing chunk's in chunk
+    order, and chunks not started by then are not started.
     """
     order = by_width(samples, np.arange(samples.size))
     widths = samples.width[order]
+    chunks, start = [], 0
+    while start < samples.size:
+        ahead = widths[start : start + max(1, slots // widths[start])]
+        fits = np.arange(1, ahead.size + 1) * ahead <= slots  # rows x widest, rising
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        chunks.append(order[start:stop])
+        start = stop
     preds = np.empty(samples.size)
-    start = 0
     with closing(samples.token_front()) as front:
-        while start < samples.size:
-            ahead = widths[start : start + max(1, slots // widths[start])]
-            fits = np.arange(1, ahead.size + 1) * ahead <= slots  # rows x widest, rising
-            stop = start + max(1, int(np.count_nonzero(fits)))
-            idx = order[start:stop]
+
+        def run(idx: np.ndarray) -> None:
             preds[idx] = predict_fn(samples.batch(idx, front))
-            start = stop
+
+        for idx in chunks[:1]:  # on this thread: it binds the front and computes its states
+            run(idx)
+        workers = min(workers, len(chunks) - 1)
+        if workers < 2 or blas_threads() != 1:
+            for idx in chunks[1:]:
+                run(idx)
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                # results in chunk order: the first failing chunk raises, and
+                # the chunks not yet started are cancelled
+                list(pool.map(run, chunks[1:]))
     return preds
 
 
@@ -558,14 +595,15 @@ def evaluate(
     samples: SampleSet,
     magnitudes: Mapping[str, str],
     loss_config: LossConfig = LossConfig(),
+    workers: int = 1,
 ) -> tuple[EvalReport, dict[int, dict[str, float]]]:
-    """Score every sample in one chunked pass.
+    """Score every sample in one chunked pass (on up to ``workers`` threads, see ``predict_in_chunks``).
 
     Returns the report over each event's final revision (the samples whose
     ``prefix_len`` is the event's length), stratified by storm magnitude, and
     the WAE and count per revision index j over all samples.
     """
-    preds = predict_in_chunks(predict_fn, samples)
+    preds = predict_in_chunks(predict_fn, samples, workers=workers)
     final = np.flatnonzero(samples.prefix_len == samples.events.lengths[samples.event])
     strata = tuple(magnitudes[samples.events.event_ids[i]] for i in samples.event[final].tolist())
     report = eval_report(PredictionSet(preds[final], samples.targets[final], strata), loss_config)

@@ -1,4 +1,4 @@
-"""Per-draw storm generator, kept as a test oracle for ``etrcast.synth.generate_storm``.
+"""Test oracles for ``etrcast.synth``: the per-draw storm generator, and a target replay.
 
 This is the generator that drawing each per-revision series in one call
 replaced: every event start, gap, customer multiplier and counter increment
@@ -6,6 +6,9 @@ is its own scalar RNG call, the rolling average filters and re-averages every
 closed event at each revision stamp, and the concurrency count scans every
 earlier close time. Tests assert that the new generator gives exactly the same
 records.
+
+``replay_ground_truth`` re-evaluates the ground-truth duration from an
+event's stored revisions, so a zero-noise dataset's targets can be checked.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 
 import numpy as np
 
-from etrcast.data import MISSING_CAT, StormRecord, classify_storm
+from etrcast.data import MISSING_CAT, EventTable, FeatureSchema, StormRecord, classify_storm
 from etrcast.synth import (
     FILLER_CODE_LEVELS,
     GRID,
@@ -130,3 +133,23 @@ def generate_storm(
         event_ids=tuple(r[0] for r in records),
     )
     return record, records
+
+
+def replay_ground_truth(table: EventTable, i: int, schema: FeatureSchema, categories) -> float:
+    """Re-evaluate g from event ``i`` of a table; oracle for the zero-noise case."""
+    lo, hi = table.offsets[i], table.offsets[i + 1]
+    t = table.t[lo:hi]
+
+    def column(name: str) -> list[float]:
+        return table.cont[lo:hi, schema.continuous.index(name)].tolist()
+
+    mid = (hi - lo + 1) // 2 - 1  # middle revision, 0-based
+    priority = categories["priority"][table.cat[lo, schema.categorical.index("priority")]]
+    return ground_truth_duration(
+        u_first=column("customers_under_outage")[0],
+        priority=priority,
+        concurrent_first=column("concurrent_event_count")[0],
+        dispatch_delay=dispatch_delay_hours(column("crew_dispatched_events"), (t - t[0]).tolist()),
+        churn_mid=column("crew_unassigned_transitions")[mid],
+        rolling_first=column("rolling_avg_restore_last_25")[0],
+    )

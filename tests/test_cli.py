@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import etrcast
-from etrcast import cli, dataio
+from etrcast import cli, dataio, kernels
 from etrcast.cli import SCALES, build_parser, load_config_file, run
 from etrcast.data import fit_transforms
 from etrcast.dataio import load_dataset
@@ -969,6 +969,54 @@ class TestProcessMemory:
                 for threads, out in (("1", one), ("2", two)):
                     manifest = json.load(open(out / "run_manifest.json"))
                     assert manifest["environment"]["blas_threads"] == int(threads)
+
+
+needs_openblas = pytest.mark.skipif(kernels.blas_threads() is None, reason="needs OpenBLAS")
+
+
+@needs_openblas
+class TestEvalThreads:
+    """``eval`` runs OpenBLAS on one thread and restores the process's count."""
+
+    @staticmethod
+    def _eval(pipeline, out, *extra):
+        checkpoint = os.path.join(pipeline["run"], "checkpoint.bin")
+        return run(["eval", "--dataset", pipeline["data"], "--checkpoint", checkpoint,
+                    "--out", str(out), *extra])  # fmt: skip
+
+    def test_eval_restores_the_blas_threads_on_every_exit(self, pipeline, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(params, batch):
+            seen.append(kernels.blas_threads())
+            if overflow:
+                raise ValueError("overflow")  # what a checkpoint that overflows raises
+            return predict(params, batch)
+
+        monkeypatch.setattr(cli, "predict", spy)
+        (tmp_path / "file").write_text("")
+        cases = {0: (tmp_path / "ok", False), 1: (tmp_path / "bad", True), 2: (tmp_path / "file", False)}
+        for code, (out, overflow) in cases.items():
+            seen.clear()
+            with kernels.blas_threads_at(2):
+                assert self._eval(pipeline, out) == code
+                assert kernels.blas_threads() == 2, code
+            assert seen and set(seen) == {1}, code
+        # the manifest records the process's own count
+        manifest = json.loads((tmp_path / "ok" / "run_manifest.json").read_text())
+        assert manifest["environment"]["blas_threads"] == 2
+
+    def test_eval_then_train_writes_what_train_alone_writes(self, pipeline, tmp_path):
+        train = ["train", "--dataset", pipeline["data"], "--seed", "4", "--epochs", "2"]
+        with kernels.blas_threads_at(2):
+            assert run([*train, "--out", str(tmp_path / "alone")]) == 0
+            assert self._eval(pipeline, tmp_path / "eval") == 0
+            assert run([*train, "--out", str(tmp_path / "after")]) == 0
+        alone, after = tmp_path / "alone", tmp_path / "after"
+        names = sorted(set(os.listdir(alone)) - {"run_manifest.json"})
+        assert names == sorted(set(os.listdir(after)) - {"run_manifest.json"}) and names
+        for name in names:
+            assert (alone / name).read_bytes() == (after / name).read_bytes(), name
 
 
 class TestReadme:

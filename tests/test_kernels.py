@@ -1,3 +1,6 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,37 @@ def test_softmax_bit_identical_when_the_max_is_a_signed_zero_tie(s):
     mask = np.ones((64, s), dtype=bool)
     assert_same_bits(kernels.masked_softmax(scores, mask), reference.masked_softmax(scores, mask))
     assert_same_bits(kernels.softmax_rows(scores), reference.softmax_rows(scores))
+
+
+@pytest.mark.parametrize("b", [1, 160], ids=["few-rows", "key-columns"])
+def test_softmax_kernels_stay_quiet_on_overflow_outside_any_errstate(b):
+    # x - max overflows to -inf where a row holds both -1.7e308 and 1.7e308; the
+    # kernels ignore that themselves, so a thread with numpy's default errstate
+    # (a pool thread does not inherit its caller's) raises no RuntimeWarning
+    rng = np.random.default_rng(500 + b)
+    s = 8
+    scores = rng.normal(size=(b, 4, s, s))
+    scores[..., 0], scores[..., -1] = -1.7e308, 1.7e308
+    mask = np.ones((b, s), dtype=bool)
+    mask[: b // 2, -1] = False  # the overflow also meets frozen keys
+    with np.errstate(over="ignore"):
+        want = reference.masked_softmax(scores, mask), reference.softmax_rows(scores)
+    got = {}
+
+    def compute(where):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.geterr()["over"] == "warn"
+            got[where] = kernels.masked_softmax(scores, mask), kernels.softmax_rows(scores)
+
+    compute("caller")
+    worker = threading.Thread(target=compute, args=("thread",))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    for where in ("caller", "thread"):
+        for actual, expected in zip(got[where], want):
+            assert_same_bits(actual, expected)
 
 
 @pytest.mark.parametrize("sq", [1, 3])

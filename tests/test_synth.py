@@ -11,7 +11,7 @@ import pytest
 
 import _reference_synth
 from _reference_data import events_of, table_of
-from etrcast import synth
+from etrcast import dataio, synth
 from etrcast.data import MAGNITUDES, build_table, classify_storm, fit_transforms
 from etrcast.dataio import load_dataset, save_dataset
 from etrcast.model import ModelConfig
@@ -28,7 +28,6 @@ from etrcast.synth import (
     dispatch_delay_hours,
     generate_dataset,
     generate_storm,
-    replay_ground_truth,
     snap,
 )
 from etrcast.training import build_samples, encode_events
@@ -74,7 +73,7 @@ def test_zero_noise_replay_matches_ground_truth():
     ds = generate_dataset(cfg)
     assert len(ds.table) > 50
     for i, target in enumerate(ds.table.targets.tolist()):
-        g = replay_ground_truth(ds.table, i, ds.schema, ds.categories)
+        g = _reference_synth.replay_ground_truth(ds.table, i, ds.schema, ds.categories)
         assert abs(g - target) <= 1e-9, ds.table.event_ids[i]
 
 
@@ -533,3 +532,45 @@ def test_save_transient_does_not_grow_with_the_rows(tmp_path):
     _, short_transient = _traced_transient(lambda: save_dataset(short, str(tmp_path / "a")))
     _, long_transient = _traced_transient(lambda: save_dataset(long, str(tmp_path / "b")))
     assert long_transient - short_transient < 16_384, (short_transient, long_transient)
+
+
+def _sidecar_pair():
+    """The same generator at 480 and at 1,920 events of 2-3 revisions."""
+    cfg = replace(MEMORY_CONFIG, revisions_per_event=(2, 3))
+    few, many = (generate_dataset(replace(cfg, events_per_storm=(e, e))) for e in (40, 160))
+    assert (len(few.table), len(many.table)) == (480, 1920)
+    return few, many
+
+
+def test_sidecar_transient_does_not_grow_with_the_events(tmp_path):
+    # the header's ids go out a block at a time and are hashed as they are
+    # written; building them whole for the content hash and again for the
+    # header held about 6x the header, 0.2 MB more at 1,920 events than at 480
+    few, many = _sidecar_pair()
+    path = str(tmp_path / "events.bin")
+    write = lambda ds: dataio._write_sidecar(path, ds, "0" * 64)
+    write(few)  # first-use imports
+    _, few_transient = _traced_transient(lambda: write(few))
+    _, many_transient = _traced_transient(lambda: write(many))
+    assert many_transient - few_transient < 16_384, (few_transient, many_transient)
+
+
+def test_sidecar_is_one_canonical_header_and_the_columns(tmp_path):
+    # the streamed header equals the whole header serialised at once
+    for ds in _sidecar_pair():
+        table, schema = ds.table, ds.schema
+        specs = dataio._column_specs(len(table), len(table.t), schema)
+        columns = [np.ascontiguousarray(getattr(table, s["name"]), dtype=s["dtype"]) for s in specs]
+        content = {"event_ids": list(table.event_ids), "storm_ids": list(table.storm_ids)}
+        content["columns"] = specs
+        header = {
+            "format_version": dataio.SIDECAR_VERSION,
+            "events_sha256": "ab" * 32,
+            "dataset_fingerprint": dataio.dataset_fingerprint(schema, ds.categories),
+            **content,
+            "content_sha256": dataio._content_sha256(dataio.canonical_json(content), columns),
+        }
+        want, got = tmp_path / "want.bin", tmp_path / "got.bin"
+        want_sha = dataio.write_container(str(want), dataio.SIDECAR_MAGIC, header, columns)
+        assert dataio._write_sidecar(str(got), ds, "ab" * 32) == want_sha
+        assert got.read_bytes() == want.read_bytes()

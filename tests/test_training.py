@@ -1,17 +1,22 @@
 import gc
 import math
+import sys
+import threading
 import weakref
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from etrcast.data import FeatureSchema, fit_transforms
+from etrcast.kernels import blas_threads, blas_threads_at
 from etrcast.losses import LossConfig
 from etrcast.metrics import PredictionSet, eval_report, wae
 from etrcast.model import ModelConfig, init_params, predict
 from etrcast.synth import GeneratorConfig, generate_dataset
 from etrcast.training import (
+    CHUNK_SLOTS,
     POOL_BATCHES,
     AdamState,
     PlateauState,
@@ -560,6 +565,99 @@ class TestEvaluate:
 
         want = np.array([last_row(shuffled.batch([i]))[0] for i in range(shuffled.size)])
         np.testing.assert_array_equal(predict_in_chunks(last_row, shuffled, slots), want)
+
+
+@pytest.fixture(scope="module")
+def long_split():
+    """A desk model and the test split of 12-20-revision events, as ``eval_long`` predicts."""
+    gen = GeneratorConfig(
+        seed=3, storms_per_class=5, events_per_storm=(20, 20), revisions_per_event=(12, 20)
+    )
+    dataset = generate_dataset(gen)
+    splits = dataset.split_tables()
+    state = fit_transforms(splits["train"], dataset.schema)
+    cfg = ModelConfig(d_model=32, n_layers=2, n_heads=4)
+    params = init_params(cfg, dataset.schema, seed=0)
+    return params, build_samples(encode_events(splits["test"], state, dataset.schema), cfg)
+
+
+def _serial_pass(params, samples):
+    """The chunks of a pass cut as ``predict_in_chunks`` documents, predicted one after another."""
+    order = np.argsort(samples.width, kind="stable")
+    front, preds, start = samples.token_front(), np.empty(samples.size), 0
+    chunks = 0
+    while start < order.size:
+        stop = start + 1  # rows x widest window within CHUNK_SLOTS, or one row alone
+        while stop < order.size and (stop - start + 1) * samples.width[order[stop]] <= CHUNK_SLOTS:
+            stop += 1
+        preds[order[start:stop]] = predict(params, samples.batch(order[start:stop], front))
+        start, chunks = stop, chunks + 1
+    return preds, chunks
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="the pool runs over OpenBLAS only")
+class TestPooledPass:
+    """With ``workers`` and OpenBLAS at one thread a pass predicts its chunks on a pool."""
+
+    def test_pooled_pass_equals_a_serial_loop_bit_for_bit(self, long_split):
+        params, samples = long_split
+        threads = []
+
+        def fn(batch):
+            threads.append(threading.get_ident())
+            return predict(params, batch)
+
+        with blas_threads_at(1):
+            want, chunks = _serial_pass(params, samples)
+            got = predict_in_chunks(fn, samples, workers=3)
+        assert chunks >= 6 and len(threads) == chunks
+        assert threads[0] == threading.get_ident() and len(set(threads)) > 1
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_many_workers_switching_often_lose_no_row(self, long_split):
+        # more workers than CPUs over 64-slot chunks, with the interpreter
+        # switching threads every microsecond: a lost or misplaced write of a
+        # chunk's rows would leave np.empty's garbage or another row's value
+        params, samples = long_split
+        fn = lambda batch: predict(params, batch)
+        with blas_threads_at(1):
+            want = predict_in_chunks(fn, samples, slots=64)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                got = predict_in_chunks(fn, samples, slots=64, workers=8)
+            finally:
+                sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(got, want)
+
+    def test_a_pass_over_multithreaded_blas_stays_serial(self, long_split):
+        params, samples = long_split
+        threads = set()
+
+        def fn(batch):
+            threads.add(threading.get_ident())
+            return predict(params, batch)
+
+        with blas_threads_at(2):
+            predict_in_chunks(fn, samples, workers=3)
+        assert threads == {threading.get_ident()}
+
+    def test_a_failing_chunk_raises_as_serially_and_leaves_no_thread(self, long_split):
+        params, samples = long_split
+
+        def fn(batch):  # from the 16-wide chunks on, each fails with its own message
+            if batch.mask.shape[1] >= 16:
+                raise ValueError(f"chunk {zlib.crc32(batch.tokens.ids.tobytes())}")
+            return predict(params, batch)
+
+        with pytest.raises(ValueError) as serial:
+            predict_in_chunks(fn, samples)
+        before = threading.active_count()
+        with blas_threads_at(1), pytest.raises(ValueError) as pooled:
+            predict_in_chunks(fn, samples, workers=3)
+        assert str(pooled.value) == str(serial.value)
+        assert threading.active_count() == before
 
 
 class TestTokenPass:
