@@ -382,8 +382,8 @@ def _load_for_inference(
 
 def cmd_eval(args, record: RunRecord) -> tuple[dict, int]:
     # inference bits do not depend on the BLAS thread count, so eval runs BLAS
-    # on one thread and its chunks on every CPU; the manifest records the
-    # process's own count, restored by then
+    # on one thread and its chunks on a pool (predict_in_chunks); the manifest
+    # records the process's own count, restored by then
     with blas_threads_at(1):
         dataset, params, _, encoded = _load_for_inference(args, record)
         with record.phase("encode"):
@@ -391,9 +391,7 @@ def cmd_eval(args, record: RunRecord) -> tuple[dict, int]:
         model_fn = lambda batch: predict(params, batch)
         # score with the loss the model was trained with
         with record.phase("predict"), _naming(CliError, args.checkpoint):
-            report, per_revision = evaluate(
-                model_fn, samples, dataset.magnitude_of(), params.loss, workers=usable_cpus()
-            )
+            report, per_revision = evaluate(model_fn, samples, dataset.magnitude_of(), params.loss)
         with record.phase("report"):
             os.makedirs(args.out, exist_ok=True)
             record.write_report(args.out, f"eval_{args.split}", report, per_revision)

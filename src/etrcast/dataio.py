@@ -38,6 +38,7 @@ benchmark harness's set-up, which has not moved to tables yet.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import json
 import operator
@@ -84,26 +85,47 @@ def canonical_json(obj: Any) -> str:
 def write_container(path: str, magic: bytes, header: Any, arrays: Iterable[np.ndarray]) -> str:
     """Write a container file; returns the sha256 of the bytes written.
 
-    Each array is written and hashed from its own buffer, copied only when it
-    is not contiguous little-endian already.
+    The header is serialised in pieces of a few KB (``_json_pieces``), once
+    to count its bytes and once to write them, so no copy of a long id list
+    is held. Each array is written and hashed from its own buffer, copied
+    only when it is not contiguous little-endian already.
     """
-    blob = canonical_json(header).encode("utf-8")
+    length = sum(map(len, _json_pieces(header)))  # canonical JSON is ASCII: a byte a character
+    pieces = (piece.encode("ascii") for piece in _json_pieces(header))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for chunk in (magic, struct.pack("<Q", len(blob)), blob):
+        for chunk in itertools.chain((magic, struct.pack("<Q", length)), pieces):
             fh.write(chunk)
             digest.update(chunk)
-        return _write_arrays(fh, digest, arrays)
-
-
-def _write_arrays(fh: IO[bytes], digest, arrays: Iterable[np.ndarray]) -> str:
-    """Write and hash each array from its own buffer; returns the digest's hex."""
-    for array in arrays:
-        contiguous = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
-        data = memoryview(contiguous.reshape(-1).view(np.uint8))
-        fh.write(data)
-        digest.update(data)
+        for array in arrays:
+            contiguous = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
+            data = memoryview(contiguous.reshape(-1).view(np.uint8))
+            fh.write(data)
+            digest.update(data)
     return digest.hexdigest()
+
+
+_JSON_BLOCK = 256  # items of a long tuple serialised per piece: a few KB of ids
+
+
+def _json_pieces(value: Any) -> Iterator[str]:
+    """``canonical_json(value)`` in pieces.
+
+    A dict with str keys goes a member at a time, and a tuple of more than
+    ``_JSON_BLOCK`` items a block of items at a time.
+    """
+    if isinstance(value, dict) and value and all(type(key) is str for key in value):
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "{") + canonical_json(key) + ":"
+            yield from _json_pieces(value[key])
+        yield "}"
+    elif isinstance(value, tuple) and len(value) > _JSON_BLOCK:
+        yield "["
+        for lo in range(0, len(value), _JSON_BLOCK):
+            yield ("," if lo else "") + canonical_json(value[lo : lo + _JSON_BLOCK])[1:-1]
+        yield "]"
+    else:
+        yield canonical_json(value)
 
 
 def _bytes_left(fh: IO[bytes]) -> int:
@@ -228,79 +250,39 @@ def _column_specs(n_events: int, n_rows: int, schema: FeatureSchema) -> list[dic
     ]
 
 
-def _content_sha256(content_json: str, columns: Iterable[np.ndarray]) -> str:
-    """sha256 of a sidecar's ids and column specs as canonical JSON, then its column bytes."""
-    digest = hashlib.sha256(content_json.encode("utf-8"))
+def _content_sha256(content_json: Iterable[str], columns: Iterable[np.ndarray]) -> str:
+    """sha256 of a sidecar's ids and column specs as canonical JSON (in pieces), then its column bytes."""
+    digest = hashlib.sha256()
+    for piece in content_json:
+        digest.update(piece.encode("ascii"))
     for column in columns:
         digest.update(column)
     return digest.hexdigest()
 
 
-_ID_BLOCK = 256  # ids serialised per piece of a sidecar header: a few KB
-_CONTENT_KEYS = ("columns", "event_ids", "storm_ids")  # the header members content_sha256 covers
-
-
-def _json_pieces(value) -> Iterator[str]:
-    """``canonical_json(value)`` in pieces: a long tuple a block of items at a time."""
-    if not isinstance(value, tuple) or len(value) <= _ID_BLOCK:
-        yield canonical_json(value)
-        return
-    yield "["
-    for lo in range(0, len(value), _ID_BLOCK):
-        yield ("," if lo else "") + canonical_json(value[lo : lo + _ID_BLOCK])[1:-1]
-    yield "]"
-
-
 def _write_sidecar(path: str, dataset: Dataset, events_sha256: str) -> str:
     """Write the table's columns to ``path``; returns the file's sha256.
 
-    The header's ids are serialised once, a block at a time, and hashed into
-    ``content_sha256`` as they are written, so the write holds no copy of
-    them. The header's length and ``content_sha256`` precede the ids, so
-    both are written last over placeholders of their own size, and the
-    file's sha256 reads the header back from the file.
+    The ids are serialised from the table's own tuples a block at a time,
+    for the content hash and for the header, so the write holds no copy of
+    them.
     """
     table, schema = dataset.table, dataset.schema
     specs = _column_specs(len(table), len(table.t), schema)
     columns = [np.ascontiguousarray(getattr(table, s["name"]), dtype=s["dtype"]) for s in specs]
+    content = {
+        "event_ids": table.event_ids,
+        "storm_ids": table.storm_ids,
+        "columns": specs,
+    }
     header = {
         "format_version": SIDECAR_VERSION,
         "events_sha256": events_sha256,
         "dataset_fingerprint": dataset_fingerprint(schema, dataset.categories),
-        "columns": specs,
-        "event_ids": table.event_ids,
-        "storm_ids": table.storm_ids,
-        "content_sha256": "0" * 64,
+        **content,
+        "content_sha256": _content_sha256(_json_pieces(content), columns),
     }
-    content = hashlib.sha256()
-    with open(path, "w+b") as fh:
-        fh.write(SIDECAR_MAGIC + bytes(8))
-        for i, key in enumerate(sorted(header)):
-            member, covered = canonical_json(key) + ":", key in _CONTENT_KEYS
-            fh.write((("," if i else "{") + member).encode("ascii"))
-            if covered:
-                content.update((("," if key != _CONTENT_KEYS[0] else "{") + member).encode("ascii"))
-            elif key == "content_sha256":
-                late = fh.tell() + 1  # past the opening quote
-            for piece in _json_pieces(header[key]):
-                data = piece.encode("ascii")  # canonical JSON escapes every non-ASCII character
-                fh.write(data)
-                if covered:
-                    content.update(data)
-        fh.write(b"}")
-        content.update(b"}")
-        for column in columns:
-            content.update(column)
-        end = fh.tell()
-        fh.seek(len(SIDECAR_MAGIC))
-        fh.write(struct.pack("<Q", end - len(SIDECAR_MAGIC) - 8))
-        fh.seek(late)
-        fh.write(content.hexdigest().encode("ascii"))
-        fh.seek(0)
-        digest = hashlib.sha256()
-        while fh.tell() < end:
-            digest.update(fh.read(min(1 << 13, end - fh.tell())))
-        return _write_arrays(fh, digest, columns)
+    return write_container(path, SIDECAR_MAGIC, header, columns)
 
 
 def save_dataset(dataset: Dataset, out_dir: str) -> dict[str, str]:
@@ -440,7 +422,7 @@ def _read_sidecar(
             for s in specs
         }
         check_end(fh, path, "column")
-    if _content_sha256(content_json, columns.values()) != header.get("content_sha256"):
+    if _content_sha256((content_json,), columns.values()) != header.get("content_sha256"):
         raise ValueError(f"{path}: content does not match its recorded content_sha256")
     offsets = columns.pop("offsets")
     if offsets[0] != 0 or offsets[-1] != n_rows or np.any(np.diff(offsets) < 0):

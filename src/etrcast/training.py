@@ -18,7 +18,7 @@ chunks of about ``CHUNK_SLOTS`` token slots (rows x widest window,
 ``predict_in_chunks``); Shapley attributions cut their distinct coalition rows
 by the same budget. So every chunk's temporaries are about the same size, and
 a CLI process, which keeps freed memory for reuse, holds the largest chunk's
-(one per thread where ``eval`` predicts its chunks on every CPU).
+(one per thread where a pass predicts its chunks on a pool).
 The pass's token front (below) adds 4 x d_model floats per distinct token of
 the split for the whole pass. The (event, j)
 samples of an event share their revisions: a token is one revision seen from
@@ -357,6 +357,9 @@ def epoch_batches(
 
 
 CHUNK_SLOTS = 2048  # token slots (rows x widest window) per prediction chunk
+# most threads a pass predicts on: each holds a chunk's temporaries, and only
+# two (on 2 vCPUs) have been measured (README, "Performance")
+PREDICT_THREADS = 2
 
 
 def usable_cpus() -> int:
@@ -369,7 +372,6 @@ def predict_in_chunks(
     predict_fn: Callable[[SequenceBatch], np.ndarray],
     samples: SampleSet,
     slots: int = CHUNK_SLOTS,
-    workers: int = 1,
 ) -> np.ndarray:
     """Predict every sample, returned in input order.
 
@@ -382,13 +384,14 @@ def predict_in_chunks(
     front of every distinct token of ``samples`` and is closed when the pass
     ends.
 
-    With ``workers`` > 1 (``eval`` passes one per CPU) and OpenBLAS at one
-    thread, the chunks after the first run on up to ``workers`` threads, each
-    writing its own rows, and ``predict_fn`` must be safe to call from
-    several threads at once, as ``model.predict`` is. A product on one BLAS
-    thread gives the same bits on any thread, so the predictions do not
-    change; over multi-threaded BLAS the pass stays serial, as a pool stacked
-    on it runs slower than either alone. The first chunk runs on the calling
+    While OpenBLAS runs on one thread (``eval`` sets it so; ``train`` does
+    under ``OPENBLAS_NUM_THREADS=1``), the chunks after the first run on up
+    to ``PREDICT_THREADS`` threads, no more than the process's CPUs, each
+    writing its own rows, so ``predict_fn`` must be safe to call from several
+    threads at once, as ``model.predict`` is. A product on one BLAS thread
+    gives the same bits on any thread, so the predictions do not change. Over
+    multi-threaded BLAS the pass stays serial, as a pool stacked on it runs
+    slower than either alone. The first chunk runs on the calling
     thread, so the front is bound and computed before any other chunk reads
     it; the pool is joined before the pass returns. A chunk's error reaches
     the caller as it would serially: the first failing chunk's in chunk
@@ -411,7 +414,7 @@ def predict_in_chunks(
 
         for idx in chunks[:1]:  # on this thread: it binds the front and computes its states
             run(idx)
-        workers = min(workers, len(chunks) - 1)
+        workers = min(PREDICT_THREADS, usable_cpus(), len(chunks) - 1)
         if workers < 2 or blas_threads() != 1:
             for idx in chunks[1:]:
                 run(idx)
@@ -595,15 +598,14 @@ def evaluate(
     samples: SampleSet,
     magnitudes: Mapping[str, str],
     loss_config: LossConfig = LossConfig(),
-    workers: int = 1,
 ) -> tuple[EvalReport, dict[int, dict[str, float]]]:
-    """Score every sample in one chunked pass (on up to ``workers`` threads, see ``predict_in_chunks``).
+    """Score every sample in one chunked pass (``predict_in_chunks``).
 
     Returns the report over each event's final revision (the samples whose
     ``prefix_len`` is the event's length), stratified by storm magnitude, and
     the WAE and count per revision index j over all samples.
     """
-    preds = predict_in_chunks(predict_fn, samples, workers=workers)
+    preds = predict_in_chunks(predict_fn, samples)
     final = np.flatnonzero(samples.prefix_len == samples.events.lengths[samples.event])
     strata = tuple(magnitudes[samples.events.event_ids[i]] for i in samples.event[final].tolist())
     report = eval_report(PredictionSet(preds[final], samples.targets[final], strata), loss_config)

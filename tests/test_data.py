@@ -509,3 +509,31 @@ def test_classify_total(affected, served):
         assert ratio <= 0.05
     elif mag == "Large":
         assert ratio > 0.20
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+_json_values = st.recursive(
+    _json_scalars,
+    lambda kids: (
+        st.lists(kids, max_size=7).map(tuple)
+        | st.lists(kids, max_size=4)
+        | st.dictionaries(st.text(max_size=3), kids, max_size=4)
+        | st.dictionaries(st.integers(-9, 9), kids, max_size=3)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_json_values)
+def test_container_header_pieces_join_to_its_canonical_json(value):
+    # at two items a block, short tuples already go in blocks
+    block = dataio._JSON_BLOCK
+    dataio._JSON_BLOCK = 2
+    try:
+        pieces = list(dataio._json_pieces(value))
+    finally:
+        dataio._JSON_BLOCK = block
+    assert "".join(pieces) == dataio.canonical_json(value)
+    if isinstance(value, tuple) and len(value) > 2 and all(type(v) is int for v in value):
+        assert len(pieces) == 2 + math.ceil(len(value) / 2)

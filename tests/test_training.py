@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from etrcast import training
 from etrcast.data import FeatureSchema, fit_transforms
 from etrcast.kernels import blas_threads, blas_threads_at
 from etrcast.losses import LossConfig
@@ -18,6 +19,7 @@ from etrcast.synth import GeneratorConfig, generate_dataset
 from etrcast.training import (
     CHUNK_SLOTS,
     POOL_BATCHES,
+    PREDICT_THREADS,
     AdamState,
     PlateauState,
     TrainConfig,
@@ -502,7 +504,8 @@ class TestEvaluate:
         whole = predict_in_chunks(lambda b: predict(params, b), samples, slots=10**9)
         np.testing.assert_allclose(whole, a, rtol=0, atol=1e-12)
 
-    def test_chunked_prediction_keeps_input_order(self, small_dataset):
+    def test_chunked_prediction_keeps_input_order(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(training, "usable_cpus", lambda: 1)  # chunks visited in order
         splits = small_dataset.split_tables()
         state = fit_transforms(splits["train"], small_dataset.schema)
         enc = encode_events(splits["train"].select(np.arange(12)), state, small_dataset.schema)
@@ -535,7 +538,10 @@ class TestEvaluate:
         return build_samples(enc, ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2))
 
     @pytest.mark.parametrize("slots", [5, 28, 2048])
-    def test_chunks_fill_their_slot_budget(self, small_dataset, slots):
+    def test_chunks_fill_their_slot_budget(self, small_dataset, slots, monkeypatch):
+        # on one CPU the pass is serial at any BLAS thread count, so the
+        # chunks arrive in the order they are cut
+        monkeypatch.setattr(training, "usable_cpus", lambda: 1)
         samples = self._train_samples(small_dataset)
         chunks = []  # (rows, widest, narrowest) per chunk
 
@@ -597,51 +603,65 @@ def _serial_pass(params, samples):
 
 @pytest.mark.skipif(blas_threads() is None, reason="the pool runs over OpenBLAS only")
 class TestPooledPass:
-    """With ``workers`` and OpenBLAS at one thread a pass predicts its chunks on a pool."""
+    """With OpenBLAS at one thread a pass predicts its chunks on a pool of its CPUs."""
 
-    def test_pooled_pass_equals_a_serial_loop_bit_for_bit(self, long_split):
-        params, samples = long_split
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch):
+        """The process's CPUs as the pass sees them: 64 unless a test sets fewer."""
+        monkeypatch.setattr(training, "usable_cpus", lambda: self.n_cpus)
+        self.n_cpus = 64
+
+    @staticmethod
+    def _threads_of(params, samples):
+        """The pass's predictions and the thread of each chunk."""
         threads = []
 
         def fn(batch):
             threads.append(threading.get_ident())
             return predict(params, batch)
 
+        return predict_in_chunks(fn, samples), threads
+
+    def test_pooled_pass_equals_a_serial_loop_bit_for_bit(self, long_split):
+        params, samples = long_split
         with blas_threads_at(1):
             want, chunks = _serial_pass(params, samples)
-            got = predict_in_chunks(fn, samples, workers=3)
+            got, threads = self._threads_of(params, samples)
         assert chunks >= 6 and len(threads) == chunks
-        assert threads[0] == threading.get_ident() and len(set(threads)) > 1
+        # the first chunk on this thread, the others on at most PREDICT_THREADS
+        # of a pool however many CPUs the process has
+        assert threads[0] == threading.get_ident()
+        assert 1 < len(set(threads[1:])) <= PREDICT_THREADS
         np.testing.assert_array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    def test_many_workers_switching_often_lose_no_row(self, long_split):
+    def test_many_workers_switching_often_lose_no_row(self, long_split, monkeypatch):
         # more workers than CPUs over 64-slot chunks, with the interpreter
         # switching threads every microsecond: a lost or misplaced write of a
         # chunk's rows would leave np.empty's garbage or another row's value
         params, samples = long_split
         fn = lambda batch: predict(params, batch)
         with blas_threads_at(1):
+            self.n_cpus = 1
             want = predict_in_chunks(fn, samples, slots=64)
+            self.n_cpus = 64
+            monkeypatch.setattr(training, "PREDICT_THREADS", 8)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                got = predict_in_chunks(fn, samples, slots=64, workers=8)
+                got = predict_in_chunks(fn, samples, slots=64)
             finally:
                 sys.setswitchinterval(interval)
         np.testing.assert_array_equal(got, want)
 
-    def test_a_pass_over_multithreaded_blas_stays_serial(self, long_split):
+    def test_a_pass_on_one_cpu_or_over_multithreaded_blas_stays_serial(self, long_split):
         params, samples = long_split
-        threads = set()
-
-        def fn(batch):
-            threads.add(threading.get_ident())
-            return predict(params, batch)
-
         with blas_threads_at(2):
-            predict_in_chunks(fn, samples, workers=3)
-        assert threads == {threading.get_ident()}
+            _, over_blas = self._threads_of(params, samples)
+        self.n_cpus = 1
+        with blas_threads_at(1):
+            _, one_cpu = self._threads_of(params, samples)
+        assert set(over_blas) == set(one_cpu) == {threading.get_ident()}
 
     def test_a_failing_chunk_raises_as_serially_and_leaves_no_thread(self, long_split):
         params, samples = long_split
@@ -655,7 +675,7 @@ class TestPooledPass:
             predict_in_chunks(fn, samples)
         before = threading.active_count()
         with blas_threads_at(1), pytest.raises(ValueError) as pooled:
-            predict_in_chunks(fn, samples, workers=3)
+            predict_in_chunks(fn, samples)
         assert str(pooled.value) == str(serial.value)
         assert threading.active_count() == before
 
@@ -831,6 +851,7 @@ class TestTokenPass:
                 return super().transpose(a, axes)
 
         monkeypatch.setattr(model_module, "Tape", SpyTape)
+        monkeypatch.setattr(training, "usable_cpus", lambda: 1)  # ops counted on one thread
         for fn, per_chunk in ((lambda b: predict(params, b), 5), (self._own_slots(params), 8)):
             tapes.clear()
             ops.update(embedding=0, transpose=0)
