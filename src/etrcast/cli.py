@@ -22,13 +22,12 @@ import argparse
 import contextlib
 import ctypes
 import functools
-import json
 import math
 import os
 import platform
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +44,6 @@ from .synth import GeneratorConfig, generate_dataset
 from .training import (
     TrainConfig,
     TrainError,
-    TrainResult,
     build_final_samples,
     build_samples,
     encode_events,
@@ -133,9 +131,6 @@ def _finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
 def _parse_like(default, raw: str, what: str):
     """``raw`` as the type of ``default``; a tuple needs exactly its length.
 
@@ -146,10 +141,6 @@ def _parse_like(default, raw: str, what: str):
         if len(parts) != len(default):
             raise CliError(f"{what}: expected {len(default)} values, got {raw!r}")
         return tuple(_parse_like(d, part, what) for d, part in zip(default, parts))
-    if isinstance(default, bool):
-        if raw.lower() not in _BOOLS:
-            raise CliError(f"{what}: expected true/false/yes/no/1/0, got {raw!r}")
-        return _BOOLS[raw.lower()]
     try:
         return type(default)(raw)
     except ValueError as exc:
@@ -294,19 +285,16 @@ def _configs_from_args(args) -> tuple[ModelConfig, TrainConfig, LossConfig]:
     )
 
 
-def _train_once(
-    dataset: Dataset,
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    loss_cfg: LossConfig,
-    out_dir: str,
-    record: RunRecord,
-) -> tuple[TrainResult, EvalReport]:
+def cmd_train(args, record: RunRecord) -> tuple[dict, int]:
     """Train and predict the reports, then write the checkpoint, history and reports.
 
     Nothing is written until both reports are predicted, so a run that fails
-    leaves no checkpoint behind. Returns the test report too.
+    leaves no checkpoint behind.
     """
+    model_cfg, train_cfg, loss_cfg = _configs_from_args(args)
+    with record.phase("load"):
+        dataset = load_dataset(args.dataset)
+    record.inputs.update(dataset.files)
     with record.phase("train"):
         result = train_model(dataset, model_cfg, train_cfg, loss_cfg)
     with record.phase("encode"):
@@ -323,42 +311,20 @@ def _train_once(
         with _naming(TrainError, "test report"):
             test_report, per_revision = evaluate(model_fn, test_samples, magnitudes, loss_cfg)
     with record.phase("report"):
-        os.makedirs(out_dir, exist_ok=True)
-        ckpt = os.path.join(out_dir, "checkpoint.bin")
+        os.makedirs(args.out, exist_ok=True)
+        ckpt = os.path.join(args.out, "checkpoint.bin")
         save_checkpoint(ckpt, result.params, result.transform_state, result.fingerprint)
         record.outputs.append(ckpt)
         history = [asdict(epoch) for epoch in result.history]
-        record.write_json(os.path.join(out_dir, "history.json"), history)
-        record.write_report(out_dir, "eval_validation", val_report)
-        record.write_report(out_dir, "eval_test", test_report, per_revision)
-    return result, test_report
-
-
-def cmd_train(args, record: RunRecord) -> tuple[dict, int]:
-    model_cfg, train_cfg, loss_cfg = _configs_from_args(args)
-    with record.phase("load"):
-        dataset = load_dataset(args.dataset)
-    record.inputs.update(dataset.files)
-
-    test_waes = []
-    for trial in range(args.trials):
-        trial_cfg = replace(train_cfg, seed=train_cfg.seed + trial)
-        trial_dir = args.out if args.trials == 1 else os.path.join(args.out, f"trial{trial}")
-        result, test_report = _train_once(
-            dataset, model_cfg, trial_cfg, loss_cfg, trial_dir, record
-        )
-        test_waes.append(test_report.overall.wae)
-        print(
-            f"trial {trial}: best epoch {result.best_epoch} "
-            f"val WAE {result.best_val_wae:.4f} test WAE {test_waes[-1]:.4f}"
-        )
-    if args.trials > 1:
-        record.write_json(
-            os.path.join(args.out, "trials_summary.json"),
-            {"test_wae_per_trial": test_waes, "test_wae_mean": float(np.mean(test_waes))},
-        )
+        record.write_json(os.path.join(args.out, "history.json"), history)
+        record.write_report(args.out, "eval_validation", val_report)
+        record.write_report(args.out, "eval_test", test_report, per_revision)
+    print(
+        f"best epoch {result.best_epoch} val WAE {result.best_val_wae:.4f} "
+        f"test WAE {test_report.overall.wae:.4f}"
+    )
     config_doc = {"model": asdict(model_cfg), "train": asdict(train_cfg), "loss": asdict(loss_cfg)}
-    return {**config_doc, "trials": args.trials, "scale": args.scale}, train_cfg.seed
+    return {**config_doc, "scale": args.scale}, train_cfg.seed
 
 
 def _load_for_inference(
@@ -484,14 +450,16 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="etrcast", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, dataset=True, checkpoint=False):
+    def common(p, dataset=True, checkpoint=False, seed_help=None):
         if dataset:
             p.add_argument("--dataset", required=True, help="dataset directory")
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="checkpoint file")
         p.add_argument("--out", required=True, help="output directory")
         # generate and train resolve --seed and --config into their config dataclasses
-        p.add_argument("--seed", type=int_at_least(0), default=0 if checkpoint else None)
+        p.add_argument(
+            "--seed", type=int_at_least(0), default=0 if checkpoint else None, help=seed_help
+        )
         if not checkpoint:
             p.add_argument("--config", help="key=value file of config dataclass fields")
 
@@ -510,12 +478,10 @@ def build_parser() -> _Parser:
     train.add_argument("--epochs", type=int, dest="max_epochs")
     train.add_argument("--batch-size", type=int)
     train.add_argument("--lr", type=float, dest="learning_rate")
-    train.add_argument("--loss", choices=("asymmetric", "mse"))
-    train.add_argument("--trials", type=int_at_least(1), default=1)
     train.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    common(ev, checkpoint=True)
+    common(ev, checkpoint=True, seed_help="recorded in the manifest; eval draws no random number")
     ev.add_argument("--split", default="test", choices=("train", "validation", "test"))
     ev.set_defaults(func=cmd_eval)
 

@@ -1,4 +1,4 @@
-"""Asymmetric piecewise training loss with subgradients, plus an MSE option.
+"""Asymmetric piecewise training loss with subgradients.
 
 For the signed error eps = prediction - actual (hours):
 
@@ -8,11 +8,8 @@ For the signed error eps = prediction - actual (hours):
 
 The function is continuous at 0 and jumps by (beta - 1) * tau at tau. At the
 kinks the subgradient takes the right-branch value: +1 at eps = 0, +beta at
-eps = tau. An optional continuous variant (``LossConfig.continuous_over``)
-replaces the third branch with beta * (eps - tau) + tau; it is off by
-default. A checkpoint stores the loss it was trained with, and ``eval``
-scores WAE and CSI with that loss, so a model trained with the continuous
-variant is also evaluated with it.
+eps = tau. A checkpoint stores the loss it was trained with, and ``eval``
+scores WAE and CSI with that loss's alpha, beta and tau.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ class LossConfig:
     alpha: float = 5.0
     beta: float = 2.0
     tau: float = 8.0
-    continuous_over: bool = False
 
     def __post_init__(self):
         if not (self.alpha > 1.0 and self.beta > 1.0):
@@ -43,19 +39,13 @@ def piecewise_loss(eps: float, cfg: LossConfig = LossConfig()) -> float:
         return cfg.alpha * abs(eps)
     if eps <= cfg.tau:
         return abs(eps)
-    if cfg.continuous_over:
-        return cfg.beta * (eps - cfg.tau) + cfg.tau
     return cfg.beta * abs(eps)
 
 
 def piecewise_loss_vec(eps: np.ndarray, cfg: LossConfig = LossConfig()) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
     a = np.abs(eps)
-    if cfg.continuous_over:
-        over = cfg.beta * (eps - cfg.tau) + cfg.tau
-    else:
-        over = cfg.beta * a
-    return np.where(eps < 0.0, cfg.alpha * a, np.where(eps > cfg.tau, over, a))
+    return np.where(eps < 0.0, cfg.alpha * a, np.where(eps > cfg.tau, cfg.beta * a, a))
 
 
 def asymmetric_loss(
@@ -77,19 +67,6 @@ def asymmetric_loss(
     value = float(math_fsum(piecewise_loss_vec(eps, cfg))) / n
     slopes = np.where(eps < 0.0, -cfg.alpha, np.where(eps >= cfg.tau, cfg.beta, 1.0))
     return value, slopes / n
-
-
-def mse_loss(preds: np.ndarray, actuals: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and gradient, for the alternate training objective."""
-    preds = np.asarray(preds, dtype=np.float64)
-    actuals = np.asarray(actuals, dtype=np.float64)
-    if preds.shape != actuals.shape or preds.ndim != 1:
-        raise ValueError(f"shape mismatch: preds {preds.shape} vs actuals {actuals.shape}")
-    n = preds.size
-    if n == 0:
-        raise ValueError("mse_loss: empty input")
-    eps = preds - actuals
-    return float(math_fsum(eps * eps)) / n, (2.0 / n) * eps
 
 
 def math_fsum(values) -> float:

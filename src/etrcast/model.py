@@ -50,7 +50,6 @@ class ModelConfig:
     head_hidden: int | None = None  # defaults to d_model
     embed_dim_cap: int = 16
     dropout: float = 0.0
-    activation: str = "relu"
     pe_base: float = 10000.0
     head_bias_init: float = 0.0
 
@@ -69,8 +68,6 @@ class ModelConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.embed_dim_cap < 1 or not self.pe_base > 1.0:
             raise ValueError("bad embed_dim_cap or pe_base")
         if not math.isfinite(self.head_bias_init):
@@ -201,10 +198,6 @@ def positional_encode(deltas: np.ndarray, d_model: int, pe_base: float = 10000.0
     pe[..., 0::2] = np.sin(angles)
     pe[..., 1::2] = np.cos(angles[..., : d_model // 2])
     return pe
-
-
-def _activation(tape: Tape, config: ModelConfig, x: Tensor) -> Tensor:
-    return tape.relu(x) if config.activation == "relu" else tape.tanh(x)
 
 
 Weights = dict[str, Tensor]  # every tensor of a ModelParams, bound to one tape
@@ -381,7 +374,7 @@ def encode_sequence(
         return _linear(tape, w, ctx, f"{name}/o")
 
     def ffn(x: Tensor, layer: int) -> Tensor:
-        hidden = _activation(tape, cfg, _linear(tape, w, x, f"layer{layer}/ffn/1"))
+        hidden = tape.relu(_linear(tape, w, x, f"layer{layer}/ffn/1"))
         return _linear(tape, w, hidden, f"layer{layer}/ffn/2")
 
     for layer in range(cfg.n_layers):
@@ -430,7 +423,7 @@ def forward(
             raise ValueError(f"token ids {np.shape(tokens.ids)} do not fit the batch or its pass")
         w, states = tokens.front.states(tape, params)
     rep = encode_sequence(tape, states, mask, lengths - 1, params, w, capture, train_rng, ids)
-    hidden = _activation(tape, params.config, _linear(tape, w, rep, "head/1"))
+    hidden = tape.relu(_linear(tape, w, rep, "head/1"))
     return tape.reshape(_linear(tape, w, hidden, "head/2"), (batch.size,))
 
 
@@ -447,10 +440,11 @@ def predict(params: ModelParams, batch: SequenceBatch, capture: list | None = No
 # The container layout of ``dataio.write_container``: magic, header length,
 # canonical-JSON header, then each tensor's raw little-endian float64 bytes in
 # sorted name order. (A zip-based container would embed timestamps; this one is
-# byte-reproducible.) Format version 2 adds the "loss" block; a version-1 file
-# reads as trained with the default LossConfig.
+# byte-reproducible.) The header holds the model config, the loss the tensors
+# were trained with, the schema, its fingerprint and the transform state.
+# Only this version is read; a file of another version is refused, naming it.
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _transform_state_doc(state: TransformState) -> dict:
@@ -534,8 +528,11 @@ def load_checkpoint(
     with open(path, "rb") as fh:
         header = read_header(fh, path, CHECKPOINT_MAGIC, "checkpoint")
         version = header.get("format_version") if isinstance(header, dict) else None
-        if version not in (1, CHECKPOINT_VERSION):
-            raise ValueError(f"{path}: unsupported checkpoint version")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(
+                f"{path}: unsupported checkpoint version {version!r}; "
+                f"this etrcast reads version {CHECKPOINT_VERSION}"
+            )
         if header.get("transform_state") is None:
             raise ValueError(f"{path}: carries no transform state")
         try:
@@ -546,7 +543,7 @@ def load_checkpoint(
                 {k: int(v) for k, v in header["schema"]["cardinalities"].items()},
             )
             state = _transform_state_from_doc(header["transform_state"], schema)
-            loss = LossConfig(**header["loss"]) if version > 1 else LossConfig()
+            loss = LossConfig(**header["loss"])
             entries = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
             expected = init_params(config, schema).tensors
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

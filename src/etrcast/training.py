@@ -76,7 +76,7 @@ from .data import (
 )
 from .dataio import Dataset, dataset_fingerprint
 from .kernels import blas_threads
-from .losses import LossConfig, asymmetric_loss, mse_loss
+from .losses import LossConfig, asymmetric_loss
 from .metrics import EvalReport, PredictionSet, eval_report, wae
 from .model import (
     ModelConfig,
@@ -106,7 +106,6 @@ class TrainConfig:
     min_delta: float = 1e-3  # relative improvement threshold on validation WAE
     max_epochs: int = 30
     seed: int = 0
-    loss: str = "asymmetric"
 
     def __post_init__(self):
         if not 0.0 <= self.learning_rate < math.inf:
@@ -122,8 +121,6 @@ class TrainConfig:
             raise ValueError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
         if self.plateau_patience < 1:
             raise ValueError("plateau_patience must be >= 1")
-        if self.loss not in ("asymmetric", "mse"):
-            raise ValueError(f"unknown loss {self.loss!r}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
         if self.seed < 0:
@@ -447,12 +444,6 @@ def _nonempty(dataset: Dataset, caller: str, *names: str) -> list[EventTable]:
     return [splits[name] for name in names]
 
 
-def _loss_fn(name: str, targets: np.ndarray, cfg: LossConfig):
-    if name == "asymmetric":
-        return lambda p: asymmetric_loss(p, targets, cfg)
-    return lambda p: mse_loss(p, targets)
-
-
 def train_model(
     dataset: Dataset,
     model_config: ModelConfig,
@@ -501,7 +492,7 @@ def train_model(
             try:  # an overflow raises from a finite check, without a RuntimeWarning
                 with np.errstate(over="ignore", invalid="ignore"):
                     preds = forward(tape, params, batch, train_rng=train_rng)
-                    loss = tape.scalar_op(preds, _loss_fn(train_config.loss, targets, loss_config))
+                    loss = tape.scalar_op(preds, lambda p: asymmetric_loss(p, targets, loss_config))
                     grads = tape.gradients(loss)
                     adam_step(params.tensors, grads, adam, plateau.lr, train_config)
             except NumericsError as exc:

@@ -18,7 +18,6 @@ from etrcast.model import (
     ModelParams,
     SequenceBatch,
     Weights,
-    _activation,
     _bind,
     _linear,
     front,
@@ -61,7 +60,7 @@ def encode_sequence(
         ctx = tape.reshape(tape.transpose(ctx, (0, 2, 1, 3)), (b * s, d))
         attn_out = _linear(tape, w, ctx, f"{name}/attn/o")
         x = tape.layer_norm(tape.add(x, attn_out), w[f"{name}/ln1/g"], w[f"{name}/ln1/b"])
-        hidden = _activation(tape, cfg, _linear(tape, w, x, f"{name}/ffn/1"))
+        hidden = tape.relu(_linear(tape, w, x, f"{name}/ffn/1"))
         ffn_out = _linear(tape, w, hidden, f"{name}/ffn/2")
         x = tape.layer_norm(tape.add(x, ffn_out), w[f"{name}/ln2/g"], w[f"{name}/ln2/b"])
     return tape.reshape(x, (b, s, d))
@@ -87,6 +86,6 @@ def forward(
     h = front(tape, params, w, *rows)["x"]
     h = encode_sequence(tape, h, batch.mask, params, w, capture)
     rep = tape.gather_rows(h, batch.lengths - 1)
-    hidden = _activation(tape, params.config, _linear(tape, w, rep, "head/1"))
+    hidden = tape.relu(_linear(tape, w, rep, "head/1"))
     out = _linear(tape, w, hidden, "head/2")
     return tape.reshape(out, (batch.size,))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etrcast.losses import LossConfig, asymmetric_loss, mse_loss, piecewise_loss, piecewise_loss_vec
+from etrcast.losses import LossConfig, asymmetric_loss, piecewise_loss, piecewise_loss_vec
 from etrcast.metrics import (
     EvalReport,
     PredictionSet,
@@ -51,27 +51,6 @@ class TestLossBranches:
         for e, v in zip(eps, vec):
             assert v == piecewise_loss(float(e), CFG)
 
-    def test_continuous_variant_has_no_jump(self):
-        cfg = LossConfig(continuous_over=True)
-        assert abs(piecewise_loss(8.0 + 1e-9, cfg) - 8.0) < 1e-6
-        assert piecewise_loss(12.0, cfg) == 2.0 * 4.0 + 8.0
-
-    def test_continuous_vector_matches_scalar(self):
-        cfg = LossConfig(continuous_over=True)
-        eps = np.array([-3.0, -0.5, 0.0, 2.0, 8.0, 8.5, 9.0, 20.0, 1e6])
-        vec = piecewise_loss_vec(eps, cfg)
-        for e, v in zip(eps, vec, strict=True):
-            assert v == piecewise_loss(float(e), cfg)
-
-    def test_continuous_loss_value_is_its_wae(self):
-        cfg = LossConfig(continuous_over=True)
-        rng = np.random.default_rng(4)
-        actuals = rng.uniform(0.0, 40.0, size=200)
-        preds = actuals + rng.uniform(-20.0, 30.0, size=200)  # every branch, mostly late
-        value, _ = asymmetric_loss(preds, actuals, cfg)
-        assert value == wae(preds, actuals, cfg)
-        assert value < wae(preds, actuals)  # the late branch lost its jump
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LossConfig(alpha=1.0)
@@ -108,11 +87,6 @@ class TestLossGradients:
             down[i] -= h
             fd = (asymmetric_loss(up, actuals, CFG)[0] - asymmetric_loss(down, actuals, CFG)[0]) / (2 * h)
             assert abs(fd - grad[i]) < 1e-4
-
-    def test_mse(self):
-        value, grad = mse_loss(np.array([3.0]), np.array([1.0]))
-        assert value == 4.0
-        np.testing.assert_array_equal(grad, [4.0])
 
 
 class TestMetrics:

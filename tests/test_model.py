@@ -45,10 +45,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(d_model=10, n_heads=3)
 
-    def test_activation_checked(self):
-        with pytest.raises(ValueError):
-            ModelConfig(activation="gelu")
-
     @pytest.mark.parametrize("bias", [math.nan, math.inf, -math.inf])
     def test_head_bias_init_must_be_finite(self, bias):
         with pytest.raises(ValueError, match="head_bias_init"):
@@ -391,12 +387,9 @@ class TestReadoutOnlyLastLayer:
         return preds.data, tape.gradients(loss)
 
     @pytest.mark.parametrize("lengths", sorted(BATCHES))
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
-    def test_matches_full_layer_oracle(self, micro_schema, n_layers, activation, lengths):
-        cfg = ModelConfig(
-            max_seq_len=5, d_model=8, n_layers=n_layers, n_heads=2, activation=activation
-        )
+    def test_matches_full_layer_oracle(self, micro_schema, n_layers, lengths):
+        cfg = ModelConfig(max_seq_len=5, d_model=8, n_layers=n_layers, n_heads=2)
         params = init_params(cfg, micro_schema, seed=n_layers)
         lens = self.BATCHES[lengths]
         batch = make_batch(micro_schema, cfg, n=len(lens), seed=21, lengths=lens)

@@ -4,7 +4,7 @@ import sys
 import threading
 import weakref
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -296,19 +296,11 @@ class TestTrainModel:
         for k in a.params.tensors:
             np.testing.assert_array_equal(a.params.tensors[k], b.params.tensors[k])
 
-    def test_mse_loss_option(self, tiny):
-        mcfg = ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2)
-        tcfg = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=1, seed=0, loss="mse")
-        result = train_model(tiny, mcfg, tcfg)
-        assert len(result.history) == 1
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(plateau_factor=1.5)
-        with pytest.raises(ValueError):
-            TrainConfig(loss="huber")
 
 
     def test_too_few_storms_per_class_is_named(self):
@@ -391,6 +383,70 @@ class TestLinearBaseline:
         assert sse_fit < sse_const
 
 
+# a tiny training run whose plateau decay fires (min_delta 0.5), and a value
+# unlike the base's for every ModelConfig, TrainConfig and LossConfig field
+RUN_BASE = (
+    ModelConfig(max_seq_len=20, d_model=8, n_layers=1, n_heads=2),
+    TrainConfig(learning_rate=3e-3, batch_size=64, max_epochs=3, plateau_patience=1, min_delta=0.5),
+    LossConfig(),
+)
+RUN_CHANGES = {
+    # ModelConfig
+    "max_seq_len": 3,
+    "d_model": 12,
+    "n_layers": 2,
+    "n_heads": 4,
+    "ffn_hidden": 16,
+    "head_hidden": 4,
+    "embed_dim_cap": 1,
+    "dropout": 0.2,
+    "pe_base": 100.0,
+    "head_bias_init": 1.5,
+    # TrainConfig
+    "learning_rate": 1e-3,
+    "batch_size": 32,
+    "beta1": 0.8,
+    "beta2": 0.99,
+    "adam_eps": 1e-3,
+    "plateau_factor": 0.5,
+    "plateau_patience": 2,
+    "min_delta": 0.0,
+    "max_epochs": 4,
+    "seed": 1,
+    # LossConfig
+    "alpha": 3.0,
+    "beta": 3.0,
+    "tau": 4.0,
+}
+
+
+@pytest.fixture(scope="module")
+def run_data():
+    cfg = GeneratorConfig(
+        seed=4, storms_per_class=5, events_per_storm=(3, 5), revisions_per_event=(2, 7)
+    )
+    return generate_dataset(cfg)
+
+
+def _history_and_best(data, configs):
+    result = train_model(data, *configs)
+    return result.history, {k: v.tobytes() for k, v in result.params.tensors.items()}
+
+
+@pytest.mark.parametrize("name", [f.name for cfg in RUN_BASE for f in fields(cfg)])
+def test_every_config_field_changes_the_training_run(name, run_data):
+    # a field that changes neither the history nor the best tensors is accepted but does nothing
+    assert name in RUN_CHANGES, f"no changed value listed for {name}"
+    changed = [
+        replace(cfg, **{name: RUN_CHANGES[name]}) if name in {f.name for f in fields(cfg)} else cfg
+        for cfg in RUN_BASE
+    ]
+    assert changed != list(RUN_BASE)
+    base = _history_and_best(run_data, RUN_BASE)
+    assert base[0][-1].lr < RUN_BASE[1].learning_rate  # the plateau decay fired
+    assert _history_and_best(run_data, changed) != base
+
+
 class TestEvaluate:
     def test_one_prediction_per_event(self, small_dataset):
         splits = small_dataset.split_tables()
@@ -456,22 +512,6 @@ class TestEvaluate:
             rows = samples.prefix_len == j
             expected[j] = {"wae": wae(preds[rows], samples.targets[rows]), "count": int(rows.sum())}
         assert per_revision == expected
-
-    def test_continuous_over_scores_with_the_continuous_variant(self, small_dataset):
-        enc, cfg, model_fn = self._scored_test_split(small_dataset)
-        continuous = LossConfig(continuous_over=True)
-        late = lambda b: model_fn(b) + 100.0  # errors past tau, where the variants differ
-        samples = build_samples(enc, cfg)
-        report, per_revision = evaluate(late, samples, small_dataset.magnitude_of(), continuous)
-        final = build_final_samples(enc, cfg)
-        final_preds = predict_in_chunks(late, final)
-        want = wae(final_preds, final.targets, continuous)
-        assert math.isclose(report.overall.wae, want, rel_tol=1e-12)
-        assert report.overall.wae < wae(final_preds, final.targets)
-        preds = predict_in_chunks(late, samples)
-        for j, row in per_revision.items():
-            rows = samples.prefix_len == j
-            assert row["wae"] == wae(preds[rows], samples.targets[rows], continuous)
 
     def test_report_matches_final_revision_predictions(self, small_dataset):
         enc, cfg, model_fn = self._scored_test_split(small_dataset)
